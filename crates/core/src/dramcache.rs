@@ -26,11 +26,11 @@
 // cwf-lint: allow(hash-container) -- keyed in-flight lookups only, never iterated
 use std::collections::HashMap;
 
-use dram_timing::{DeviceConfig, PagePolicy};
-use mem_ctrl::audit::{AuditRecord, CacheAuditOp, ChannelDesc};
+use dram_timing::DeviceConfig;
+use mem_ctrl::audit::{AuditRecord, CacheAuditOp};
 use mem_ctrl::{
-    AddressMapper, Controller, LineRequest, Loc, MainMemory, MappingScheme, MemBusy, MemEvent,
-    MemSystemStats, Token,
+    AddressMapper, ChannelSet, ClockDomain, Controller, LineRequest, Loc, MappingScheme, MemBusy,
+    MemEvent, Organization, Token,
 };
 
 /// What happens to a missing line once the slow store returns it.
@@ -207,15 +207,18 @@ enum FastOp {
     Data(u64),
 }
 
-/// The DRAM-cache main memory (implements [`MainMemory`]).
+/// Clock domain of the fast cache channels.
+const FAST: usize = 0;
+/// Clock domain of the slow store channels.
+const SLOW: usize = 1;
+
+/// The DRAM-cache main memory (implements [`mem_ctrl::MainMemory`] as an
+/// [`Organization`]).
 #[derive(Debug)]
 pub struct DramCacheMemory {
-    fast: Vec<Controller>,
-    slow: Vec<Controller>,
+    chans: ChannelSet,
     fast_mapper: AddressMapper,
     slow_mapper: AddressMapper,
-    fast_ratio: u64,
-    slow_ratio: u64,
     sets: u32,
     ways: u32,
     fill: FillPolicy,
@@ -225,18 +228,8 @@ pub struct DramCacheMemory {
     pending: HashMap<u64, ReqState>,
     // cwf-lint: allow(hash-container) -- hot-path token map; get/remove/insert only
     fast_ops: HashMap<u64, FastOp>,
-    deferred_fast_reads: Vec<(u64, u8, Loc, bool)>,
-    deferred_slow_reads: Vec<(u64, u8, Loc, bool)>,
-    deferred_fast_writes: Vec<(u8, Loc)>,
-    deferred_slow_writes: Vec<(u8, Loc)>,
-    scheduled: Vec<(u64, MemEvent)>,
     next_id: u64,
     stats: DramCacheStats,
-    /// True once [`MainMemory::enable_audit`] has been called.
-    audit: bool,
-    cache_log: Vec<AuditRecord>,
-    trace_on: bool,
-    trace_buf: Vec<cwf_tracelog::TraceEvent>,
     fault_fake_hit: bool,
     fault_double_fill: bool,
     fault_drop_writeback: bool,
@@ -252,25 +245,13 @@ impl DramCacheMemory {
     pub fn new(cfg: DramCacheConfig) -> Self {
         assert!(cfg.fast_channels > 0 && cfg.slow_channels > 0, "need channels");
         assert!(cfg.sets > 0 && cfg.ways > 0, "cache needs sets and ways");
-        let fast_scheme = match cfg.fast.page_policy {
-            PagePolicy::Open => MappingScheme::OpenPageRowLocality,
-            PagePolicy::Closed => MappingScheme::ClosePageBankInterleave,
-        };
-        let fast_mapper = AddressMapper::new(
-            fast_scheme,
-            cfg.fast_channels,
-            1,
-            cfg.fast.geometry.banks,
-            cfg.fast.geometry.lines_per_row,
-            cfg.fast.geometry.rows,
-        );
-        let slow_mapper = AddressMapper::new(
+        let fast_scheme = MappingScheme::for_page_policy(cfg.fast.page_policy);
+        let fast_mapper = AddressMapper::for_device(fast_scheme, cfg.fast_channels, 1, &cfg.fast);
+        let slow_mapper = AddressMapper::for_device(
             MappingScheme::OpenPageRowLocality,
             cfg.slow_channels,
             1,
-            cfg.slow.geometry.banks,
-            cfg.slow.geometry.lines_per_row,
-            cfg.slow.geometry.rows,
+            &cfg.slow,
         );
         let fast_kind = format!("{}", cfg.fast.kind).to_lowercase();
         let slow_kind = format!("{}", cfg.slow.kind).to_lowercase();
@@ -295,12 +276,9 @@ impl DramCacheMemory {
             })
             .collect();
         DramCacheMemory {
-            fast,
-            slow,
+            chans: ChannelSet::new(vec![ClockDomain::new(fast), ClockDomain::new(slow)]),
             fast_mapper,
             slow_mapper,
-            fast_ratio: u64::from(cfg.fast.cpu_cycles_per_mem_cycle),
-            slow_ratio: u64::from(cfg.slow.cpu_cycles_per_mem_cycle),
             sets: cfg.sets,
             ways: cfg.ways,
             fill: cfg.fill,
@@ -308,17 +286,8 @@ impl DramCacheMemory {
             lru_clock: 0,
             pending: HashMap::new(), // cwf-lint: allow(hash-container) -- see field note
             fast_ops: HashMap::new(), // cwf-lint: allow(hash-container) -- see field note
-            deferred_fast_reads: Vec::new(),
-            deferred_slow_reads: Vec::new(),
-            deferred_fast_writes: Vec::new(),
-            deferred_slow_writes: Vec::new(),
-            scheduled: Vec::new(),
             next_id: 0,
             stats: DramCacheStats::default(),
-            audit: false,
-            cache_log: Vec::new(),
-            trace_on: false,
-            trace_buf: Vec::new(),
             fault_fake_hit: false,
             fault_double_fill: false,
             fault_drop_writeback: false,
@@ -379,17 +348,13 @@ impl DramCacheMemory {
     }
 
     fn audit_cache(&mut self, at: u64, op: CacheAuditOp) {
-        if self.audit {
-            self.cache_log.push(AuditRecord::Cache { at, op });
-        }
+        self.chans.record_audit(AuditRecord::Cache { at, op });
     }
 
     fn complete_read(&mut self, id: u64, at: u64, served_fast: bool) {
-        self.scheduled.push((
-            at,
-            MemEvent::WordsAvailable { token: Token(id), at, words: 0xFF, served_fast },
-        ));
-        self.scheduled.push((at, MemEvent::LineFilled { token: Token(id), at }));
+        let token = Token(id);
+        self.chans.schedule(at, MemEvent::WordsAvailable { token, at, words: 0xFF, served_fast });
+        self.chans.schedule(at, MemEvent::LineFilled { token, at });
     }
 
     fn handle_probe_done(&mut self, id: u64, at: u64) {
@@ -408,28 +373,26 @@ impl DramCacheMemory {
                     self.tags[idx].dirty = true;
                     self.tags[idx].lru = self.lru_clock;
                     let (chan, loc) = self.data_loc(set, way);
-                    self.deferred_fast_writes.push((chan, loc));
+                    self.chans.defer_write(FAST, chan, loc);
                     self.audit_cache(at, CacheAuditOp::Probe { line, set, hit: true, write: true });
                 }
                 None => {
                     // No write-allocate: the line goes straight down.
                     self.stats.write_misses += 1;
                     let (chan, loc) = self.slow_mapper.decode(line << 6);
-                    self.deferred_slow_writes.push((chan, loc));
+                    self.chans.defer_write(SLOW, chan, loc);
                     self.audit_cache(
                         at,
                         CacheAuditOp::Probe { line, set, hit: false, write: true },
                     );
                 }
             }
-            if self.trace_on {
-                self.trace_buf.push(cwf_tracelog::TraceEvent::DcTagProbe {
-                    token: cwf_tracelog::RequestToken(id),
-                    at,
-                    hit: resident.is_some(),
-                    write: true,
-                });
-            }
+            self.chans.record_trace(cwf_tracelog::TraceEvent::DcTagProbe {
+                token: cwf_tracelog::RequestToken(id),
+                at,
+                hit: resident.is_some(),
+                write: true,
+            });
             return;
         }
         let mut hit = resident.is_some();
@@ -441,14 +404,12 @@ impl DramCacheMemory {
         }
         p.hit = Some(hit);
         self.audit_cache(at, CacheAuditOp::Probe { line, set, hit, write: false });
-        if self.trace_on {
-            self.trace_buf.push(cwf_tracelog::TraceEvent::DcTagProbe {
-                token: cwf_tracelog::RequestToken(id),
-                at,
-                hit,
-                write: false,
-            });
-        }
+        self.chans.record_trace(cwf_tracelog::TraceEvent::DcTagProbe {
+            token: cwf_tracelog::RequestToken(id),
+            at,
+            hit,
+            write: false,
+        });
         self.pending.insert(id, p);
         if hit {
             self.stats.read_hits += 1;
@@ -460,7 +421,7 @@ impl DramCacheMemory {
             if !p.data_issued {
                 let way = resident.unwrap_or(0);
                 let (chan, loc) = self.data_loc(set, way);
-                self.deferred_fast_reads.push((id, chan, loc, prefetch));
+                self.chans.defer_read(FAST, id, chan, loc, prefetch);
             }
             self.try_complete_hit(id);
         } else {
@@ -469,7 +430,7 @@ impl DramCacheMemory {
                 self.stats.spec_wasted += 1;
             }
             let (chan, loc) = self.slow_mapper.decode(line << 6);
-            self.deferred_slow_reads.push((id, chan, loc, prefetch));
+            self.chans.defer_read(SLOW, id, chan, loc, prefetch);
         }
     }
 
@@ -496,13 +457,11 @@ impl DramCacheMemory {
         self.complete_read(id, done_at, false);
         self.pending.remove(&id);
         let filled = self.fill == FillPolicy::FillOnMiss;
-        if self.trace_on {
-            self.trace_buf.push(cwf_tracelog::TraceEvent::DcMissFill {
-                token: cwf_tracelog::RequestToken(id),
-                at,
-                filled,
-            });
-        }
+        self.chans.record_trace(cwf_tracelog::TraceEvent::DcMissFill {
+            token: cwf_tracelog::RequestToken(id),
+            at,
+            filled,
+        });
         if filled {
             self.fill_line(line, at);
             if self.fault_double_fill {
@@ -516,7 +475,7 @@ impl DramCacheMemory {
                     self.stats.fills += 1;
                     self.audit_cache(at, CacheAuditOp::Fill { line, set, way });
                     let (chan, loc) = self.data_loc(set, way);
-                    self.deferred_fast_writes.push((chan, loc));
+                    self.chans.defer_write(FAST, chan, loc);
                 }
             }
         } else {
@@ -544,7 +503,7 @@ impl DramCacheMemory {
                     self.fault_drop_writeback = false;
                 } else {
                     let (chan, loc) = self.slow_mapper.decode(victim.line << 6);
-                    self.deferred_slow_writes.push((chan, loc));
+                    self.chans.defer_write(SLOW, chan, loc);
                     self.stats.writebacks += 1;
                     self.audit_cache(at, CacheAuditOp::Writeback { line: victim.line, set });
                 }
@@ -560,63 +519,32 @@ impl DramCacheMemory {
         self.stats.fills += 1;
         self.audit_cache(at, CacheAuditOp::Fill { line, set, way });
         let (chan, loc) = self.data_loc(set, way);
-        self.deferred_fast_writes.push((chan, loc));
-    }
-
-    /// Drain deferred fast-domain work into channels with queue space.
-    fn pump_fast(&mut self, mem_now: u64) {
-        let reads = std::mem::take(&mut self.deferred_fast_reads);
-        for (id, chan, loc, prefetch) in reads {
-            let ctrl = &mut self.fast[usize::from(chan)];
-            if ctrl.read_space() && ctrl.enqueue_read(Token(id), loc, prefetch, mem_now) {
-                self.fast_ops.insert(id, FastOp::Data(id));
-            } else {
-                self.deferred_fast_reads.push((id, chan, loc, prefetch));
-            }
-        }
-        let writes = std::mem::take(&mut self.deferred_fast_writes);
-        for (chan, loc) in writes {
-            let ctrl = &mut self.fast[usize::from(chan)];
-            if !ctrl.write_space() || !ctrl.enqueue_write(loc, mem_now) {
-                self.deferred_fast_writes.push((chan, loc));
-            }
-        }
-    }
-
-    /// Drain deferred slow-domain work into channels with queue space.
-    fn pump_slow(&mut self, mem_now: u64) {
-        let reads = std::mem::take(&mut self.deferred_slow_reads);
-        for (id, chan, loc, prefetch) in reads {
-            let ctrl = &mut self.slow[usize::from(chan)];
-            if !ctrl.read_space() || !ctrl.enqueue_read(Token(id), loc, prefetch, mem_now) {
-                self.deferred_slow_reads.push((id, chan, loc, prefetch));
-            }
-        }
-        let writes = std::mem::take(&mut self.deferred_slow_writes);
-        for (chan, loc) in writes {
-            let ctrl = &mut self.slow[usize::from(chan)];
-            if !ctrl.write_space() || !ctrl.enqueue_write(loc, mem_now) {
-                self.deferred_slow_writes.push((chan, loc));
-            }
-        }
+        self.chans.defer_write(FAST, chan, loc);
     }
 }
 
-impl MainMemory for DramCacheMemory {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
+impl Organization for DramCacheMemory {
+    fn channels(&self) -> &ChannelSet {
+        &self.chans
+    }
+
+    fn channels_mut(&mut self) -> &mut ChannelSet {
+        &mut self.chans
+    }
+
+    fn submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
         let line = req.line_addr >> 6;
         let set = self.set_of(line);
         let (pchan, ploc) = self.probe_loc(set);
-        if !self.fast[usize::from(pchan)].read_space() {
+        let pchan = usize::from(pchan);
+        if !self.chans.read_space(FAST, pchan) {
             return Err(MemBusy);
         }
-        let mem_now = now / self.fast_ratio;
         match req.kind {
             mem_ctrl::AccessKind::Write { .. } => {
                 let id = self.next_id;
                 self.next_id += 1;
-                let ok =
-                    self.fast[usize::from(pchan)].enqueue_read(Token(id), ploc, false, mem_now);
+                let ok = self.chans.enqueue_read(FAST, pchan, Token(id), ploc, false, now);
                 debug_assert!(ok, "space was checked");
                 self.fast_ops.insert(id, FastOp::Probe(id));
                 self.pending.insert(
@@ -642,12 +570,7 @@ impl MainMemory for DramCacheMemory {
                 let id = self.next_id;
                 let probe_id = self.next_id + 1;
                 self.next_id += 2;
-                let ok = self.fast[usize::from(pchan)].enqueue_read(
-                    Token(probe_id),
-                    ploc,
-                    prefetch,
-                    mem_now,
-                );
+                let ok = self.chans.enqueue_read(FAST, pchan, Token(probe_id), ploc, prefetch, now);
                 debug_assert!(ok, "space was checked");
                 self.fast_ops.insert(probe_id, FastOp::Probe(id));
                 // Hit speculation: start the data access in parallel with
@@ -656,13 +579,14 @@ impl MainMemory for DramCacheMemory {
                 // pressure — the probe then serializes before the data.
                 let way = self.lookup(set, line).unwrap_or(0);
                 let (dchan, dloc) = self.data_loc(set, way);
-                let data_issued = self.fast[usize::from(dchan)].read_space()
-                    && self.fast[usize::from(dchan)].enqueue_read(
-                        Token(id),
-                        dloc,
-                        prefetch,
-                        mem_now,
-                    );
+                let data_issued = self.chans.enqueue_read(
+                    FAST,
+                    usize::from(dchan),
+                    Token(id),
+                    dloc,
+                    prefetch,
+                    now,
+                );
                 if data_issued {
                     self.fast_ops.insert(id, FastOp::Data(id));
                 }
@@ -687,165 +611,22 @@ impl MainMemory for DramCacheMemory {
         }
     }
 
-    fn tick(&mut self, now: u64) {
-        if now.is_multiple_of(self.fast_ratio) {
-            let mem_now = now / self.fast_ratio;
-            let mut done = Vec::new();
-            for ctrl in &mut self.fast {
-                ctrl.tick_mem(mem_now, true);
-                done.extend(ctrl.take_completions());
-            }
-            for c in done {
-                match self.fast_ops.remove(&c.token.0) {
-                    Some(FastOp::Probe(req)) => {
-                        self.handle_probe_done(req, c.data_end_mem * self.fast_ratio);
-                    }
-                    Some(FastOp::Data(req)) => {
-                        self.handle_data_done(req, c.data_end_mem * self.fast_ratio);
-                    }
-                    None => {}
-                }
-            }
-            self.pump_fast(mem_now);
+    fn complete(&mut self, domain: usize, token: Token, at: u64) {
+        if domain == SLOW {
+            self.handle_slow_done(token.0, at);
+            return;
         }
-        if now.is_multiple_of(self.slow_ratio) {
-            let mem_now = now / self.slow_ratio;
-            let mut done = Vec::new();
-            for ctrl in &mut self.slow {
-                ctrl.tick_mem(mem_now, true);
-                done.extend(ctrl.take_completions());
-            }
-            for c in done {
-                self.handle_slow_done(c.token.0, c.data_end_mem * self.slow_ratio);
-            }
-            self.pump_slow(mem_now);
+        match self.fast_ops.remove(&token.0) {
+            Some(FastOp::Probe(req)) => self.handle_probe_done(req, at),
+            Some(FastOp::Data(req)) => self.handle_data_done(req, at),
+            None => {}
         }
     }
 
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        let mut i = 0;
-        while i < self.scheduled.len() {
-            if self.scheduled[i].0 <= now {
-                out.push(self.scheduled.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        // Ceiling division per clock domain (see `HomogeneousMemory::stats`).
-        let mut controllers = Vec::new();
-        for ctrl in &mut self.fast {
-            controllers.push(ctrl.stats(now.div_ceil(self.fast_ratio)));
-        }
-        for ctrl in &mut self.slow {
-            controllers.push(ctrl.stats(now.div_ceil(self.slow_ratio)));
-        }
-        MemSystemStats { controllers }
-    }
-
-    fn enable_audit(&mut self) {
-        self.audit = true;
-        for c in &mut self.fast {
-            c.enable_command_log();
-        }
-        for c in &mut self.slow {
-            c.enable_command_log();
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        // Channel numbering matches `audit_channels`: fast cache channels
-        // first, then the slow store channels.
-        self.trace_on = true;
-        for (i, c) in self.fast.iter_mut().enumerate() {
-            c.enable_trace(i as u16);
-        }
-        let n_fast = self.fast.len() as u16;
-        for (j, c) in self.slow.iter_mut().enumerate() {
-            c.enable_trace(n_fast + j as u16);
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        for c in &mut self.fast {
-            out.append(&mut c.take_trace());
-        }
-        for c in &mut self.slow {
-            out.append(&mut c.take_trace());
-        }
-        out.append(&mut self.trace_buf);
-    }
-
-    fn audit_channels(&self) -> Vec<ChannelDesc> {
-        if !self.audit {
-            return Vec::new();
-        }
-        let mut out: Vec<ChannelDesc> = self
-            .fast
-            .iter()
-            .map(|c| ChannelDesc {
-                label: c.label().to_owned(),
-                cfg: c.config().clone(),
-                ranks: c.ranks(),
-                bus_group: None,
-            })
-            .collect();
-        out.extend(self.slow.iter().map(|c| ChannelDesc {
-            label: c.label().to_owned(),
-            cfg: c.config().clone(),
-            ranks: c.ranks(),
-            bus_group: None,
-        }));
-        out
-    }
-
-    fn drain_audit(&mut self, out: &mut Vec<AuditRecord>) {
-        let n_fast = self.fast.len();
-        for (i, c) in self.fast.iter_mut().enumerate() {
-            for (at_mem, cmd) in c.take_command_log() {
-                out.push(AuditRecord::Cmd { channel: i, at_mem, cmd });
-            }
-            for (at_mem, rank, state) in c.take_power_log() {
-                out.push(AuditRecord::Power { channel: i, at_mem, rank, state });
-            }
-        }
-        for (j, c) in self.slow.iter_mut().enumerate() {
-            for (at_mem, cmd) in c.take_command_log() {
-                out.push(AuditRecord::Cmd { channel: n_fast + j, at_mem, cmd });
-            }
-            for (at_mem, rank, state) in c.take_power_log() {
-                out.push(AuditRecord::Power { channel: n_fast + j, at_mem, rank, state });
-            }
-        }
-        out.append(&mut self.cache_log);
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        let mut next =
-            self.scheduled.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
-        for ctrl in &self.fast {
-            if let Some(at_mem) = ctrl.next_activity_mem(now / self.fast_ratio) {
-                next = next.min(at_mem * self.fast_ratio);
-            }
-        }
-        for ctrl in &self.slow {
-            if let Some(at_mem) = ctrl.next_activity_mem(now / self.slow_ratio) {
-                next = next.min(at_mem * self.slow_ratio);
-            }
-        }
-        // Deferred work re-tries at the owning domain's next device tick.
-        if !self.deferred_fast_reads.is_empty() || !self.deferred_fast_writes.is_empty() {
-            next = next.min((now / self.fast_ratio + 1) * self.fast_ratio);
-        }
-        if !self.deferred_slow_reads.is_empty() || !self.deferred_slow_writes.is_empty() {
-            next = next.min((now / self.slow_ratio + 1) * self.slow_ratio);
-        }
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
+    fn deferred_read_issued(&mut self, domain: usize, token: Token) {
+        // Deferred fast reads are always hit data reads.
+        if domain == FAST {
+            self.fast_ops.insert(token.0, FastOp::Data(token.0));
         }
     }
 }
@@ -911,12 +692,9 @@ impl DramCacheMemory {
     /// Fails when any controller refuses to serialize.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         let DramCacheMemory {
-            fast,
-            slow,
+            chans,
             fast_mapper: _,
             slow_mapper: _,
-            fast_ratio: _,
-            slow_ratio: _,
             sets: _,
             ways: _,
             fill: _,
@@ -924,30 +702,15 @@ impl DramCacheMemory {
             lru_clock,
             pending,
             fast_ops,
-            deferred_fast_reads,
-            deferred_slow_reads,
-            deferred_fast_writes,
-            deferred_slow_writes,
-            scheduled,
             next_id,
             stats,
-            audit,
-            cache_log: _,
-            trace_on: _,
-            trace_buf: _,
             fault_fake_hit,
             fault_double_fill,
             fault_drop_writeback,
         } = self;
         w.section(b"DCCH");
-        w.put_u64(fast.len() as u64);
-        for c in fast {
-            c.save_state(w)?;
-        }
-        w.put_u64(slow.len() as u64);
-        for c in slow {
-            c.save_state(w)?;
-        }
+        chans.save_domain(FAST, w)?;
+        chans.save_domain(SLOW, w)?;
         cwf_ckpt::Ckpt::save(tags, w);
         cwf_ckpt::Ckpt::save(lru_clock, w);
         let mut ids: Vec<u64> = pending.keys().copied().collect();
@@ -964,14 +727,11 @@ impl DramCacheMemory {
             w.put_u64(id);
             cwf_ckpt::Ckpt::save(&fast_ops[&id], w);
         }
-        cwf_ckpt::Ckpt::save(deferred_fast_reads, w);
-        cwf_ckpt::Ckpt::save(deferred_slow_reads, w);
-        cwf_ckpt::Ckpt::save(deferred_fast_writes, w);
-        cwf_ckpt::Ckpt::save(deferred_slow_writes, w);
-        cwf_ckpt::Ckpt::save(scheduled, w);
+        chans.save_deferred(w);
+        chans.save_scheduled(w);
         cwf_ckpt::Ckpt::save(next_id, w);
         cwf_ckpt::Ckpt::save(stats, w);
-        cwf_ckpt::Ckpt::save(audit, w);
+        chans.save_audit_flag(w);
         cwf_ckpt::Ckpt::save(fault_fake_hit, w);
         cwf_ckpt::Ckpt::save(fault_double_fill, w);
         cwf_ckpt::Ckpt::save(fault_drop_writeback, w);
@@ -985,20 +745,8 @@ impl DramCacheMemory {
     /// Fails on malformed input or a channel-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"DCCH")?;
-        let n_fast = r.get_u64()?;
-        if n_fast != self.fast.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("fast-channel count mismatch"));
-        }
-        for c in &mut self.fast {
-            c.load_state(r)?;
-        }
-        let n_slow = r.get_u64()?;
-        if n_slow != self.slow.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("slow-channel count mismatch"));
-        }
-        for c in &mut self.slow {
-            c.load_state(r)?;
-        }
+        self.chans.load_domain(FAST, r)?;
+        self.chans.load_domain(SLOW, r)?;
         let tags: Vec<TagEntry> = cwf_ckpt::Ckpt::load(r)?;
         if tags.len() != self.tags.len() {
             return Err(cwf_ckpt::CkptError::new("tag-array size mismatch"));
@@ -1019,14 +767,11 @@ impl DramCacheMemory {
             let op: FastOp = cwf_ckpt::Ckpt::load(r)?;
             self.fast_ops.insert(id, op);
         }
-        self.deferred_fast_reads = cwf_ckpt::Ckpt::load(r)?;
-        self.deferred_slow_reads = cwf_ckpt::Ckpt::load(r)?;
-        self.deferred_fast_writes = cwf_ckpt::Ckpt::load(r)?;
-        self.deferred_slow_writes = cwf_ckpt::Ckpt::load(r)?;
-        self.scheduled = cwf_ckpt::Ckpt::load(r)?;
+        self.chans.load_deferred(r)?;
+        self.chans.load_events(r)?;
         self.next_id = cwf_ckpt::Ckpt::load(r)?;
         self.stats = cwf_ckpt::Ckpt::load(r)?;
-        self.audit = cwf_ckpt::Ckpt::load(r)?;
+        self.chans.load_audit_flag(r)?;
         self.fault_fake_hit = cwf_ckpt::Ckpt::load(r)?;
         self.fault_double_fill = cwf_ckpt::Ckpt::load(r)?;
         self.fault_drop_writeback = cwf_ckpt::Ckpt::load(r)?;
@@ -1037,6 +782,7 @@ impl DramCacheMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_ctrl::MainMemory;
 
     fn run_until_fill(mem: &mut DramCacheMemory, start: u64, span: u64) -> Vec<MemEvent> {
         let mut ev = Vec::new();

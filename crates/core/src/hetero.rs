@@ -3,11 +3,10 @@
 // cwf-lint: allow(hash-container) -- keyed in-flight lookups only, never iterated
 use std::collections::HashMap;
 
-use dram_timing::{DeviceConfig, PagePolicy};
-use mem_ctrl::audit::{AuditRecord, ChannelDesc};
+use dram_timing::DeviceConfig;
 use mem_ctrl::{
-    AddressMapper, AggregatedController, Controller, CtrlParams, LineRequest, MainMemory,
-    MappingScheme, MemBusy, MemEvent, MemSystemStats, Token,
+    AddressMapper, AggregatedController, ChannelSet, ClockDomain, Controller, LineRequest,
+    MappingScheme, MemBusy, MemEvent, Organization, Token,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -166,25 +165,25 @@ struct Pending {
     demand: bool,
 }
 
-/// The heterogeneous CWF main memory (implements [`MainMemory`]).
+/// Clock domain of the critical-word (fast) sub-channels.
+const FAST: usize = 0;
+/// Clock domain of the rest-of-line (slow) channels.
+const SLOW: usize = 1;
+
+/// The heterogeneous CWF main memory (implements
+/// [`mem_ctrl::MainMemory`] as an [`Organization`]).
 #[derive(Debug)]
 pub struct HeteroCwfMemory {
-    fast: AggregatedController,
-    slow: Vec<Controller>,
+    chans: ChannelSet,
     fast_mapper: AddressMapper,
     slow_mapper: AddressMapper,
     placement: Placement,
     rng: StdRng,
     parity_error_rate: f64,
-    fast_ratio: u64,
-    slow_ratio: u64,
     // cwf-lint: allow(hash-container) -- hot-path token map; get/remove/insert only
     pending: HashMap<u64, Pending>,
-    scheduled: Vec<(u64, MemEvent)>,
     next_id: u64,
     stats: CwfStats,
-    /// True once [`MainMemory::enable_audit`] has been called.
-    audit: bool,
 }
 
 impl HeteroCwfMemory {
@@ -196,85 +195,53 @@ impl HeteroCwfMemory {
     #[must_use]
     pub fn new(cfg: CwfConfig) -> Self {
         assert!(cfg.slow_channels > 0 && cfg.fast_subchannels > 0, "need channels");
-        let fast_scheme = match cfg.fast.page_policy {
-            PagePolicy::Open => MappingScheme::OpenPageRowLocality,
-            PagePolicy::Closed => MappingScheme::ClosePageBankInterleave,
-        };
-        let fast_mapper = AddressMapper::new(
-            fast_scheme,
-            cfg.fast_subchannels,
-            1,
-            cfg.fast.geometry.banks,
-            cfg.fast.geometry.lines_per_row,
-            cfg.fast.geometry.rows,
-        );
-        let slow_mapper = AddressMapper::new(
+        let fast_scheme = MappingScheme::for_page_policy(cfg.fast.page_policy);
+        let fast_mapper =
+            AddressMapper::for_device(fast_scheme, cfg.fast_subchannels, 1, &cfg.fast);
+        let slow_mapper = AddressMapper::for_device(
             MappingScheme::OpenPageRowLocality,
             cfg.slow_channels,
             1,
-            cfg.slow.geometry.banks,
-            cfg.slow.geometry.lines_per_row,
-            cfg.slow.geometry.rows,
+            &cfg.slow,
         );
         let fast_kind = format!("{}", cfg.fast.kind).to_lowercase();
         let slow_kind = format!("{}", cfg.slow.kind).to_lowercase();
-        let mut fast = AggregatedController::new(
-            &cfg.fast,
-            cfg.fast_subchannels,
-            1,
-            cfg.fast_chips,
-            &format!("fast-{fast_kind}"),
-            CtrlParams::default(),
-        );
-        if !cfg.shared_fast_bus {
-            fast = fast.with_private_buses();
-        }
-        let slow = (0..cfg.slow_channels)
+        let fast = (0..cfg.fast_subchannels)
             .map(|i| {
-                Controller::new(
-                    cfg.slow.clone(),
-                    1,
-                    cfg.slow_chips,
-                    &format!("slow-{slow_kind}-ch{i}"),
-                )
+                let label = format!("fast-{fast_kind}-sub{i}");
+                Controller::new(cfg.fast.clone(), 1, cfg.fast_chips, &label)
             })
             .collect();
+        let slow = (0..cfg.slow_channels)
+            .map(|i| {
+                let label = format!("slow-{slow_kind}-ch{i}");
+                Controller::new(cfg.slow.clone(), 1, cfg.slow_chips, &label)
+            })
+            .collect();
+        let mut arbiter = AggregatedController::new();
+        if !cfg.shared_fast_bus {
+            arbiter = arbiter.with_private_buses();
+        }
         HeteroCwfMemory {
-            fast,
-            slow,
+            chans: ChannelSet::new(vec![
+                ClockDomain::aggregated(fast, arbiter),
+                ClockDomain::new(slow),
+            ]),
             fast_mapper,
             slow_mapper,
             placement: Placement::new(cfg.policy),
             rng: StdRng::seed_from_u64(cfg.seed),
             parity_error_rate: cfg.parity_error_rate,
-            fast_ratio: u64::from(cfg.fast.cpu_cycles_per_mem_cycle),
-            slow_ratio: u64::from(cfg.slow.cpu_cycles_per_mem_cycle),
             pending: HashMap::new(), // cwf-lint: allow(hash-container) -- see field note
-            scheduled: Vec::new(),
             next_id: 0,
             stats: CwfStats::default(),
-            audit: false,
         }
-    }
-
-    /// Fault injection: double-book the shared fast command slot (see
-    /// [`AggregatedController::inject_double_book_slot`]). Seeded-fault
-    /// tests only.
-    pub fn inject_double_book_slot(&mut self) {
-        self.fast.inject_double_book_slot();
     }
 
     /// CWF-specific statistics.
     #[must_use]
     pub fn cwf_stats(&self) -> &CwfStats {
         &self.stats
-    }
-
-    /// Cycles in which the shared fast address/command bus was contended
-    /// (the aggregation bottleneck of §6.1.2).
-    #[must_use]
-    pub fn cmd_bus_conflicts(&self) -> u64 {
-        self.fast.cmd_bus_conflicts
     }
 
     /// The placement state (tag-store inspection in tests/examples).
@@ -308,15 +275,11 @@ impl HeteroCwfMemory {
             p.parity_defer = true;
             self.stats.parity_errors += 1;
         } else {
-            self.scheduled.push((
+            let words = 1 << p.fast_word;
+            self.chans.schedule(
                 at,
-                MemEvent::WordsAvailable {
-                    token: Token(id),
-                    at,
-                    words: 1 << p.fast_word,
-                    served_fast: true,
-                },
-            ));
+                MemEvent::WordsAvailable { token: Token(id), at, words, served_fast: true },
+            );
         }
         self.maybe_fill(id);
     }
@@ -325,10 +288,10 @@ impl HeteroCwfMemory {
         let Some(p) = self.pending.get_mut(&id) else { return };
         p.slow_done = Some(at);
         let words = !(1u8 << p.fast_word);
-        self.scheduled.push((
+        self.chans.schedule(
             at,
             MemEvent::WordsAvailable { token: Token(id), at, words, served_fast: false },
-        ));
+        );
         self.maybe_fill(id);
     }
 
@@ -348,46 +311,49 @@ impl HeteroCwfMemory {
         if p.parity_defer {
             // The parity-suppressed word becomes usable only now, after
             // SECDED over the full line corrected it (§4.2.3).
-            self.scheduled.push((
+            let words = 1 << p.fast_word;
+            self.chans.schedule(
                 at,
-                MemEvent::WordsAvailable {
-                    token: Token(id),
-                    at,
-                    words: 1 << p.fast_word,
-                    served_fast: false,
-                },
-            ));
+                MemEvent::WordsAvailable { token: Token(id), at, words, served_fast: false },
+            );
         }
-        self.scheduled.push((at, MemEvent::LineFilled { token: Token(id), at }));
+        self.chans.schedule(at, MemEvent::LineFilled { token: Token(id), at });
         self.pending.remove(&id);
     }
 }
 
-impl MainMemory for HeteroCwfMemory {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
+impl Organization for HeteroCwfMemory {
+    fn channels(&self) -> &ChannelSet {
+        &self.chans
+    }
+
+    fn channels_mut(&mut self) -> &mut ChannelSet {
+        &mut self.chans
+    }
+
+    fn submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
         let line = req.line_addr >> 6;
         let (sub, floc) = self.fast_mapper.decode(req.line_addr);
         let (chan, sloc) = self.slow_mapper.decode(req.line_addr);
-        let sub = usize::from(sub);
-        let chan = usize::from(chan);
+        let (sub, chan) = (usize::from(sub), usize::from(chan));
         match req.kind {
             mem_ctrl::AccessKind::Write { predicted_critical } => {
                 // Both halves must be written atomically (the MSHR frees
                 // the line only once), so require space in both queues.
-                if !self.fast.write_space(sub) || !self.slow[chan].write_space() {
+                if !self.chans.write_space(FAST, sub) || !self.chans.write_space(SLOW, chan) {
                     return Err(MemBusy);
                 }
                 // Re-organise the layout before choosing the destination
                 // word (§4.2.5: the dirty writeback installs the predicted
                 // critical word in the low-latency DIMM).
                 self.placement.on_writeback(line, predicted_critical);
-                let ok_f = self.fast.enqueue_write(sub, floc, now / self.fast_ratio);
-                let ok_s = self.slow[chan].enqueue_write(sloc, now / self.slow_ratio);
+                let ok_f = self.chans.enqueue_write(FAST, sub, floc, now);
+                let ok_s = self.chans.enqueue_write(SLOW, chan, sloc, now);
                 debug_assert!(ok_f && ok_s, "space was checked");
                 Ok(None)
             }
             mem_ctrl::AccessKind::DemandRead | mem_ctrl::AccessKind::PrefetchRead => {
-                if !self.fast.read_space(sub) || !self.slow[chan].read_space() {
+                if !self.chans.read_space(FAST, sub) || !self.chans.read_space(SLOW, chan) {
                     return Err(MemBusy);
                 }
                 let demand = req.kind == mem_ctrl::AccessKind::DemandRead;
@@ -395,10 +361,8 @@ impl MainMemory for HeteroCwfMemory {
                 let fast_word = self.placement.fast_word(line, req.critical_word);
                 let id = self.next_id;
                 self.next_id += 1;
-                let ok_f =
-                    self.fast.enqueue_read(sub, Token(id), floc, prefetch, now / self.fast_ratio);
-                let ok_s =
-                    self.slow[chan].enqueue_read(Token(id), sloc, prefetch, now / self.slow_ratio);
+                let ok_f = self.chans.enqueue_read(FAST, sub, Token(id), floc, prefetch, now);
+                let ok_s = self.chans.enqueue_read(SLOW, chan, Token(id), sloc, prefetch, now);
                 debug_assert!(ok_f && ok_s, "space was checked");
                 self.pending.insert(
                     id,
@@ -419,136 +383,11 @@ impl MainMemory for HeteroCwfMemory {
         }
     }
 
-    fn tick(&mut self, now: u64) {
-        if now.is_multiple_of(self.fast_ratio) {
-            let mem_now = now / self.fast_ratio;
-            self.fast.tick_mem(mem_now);
-            for (_sub, c) in self.fast.take_completions() {
-                self.handle_fast_done(c.token.0, c.data_end_mem * self.fast_ratio);
-            }
-        }
-        if now.is_multiple_of(self.slow_ratio) {
-            let mem_now = now / self.slow_ratio;
-            let mut done = Vec::new();
-            for ctrl in &mut self.slow {
-                ctrl.tick_mem(mem_now, true);
-                done.extend(ctrl.take_completions());
-            }
-            for c in done {
-                self.handle_slow_done(c.token.0, c.data_end_mem * self.slow_ratio);
-            }
-        }
-    }
-
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        let mut i = 0;
-        while i < self.scheduled.len() {
-            if self.scheduled[i].0 <= now {
-                out.push(self.scheduled.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        // Ceiling division per clock domain: the settle point must not
-        // depend on whether the cycles since the last device tick were
-        // executed one-by-one or skipped (see `HomogeneousMemory::stats`).
-        let mut controllers = self.fast.stats(now.div_ceil(self.fast_ratio));
-        for ctrl in &mut self.slow {
-            controllers.push(ctrl.stats(now.div_ceil(self.slow_ratio)));
-        }
-        MemSystemStats { controllers }
-    }
-
-    fn enable_audit(&mut self) {
-        self.audit = true;
-        self.fast.enable_command_log();
-        for c in &mut self.slow {
-            c.enable_command_log();
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        // Channel numbering matches `audit_channels`: fast sub-channels
-        // first, then the slow line channels.
-        self.fast.enable_trace(0);
-        let n_fast = self.fast.n_subs() as u16;
-        for (j, c) in self.slow.iter_mut().enumerate() {
-            c.enable_trace(n_fast + j as u16);
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        self.fast.drain_trace(out);
-        for c in &mut self.slow {
-            out.append(&mut c.take_trace());
-        }
-    }
-
-    fn audit_channels(&self) -> Vec<ChannelDesc> {
-        if !self.audit {
-            return Vec::new();
-        }
-        let bus_group = if self.fast.shared_bus() { Some(0) } else { None };
-        let mut out: Vec<ChannelDesc> = self
-            .fast
-            .subs()
-            .iter()
-            .map(|c| ChannelDesc {
-                label: c.label().to_owned(),
-                cfg: c.config().clone(),
-                ranks: c.ranks(),
-                bus_group,
-            })
-            .collect();
-        out.extend(self.slow.iter().map(|c| ChannelDesc {
-            label: c.label().to_owned(),
-            cfg: c.config().clone(),
-            ranks: c.ranks(),
-            bus_group: None,
-        }));
-        out
-    }
-
-    fn drain_audit(&mut self, out: &mut Vec<AuditRecord>) {
-        let n_fast = self.fast.n_subs();
-        for (i, log) in self.fast.take_command_logs().into_iter().enumerate() {
-            for (at_mem, cmd) in log {
-                out.push(AuditRecord::Cmd { channel: i, at_mem, cmd });
-            }
-        }
-        for (i, log) in self.fast.take_power_logs().into_iter().enumerate() {
-            for (at_mem, rank, state) in log {
-                out.push(AuditRecord::Power { channel: i, at_mem, rank, state });
-            }
-        }
-        for (j, c) in self.slow.iter_mut().enumerate() {
-            for (at_mem, cmd) in c.take_command_log() {
-                out.push(AuditRecord::Cmd { channel: n_fast + j, at_mem, cmd });
-            }
-            for (at_mem, rank, state) in c.take_power_log() {
-                out.push(AuditRecord::Power { channel: n_fast + j, at_mem, rank, state });
-            }
-        }
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        let mut next =
-            self.scheduled.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
-        if let Some(at_mem) = self.fast.next_activity_mem(now / self.fast_ratio) {
-            next = next.min(at_mem * self.fast_ratio);
-        }
-        for ctrl in &self.slow {
-            if let Some(at_mem) = ctrl.next_activity_mem(now / self.slow_ratio) {
-                next = next.min(at_mem * self.slow_ratio);
-            }
-        }
-        if next == u64::MAX {
-            None
+    fn complete(&mut self, domain: usize, token: Token, at: u64) {
+        if domain == FAST {
+            self.handle_fast_done(token.0, at);
         } else {
-            Some(next)
+            self.handle_slow_done(token.0, at);
         }
     }
 }
@@ -557,6 +396,7 @@ impl MainMemory for HeteroCwfMemory {
 mod tests {
     use super::*;
     use dram_timing::DeviceKind;
+    use mem_ctrl::MainMemory;
 
     fn run_one_read(
         mut mem: HeteroCwfMemory,
@@ -742,27 +582,19 @@ impl HeteroCwfMemory {
     /// Fails when any controller holds undrained trace events.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         let HeteroCwfMemory {
-            fast,
-            slow,
+            chans,
             fast_mapper: _,
             slow_mapper: _,
             placement,
             rng,
             parity_error_rate: _,
-            fast_ratio: _,
-            slow_ratio: _,
             pending,
-            scheduled,
             next_id,
             stats,
-            audit,
         } = self;
         w.section(b"HCWF");
-        fast.save_state(w)?;
-        w.put_u64(slow.len() as u64);
-        for c in slow {
-            c.save_state(w)?;
-        }
+        chans.save_domain(FAST, w)?;
+        chans.save_domain(SLOW, w)?;
         placement.save_state(w);
         cwf_ckpt::Ckpt::save(&rng.state(), w);
         let mut ids: Vec<u64> = pending.keys().copied().collect();
@@ -772,10 +604,10 @@ impl HeteroCwfMemory {
             w.put_u64(id);
             cwf_ckpt::Ckpt::save(&pending[&id], w);
         }
-        cwf_ckpt::Ckpt::save(scheduled, w);
+        chans.save_scheduled(w);
         cwf_ckpt::Ckpt::save(next_id, w);
         cwf_ckpt::Ckpt::save(stats, w);
-        cwf_ckpt::Ckpt::save(audit, w);
+        chans.save_audit_flag(w);
         Ok(())
     }
 
@@ -786,14 +618,8 @@ impl HeteroCwfMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"HCWF")?;
-        self.fast.load_state(r)?;
-        let n = r.get_u64()?;
-        if n != self.slow.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("slow-controller count mismatch"));
-        }
-        for c in &mut self.slow {
-            c.load_state(r)?;
-        }
+        self.chans.load_domain(FAST, r)?;
+        self.chans.load_domain(SLOW, r)?;
         self.placement.load_state(r)?;
         self.rng = StdRng::from_state(cwf_ckpt::Ckpt::load(r)?);
         let n_pending = r.get_u64()?;
@@ -803,10 +629,10 @@ impl HeteroCwfMemory {
             let p: Pending = cwf_ckpt::Ckpt::load(r)?;
             self.pending.insert(id, p);
         }
-        self.scheduled = cwf_ckpt::Ckpt::load(r)?;
+        self.chans.load_events(r)?;
         self.next_id = cwf_ckpt::Ckpt::load(r)?;
         self.stats = cwf_ckpt::Ckpt::load(r)?;
-        self.audit = cwf_ckpt::Ckpt::load(r)?;
+        self.chans.load_audit_flag(r)?;
         Ok(())
     }
 }

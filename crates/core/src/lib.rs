@@ -25,7 +25,7 @@
 //! * [`hetero`] — [`HeteroCwfMemory`], the split-transaction backend
 //!   (implements [`mem_ctrl::MainMemory`]);
 //! * [`pageplace`] — the page-granularity comparator of §7.1 and the
-//!   profiling wrapper that feeds it;
+//!   hot-page selection that feeds it;
 //! * [`dramcache`] — [`DramCacheMemory`], the competing hybrid-memory
 //!   organization: the fast channels as a tags-in-DRAM line cache in
 //!   front of a slow NVM-like store (DESIGN.md §17).
@@ -60,5 +60,5 @@ pub mod placement;
 
 pub use dramcache::{DramCacheConfig, DramCacheMemory, DramCacheStats, FillPolicy};
 pub use hetero::{CwfConfig, CwfStats, HeteroCwfMemory};
-pub use pageplace::{hot_pages, PagePlacedMemory, ProfilingMemory, PAGE_BYTES};
+pub use pageplace::{hot_pages, PagePlacedMemory, PAGE_BYTES};
 pub use placement::{Placement, PlacementPolicy};

@@ -6,80 +6,23 @@
 //! LPDDR2 channels plus one 0.5 GB RLDRAM3 channel, with the top ~7.6% of
 //! profiled pages (by access count) pinned in RLDRAM3.
 //!
-//! [`ProfilingMemory`] wraps any backend and records per-page access
-//! counts during a profiling pass; [`hot_pages`] selects the top fraction;
-//! [`PagePlacedMemory`] is the placed system.
+//! A profiling pass over the baseline tallies per-page access counts
+//! ([`mem_ctrl::HomogeneousMemory::with_page_tally`]); [`hot_pages`]
+//! selects the top fraction; [`PagePlacedMemory`] is the placed system.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dram_timing::DeviceConfig;
+pub use mem_ctrl::PAGE_BYTES;
 use mem_ctrl::{
-    AddressMapper, Controller, LineRequest, MainMemory, MappingScheme, MemBusy, MemEvent,
-    MemSystemStats, Token,
+    AddressMapper, ChannelSet, ClockDomain, Controller, LineRequest, MappingScheme, MemBusy,
+    Organization, Token,
 };
 
-/// Page size used for placement decisions (4 KiB).
-pub const PAGE_BYTES: u64 = 4096;
-
-/// A transparent wrapper that counts page accesses for offline profiling.
-#[derive(Debug)]
-pub struct ProfilingMemory<M> {
-    inner: M,
-    counts: BTreeMap<u64, u64>,
-}
-
-impl<M> ProfilingMemory<M> {
-    /// Wrap `inner`.
-    #[must_use]
-    pub fn new(inner: M) -> Self {
-        ProfilingMemory { inner, counts: BTreeMap::new() }
-    }
-
-    /// Per-page access counts collected so far.
-    #[must_use]
-    pub fn page_counts(&self) -> &BTreeMap<u64, u64> {
-        &self.counts
-    }
-
-    /// Unwrap, returning the counts.
-    pub fn into_counts(self) -> BTreeMap<u64, u64> {
-        self.counts
-    }
-}
-
-impl<M: MainMemory> MainMemory for ProfilingMemory<M> {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
-        let res = self.inner.try_submit(req, now);
-        if res.is_ok() {
-            *self.counts.entry(req.line_addr / PAGE_BYTES).or_insert(0) += 1;
-        }
-        res
-    }
-
-    fn tick(&mut self, now: u64) {
-        self.inner.tick(now);
-    }
-
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        self.inner.drain_events(now, out);
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        self.inner.stats(now)
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        self.inner.next_activity(now)
-    }
-
-    fn enable_trace(&mut self) {
-        self.inner.enable_trace();
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        self.inner.drain_trace(out);
-    }
-}
+/// Clock domain of the hot-page RLDRAM3 channel.
+const HOT: usize = 0;
+/// Clock domain of the LPDDR2 channels.
+const COLD: usize = 1;
 
 /// Select the hottest `fraction` of touched pages (by DRAM access count).
 ///
@@ -101,15 +44,11 @@ pub fn hot_pages(counts: &BTreeMap<u64, u64>, fraction: f64) -> BTreeSet<u64> {
 /// the rest striped over three LPDDR2 channels. Whole lines; no CWF split.
 #[derive(Debug)]
 pub struct PagePlacedMemory {
-    rld: Controller,
-    lp: Vec<Controller>,
+    chans: ChannelSet,
     rld_mapper: AddressMapper,
     lp_mapper: AddressMapper,
     hot: BTreeSet<u64>,
-    rld_ratio: u64,
-    lp_ratio: u64,
     next_token: u64,
-    pending: Vec<(u64, Token)>,
     /// Reads served by the RLDRAM3 channel (for reporting).
     pub rld_reads: u64,
     /// Reads served by the LPDDR2 channels.
@@ -122,155 +61,64 @@ impl PagePlacedMemory {
     pub fn new(hot: BTreeSet<u64>) -> Self {
         let rld_cfg = DeviceConfig::rldram3();
         let lp_cfg = DeviceConfig::lpddr2_800();
-        let rld_mapper = AddressMapper::new(
-            MappingScheme::ClosePageBankInterleave,
-            1,
-            1,
-            rld_cfg.geometry.banks,
-            rld_cfg.geometry.lines_per_row,
-            rld_cfg.geometry.rows,
-        );
-        let lp_mapper = AddressMapper::new(
-            MappingScheme::OpenPageRowLocality,
-            3,
-            1,
-            lp_cfg.geometry.banks,
-            lp_cfg.geometry.lines_per_row,
-            lp_cfg.geometry.rows,
-        );
+        let rld_mapper =
+            AddressMapper::for_device(MappingScheme::ClosePageBankInterleave, 1, 1, &rld_cfg);
+        let lp_mapper =
+            AddressMapper::for_device(MappingScheme::OpenPageRowLocality, 3, 1, &lp_cfg);
+        // 72-bit RLDRAM3 channel of x18 parts: 4 chips per access.
+        let rld = vec![Controller::new(rld_cfg, 1, 4, "pp-rldram")];
+        let lp = (0..3)
+            .map(|i| Controller::new(lp_cfg.clone(), 1, 9, &format!("pp-lpddr-ch{i}")))
+            .collect();
         PagePlacedMemory {
-            rld_ratio: u64::from(rld_cfg.cpu_cycles_per_mem_cycle),
-            lp_ratio: u64::from(lp_cfg.cpu_cycles_per_mem_cycle),
-            // 72-bit RLDRAM3 channel of x18 parts: 4 chips per access.
-            rld: Controller::new(rld_cfg, 1, 4, "pp-rldram"),
-            lp: (0..3)
-                .map(|i| Controller::new(lp_cfg.clone(), 1, 9, &format!("pp-lpddr-ch{i}")))
-                .collect(),
+            chans: ChannelSet::new(vec![ClockDomain::new(rld), ClockDomain::new(lp)]),
             rld_mapper,
             lp_mapper,
             hot,
             next_token: 0,
-            pending: Vec::new(),
             rld_reads: 0,
             lp_reads: 0,
         }
     }
-
-    fn is_hot(&self, line_addr: u64) -> bool {
-        self.hot.contains(&(line_addr / PAGE_BYTES))
-    }
 }
 
-impl MainMemory for PagePlacedMemory {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
-        let hot = self.is_hot(req.line_addr);
-        let is_read = req.is_read();
-        let prefetch = req.kind == mem_ctrl::AccessKind::PrefetchRead;
+impl Organization for PagePlacedMemory {
+    fn channels(&self) -> &ChannelSet {
+        &self.chans
+    }
+
+    fn channels_mut(&mut self) -> &mut ChannelSet {
+        &mut self.chans
+    }
+
+    fn submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
+        let hot = self.hot.contains(&(req.line_addr / PAGE_BYTES));
+        let (domain, mapper) = if hot { (HOT, &self.rld_mapper) } else { (COLD, &self.lp_mapper) };
+        let (chan, loc) = mapper.decode(req.line_addr);
+        let chan = usize::from(chan);
         let token = Token(self.next_token);
-        let accepted = if hot {
-            let (_, loc) = self.rld_mapper.decode(req.line_addr);
-            if is_read {
-                self.rld.enqueue_read(token, loc, prefetch, now / self.rld_ratio)
+        if !req.is_read() {
+            return if self.chans.enqueue_write(domain, chan, loc, now) {
+                Ok(None)
             } else {
-                self.rld.enqueue_write(loc, now / self.rld_ratio)
-            }
-        } else {
-            let (chan, loc) = self.lp_mapper.decode(req.line_addr);
-            let ctrl = &mut self.lp[usize::from(chan)];
-            if is_read {
-                ctrl.enqueue_read(token, loc, prefetch, now / self.lp_ratio)
-            } else {
-                ctrl.enqueue_write(loc, now / self.lp_ratio)
-            }
-        };
-        if !accepted {
+                Err(MemBusy)
+            };
+        }
+        let prefetch = req.kind == mem_ctrl::AccessKind::PrefetchRead;
+        if !self.chans.enqueue_read(domain, chan, token, loc, prefetch, now) {
             return Err(MemBusy);
         }
-        if is_read {
-            self.next_token += 1;
-            if hot {
-                self.rld_reads += 1;
-            } else {
-                self.lp_reads += 1;
-            }
-            Ok(Some(token))
+        self.next_token += 1;
+        if hot {
+            self.rld_reads += 1;
         } else {
-            Ok(None)
+            self.lp_reads += 1;
         }
+        Ok(Some(token))
     }
 
-    fn tick(&mut self, now: u64) {
-        if now.is_multiple_of(self.rld_ratio) {
-            self.rld.tick_mem(now / self.rld_ratio, true);
-            for c in self.rld.take_completions() {
-                self.pending.push((c.data_end_mem * self.rld_ratio, c.token));
-            }
-        }
-        if now.is_multiple_of(self.lp_ratio) {
-            for ctrl in &mut self.lp {
-                ctrl.tick_mem(now / self.lp_ratio, true);
-                for c in ctrl.take_completions() {
-                    self.pending.push((c.data_end_mem * self.lp_ratio, c.token));
-                }
-            }
-        }
-    }
-
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (at, token) = self.pending.swap_remove(i);
-                out.push(MemEvent::WordsAvailable { token, at, words: 0xFF, served_fast: false });
-                out.push(MemEvent::LineFilled { token, at });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        // Ceiling division per clock domain: the settle point must not
-        // depend on whether the cycles since the last device tick were
-        // executed one-by-one or skipped (see `HomogeneousMemory::stats`).
-        let mut controllers = vec![self.rld.stats(now.div_ceil(self.rld_ratio))];
-        for ctrl in &mut self.lp {
-            controllers.push(ctrl.stats(now.div_ceil(self.lp_ratio)));
-        }
-        MemSystemStats { controllers }
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        let mut next =
-            self.pending.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
-        if let Some(at_mem) = self.rld.next_activity_mem(now / self.rld_ratio) {
-            next = next.min(at_mem * self.rld_ratio);
-        }
-        for ctrl in &self.lp {
-            if let Some(at_mem) = ctrl.next_activity_mem(now / self.lp_ratio) {
-                next = next.min(at_mem * self.lp_ratio);
-            }
-        }
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        // RLDRAM3 hot channel first, then the three LPDDR2 channels.
-        self.rld.enable_trace(0);
-        for (j, c) in self.lp.iter_mut().enumerate() {
-            c.enable_trace(1 + j as u16);
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        out.append(&mut self.rld.take_trace());
-        for c in &mut self.lp {
-            out.append(&mut c.take_trace());
-        }
+    fn complete(&mut self, _domain: usize, token: Token, at: u64) {
+        self.chans.schedule_line(at, token);
     }
 }
 
@@ -284,29 +132,14 @@ impl PagePlacedMemory {
     ///
     /// Fails when any controller holds undrained trace events.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
-        let PagePlacedMemory {
-            rld,
-            lp,
-            rld_mapper: _,
-            lp_mapper: _,
-            hot: _,
-            rld_ratio: _,
-            lp_ratio: _,
-            next_token,
-            pending,
-            rld_reads,
-            lp_reads,
-        } = self;
         w.section(b"PGPL");
-        rld.save_state(w)?;
-        w.put_u64(lp.len() as u64);
-        for c in lp {
-            c.save_state(w)?;
-        }
-        cwf_ckpt::Ckpt::save(next_token, w);
-        cwf_ckpt::Ckpt::save(pending, w);
-        cwf_ckpt::Ckpt::save(rld_reads, w);
-        cwf_ckpt::Ckpt::save(lp_reads, w);
+        // The lone hot channel is stored bare, without a count.
+        self.chans.domain(HOT).controllers()[0].save_state(w)?;
+        self.chans.save_domain(COLD, w)?;
+        cwf_ckpt::Ckpt::save(&self.next_token, w);
+        self.chans.save_scheduled(w);
+        cwf_ckpt::Ckpt::save(&self.rld_reads, w);
+        cwf_ckpt::Ckpt::save(&self.lp_reads, w);
         Ok(())
     }
 
@@ -317,69 +150,20 @@ impl PagePlacedMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"PGPL")?;
-        self.rld.load_state(r)?;
-        let n = r.get_u64()?;
-        if n != self.lp.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("LP-controller count mismatch"));
-        }
-        for c in &mut self.lp {
-            c.load_state(r)?;
-        }
+        self.chans.domain_mut(HOT).controllers_mut()[0].load_state(r)?;
+        self.chans.load_domain(COLD, r)?;
         self.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.pending = cwf_ckpt::Ckpt::load(r)?;
+        self.chans.load_lines(r)?;
         self.rld_reads = cwf_ckpt::Ckpt::load(r)?;
         self.lp_reads = cwf_ckpt::Ckpt::load(r)?;
         Ok(())
     }
 }
 
-impl<M> ProfilingMemory<M> {
-    /// Serialize the page-access counts plus the wrapped backend (via
-    /// `save_inner`, because `M`'s concrete type is caller-known).
-    ///
-    /// # Errors
-    ///
-    /// Fails when `save_inner` fails.
-    pub fn save_state(
-        &self,
-        w: &mut cwf_ckpt::Writer,
-        save_inner: impl FnOnce(&M, &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()>,
-    ) -> cwf_ckpt::Result<()> {
-        w.section(b"PROF");
-        cwf_ckpt::Ckpt::save(&self.counts, w);
-        save_inner(&self.inner, w)
-    }
-
-    /// Restore state saved by [`ProfilingMemory::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input or when `load_inner` fails.
-    pub fn load_state(
-        &mut self,
-        r: &mut cwf_ckpt::Reader<'_>,
-        load_inner: impl FnOnce(&mut M, &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()>,
-    ) -> cwf_ckpt::Result<()> {
-        r.expect_section(b"PROF")?;
-        self.counts = cwf_ckpt::Ckpt::load(r)?;
-        load_inner(&mut self.inner, r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem_ctrl::HomogeneousMemory;
-
-    #[test]
-    fn profiler_counts_pages() {
-        let mut mem = ProfilingMemory::new(HomogeneousMemory::baseline_ddr3());
-        mem.try_submit(&LineRequest::demand_read(0, 0, 0), 0).unwrap();
-        mem.try_submit(&LineRequest::demand_read(64, 0, 0), 0).unwrap();
-        mem.try_submit(&LineRequest::demand_read(PAGE_BYTES * 5, 0, 0), 0).unwrap();
-        assert_eq!(mem.page_counts()[&0], 2);
-        assert_eq!(mem.page_counts()[&5], 1);
-    }
+    use mem_ctrl::{MainMemory, MemEvent};
 
     #[test]
     fn hot_pages_selects_top_fraction_deterministically() {

@@ -310,8 +310,8 @@ pub struct GeneratedRule {
 }
 
 impl ProtocolChecker {
-    /// The generated pairwise rule table (constraint-derived, or the
-    /// legacy scalar synthesis for hand-built configs), in table order.
+    /// The generated pairwise rule table (constraint-derived), in table
+    /// order.
     #[must_use]
     pub fn generated_rules(&self) -> Vec<GeneratedRule> {
         self.rules
@@ -337,77 +337,27 @@ fn ev_of(prev: CmdClass, from: RefPoint) -> usize {
     }
 }
 
-/// Generate the pairwise rule table from a device's constraint table, or —
-/// for hand-built configs with no table — synthesize the legacy rule set
-/// from the scalar timings.
+/// Generate the pairwise rule table from a device's constraint table
+/// (every [`DeviceConfig`] comes from a spec, whose parser refuses an
+/// empty table).
 fn build_rules(cfg: &DeviceConfig) -> Vec<PairRule> {
-    use CmdClass::{Act, Pre, Rd, RefSb, Wr};
-    use ConstraintScope::{Bank, Rank};
-    if !cfg.constraints.is_empty() {
-        return cfg
-            .constraints
-            .iter()
-            .map(|c| PairRule {
-                rule: rule_of(c.prev, c.next, c.scope, c.from, c.window, cfg.addressing),
-                prev_ev: ev_of(c.prev, c.from),
-                next: c.next,
-                scope: c.scope,
-                cycles: u64::from(c.cycles),
-                window: c.window,
-            })
-            .collect();
-    }
-    let t = cfg.timings;
-    let pair = |rule, prev, from, next, scope, cycles: u32| PairRule {
-        rule,
-        prev_ev: ev_of(prev, from),
-        next,
-        scope,
-        cycles: u64::from(cycles),
-        window: 1,
-    };
-    let i = RefPoint::Issue;
-    let d = RefPoint::DataEnd;
-    let mut rules = match cfg.addressing {
-        AddressingStyle::RasCas => vec![
-            pair(Rule::TRc, Act, i, Act, Bank, t.t_rc),
-            pair(Rule::TRcd, Act, i, Rd, Bank, t.t_rcd),
-            pair(Rule::TRcd, Act, i, Wr, Bank, t.t_rcd),
-            pair(Rule::TRp, Pre, i, Act, Bank, t.t_rp),
-            pair(Rule::TRas, Act, i, Pre, Bank, t.t_ras),
-            pair(Rule::TRtp, Rd, i, Pre, Bank, t.t_rtp),
-            pair(Rule::TWr, Wr, d, Pre, Bank, t.t_wr),
-            pair(Rule::TWtr, Wr, d, Rd, Rank, t.t_wtr),
-            pair(Rule::TRrd, Act, i, Act, Rank, t.t_rrd),
-        ],
-        AddressingStyle::SingleCommand => vec![
-            pair(Rule::TRcSingleCommand, Rd, i, Rd, Bank, t.t_rc),
-            pair(Rule::TRcSingleCommand, Rd, i, Wr, Bank, t.t_rc),
-            pair(Rule::TRcSingleCommand, Wr, i, Rd, Bank, t.t_rc),
-            pair(Rule::TRcSingleCommand, Wr, i, Wr, Bank, t.t_rc),
-            pair(Rule::TRcBeforeRefb, Rd, i, RefSb, Bank, t.t_rc),
-            pair(Rule::TRcBeforeRefb, Wr, i, RefSb, Bank, t.t_rc),
-        ],
-    };
-    if cfg.addressing == AddressingStyle::RasCas && t.t_faw > 0 {
-        rules.push(PairRule {
-            rule: Rule::TFaw,
-            prev_ev: EV_ACT,
-            next: Act,
-            scope: Rank,
-            cycles: u64::from(t.t_faw),
-            window: 4,
-        });
-    }
-    // Zero-cycle rules can never fire; drop them to keep the table tight.
-    rules.retain(|r| r.cycles > 0);
-    rules
+    cfg.constraints
+        .iter()
+        .map(|c| PairRule {
+            rule: rule_of(c.prev, c.next, c.scope, c.from, c.window, cfg.addressing),
+            prev_ev: ev_of(c.prev, c.from),
+            next: c.next,
+            scope: c.scope,
+            cycles: u64::from(c.cycles),
+            window: c.window,
+        })
+        .collect()
 }
 
 impl ProtocolChecker {
     /// Build a checker for `ranks` ranks of `cfg` devices. The timing rule
     /// table is generated from `cfg.constraints` (the spec's constraint
-    /// table), falling back to the scalar timings for hand-built configs.
+    /// table).
     #[must_use]
     pub fn new(cfg: DeviceConfig, ranks: u32) -> Self {
         let banks = cfg.geometry.banks as usize;

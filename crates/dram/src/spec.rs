@@ -866,6 +866,9 @@ fn build(raw: &mut RawSpec) -> Result<DeviceSpec, SpecError> {
     let self_refresh_idle = raw.take_u32("power-states.self-refresh-idle")?.0;
 
     let (lines, list_line) = raw.take_str_list("timing.constraints")?;
+    if lines.is_empty() {
+        return Err(SpecError::new(list_line, "timing.constraints must not be empty"));
+    }
     let mut constraints = Vec::with_capacity(lines.len());
     for text in &lines {
         let c = parse_constraint(text, list_line)?;

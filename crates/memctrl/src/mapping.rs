@@ -7,6 +7,8 @@
 //! RLDRAM3 (close page) instead interleaves across banks at line
 //! granularity to maximise bank-level parallelism.
 
+use dram_timing::{DeviceConfig, PagePolicy};
+
 /// Device-local coordinates of one cache line (channel already stripped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Loc {
@@ -33,6 +35,19 @@ pub enum MappingScheme {
     /// granularity (ablation: single streams cannot use all channels
     /// concurrently, but page-local traffic stays on one channel).
     PageInterleave,
+}
+
+impl MappingScheme {
+    /// The best-performing line interleaving for a page policy: row
+    /// locality for open-page devices, bank interleaving for close-page
+    /// ones.
+    #[must_use]
+    pub fn for_page_policy(policy: PagePolicy) -> Self {
+        match policy {
+            PagePolicy::Open => MappingScheme::OpenPageRowLocality,
+            PagePolicy::Closed => MappingScheme::ClosePageBankInterleave,
+        }
+    }
 }
 
 /// Decodes line addresses into `(channel, Loc)` pairs.
@@ -66,6 +81,19 @@ impl AddressMapper {
             "mapper dimensions must be non-zero"
         );
         AddressMapper { scheme, channels, ranks, banks, lines_per_row, rows }
+    }
+
+    /// A mapper over `channels` channels of `ranks` ranks of `cfg`
+    /// devices (banks, row size and row count from its geometry).
+    #[must_use]
+    pub fn for_device(
+        scheme: MappingScheme,
+        channels: u32,
+        ranks: u32,
+        cfg: &DeviceConfig,
+    ) -> Self {
+        let g = &cfg.geometry;
+        Self::new(scheme, channels, ranks, g.banks, g.lines_per_row, g.rows)
     }
 
     /// Number of channels this mapper spreads lines over.

@@ -285,48 +285,6 @@ pub trait MainMemory {
     }
 }
 
-impl<M: MainMemory + ?Sized> MainMemory for Box<M> {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
-        (**self).try_submit(req, now)
-    }
-
-    fn tick(&mut self, now: u64) {
-        (**self).tick(now);
-    }
-
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        (**self).drain_events(now, out);
-    }
-
-    fn stats(&mut self, now: u64) -> MemSystemStats {
-        (**self).stats(now)
-    }
-
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        (**self).next_activity(now)
-    }
-
-    fn enable_audit(&mut self) {
-        (**self).enable_audit();
-    }
-
-    fn audit_channels(&self) -> Vec<crate::audit::ChannelDesc> {
-        (**self).audit_channels()
-    }
-
-    fn drain_audit(&mut self, out: &mut Vec<crate::audit::AuditRecord>) {
-        (**self).drain_audit(out);
-    }
-
-    fn enable_trace(&mut self) {
-        (**self).enable_trace();
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        (**self).drain_trace(out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

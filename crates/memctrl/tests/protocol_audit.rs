@@ -133,35 +133,33 @@ proptest! {
     ) {
         let cfg = DeviceConfig::rldram3();
         let n_subs = 4usize;
-        let mut agg = AggregatedController::new(
-            &cfg,
-            n_subs as u32,
-            1,
-            1,
-            "agg-audit",
-            CtrlParams::default(),
-        );
-        agg.enable_command_log();
+        let mut subs: Vec<Controller> = (0..n_subs)
+            .map(|i| Controller::new(cfg.clone(), 1, 1, &format!("agg-audit-sub{i}")))
+            .collect();
+        for s in &mut subs {
+            s.enable_command_log();
+        }
+        let mut agg = AggregatedController::new();
         let mut now = 0u64;
         let mut tok = 0u64;
         for it in &items {
             for _ in 0..it.gap {
-                agg.tick_mem(now);
+                agg.tick_mem(&mut subs, now);
                 now += 1;
             }
-            let sub = usize::from(it.bank) % n_subs;
+            let sub = &mut subs[usize::from(it.bank) % n_subs];
             let loc = Loc { rank: 0, bank: it.bank, row: it.row, col: it.col };
             if it.write {
-                let _ = agg.enqueue_write(sub, loc, now);
-            } else if agg.enqueue_read(sub, Token(tok), loc, it.prefetch, now) {
+                let _ = sub.enqueue_write(loc, now);
+            } else if sub.enqueue_read(Token(tok), loc, it.prefetch, now) {
                 tok += 1;
             }
         }
         for _ in 0..30_000 {
-            agg.tick_mem(now);
+            agg.tick_mem(&mut subs, now);
             now += 1;
         }
-        let logs = agg.take_command_logs();
+        let logs: Vec<_> = subs.iter_mut().map(Controller::take_command_log).collect();
         let mut slot_owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut checked = 0u64;
         for (sub, log) in logs.into_iter().enumerate() {

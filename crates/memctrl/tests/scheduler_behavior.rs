@@ -78,22 +78,19 @@ fn fcfs_is_slower_than_frfcfs_on_conflicting_streams() {
 
 #[test]
 fn aggregated_channel_drains_writes() {
-    let mut agg =
-        AggregatedController::new(&DeviceConfig::rldram3(), 4, 1, 1, "rld", CtrlParams::default());
-    for sub in 0..4usize {
+    let mut subs: Vec<Controller> = (0..4)
+        .map(|i| Controller::new(DeviceConfig::rldram3(), 1, 1, &format!("rld-sub{i}")))
+        .collect();
+    let mut agg = AggregatedController::new();
+    for s in &mut subs {
         for i in 0..40u32 {
-            assert!(agg.enqueue_write(
-                sub,
-                Loc { rank: 0, bank: (i % 16) as u8, row: i, col: 0 },
-                0
-            ));
+            assert!(s.enqueue_write(Loc { rank: 0, bank: (i % 16) as u8, row: i, col: 0 }, 0));
         }
     }
     for now in 0..20_000u64 {
-        agg.tick_mem(now);
+        agg.tick_mem(&mut subs, now);
     }
-    let stats = agg.stats(20_000);
-    let total: u64 = stats.iter().map(|s| s.writes_done).sum();
+    let total: u64 = subs.iter_mut().map(|s| s.stats(20_000).writes_done).sum();
     assert_eq!(total, 160, "all writes drained through the shared bus");
 }
 

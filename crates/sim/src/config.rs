@@ -1,20 +1,20 @@
 //! Run configurations: memory system kinds and simulation knobs.
 
+use std::collections::BTreeMap;
+
 use cwf_core::{
     CwfConfig, CwfStats, DramCacheConfig, DramCacheMemory, DramCacheStats, HeteroCwfMemory,
-    PagePlacedMemory, PlacementPolicy, ProfilingMemory,
+    PagePlacedMemory, PlacementPolicy,
 };
 use dram_timing::DeviceKind;
-use mem_ctrl::{
-    HomogeneousMemory, LineRequest, MainMemory, MemBusy, MemEvent, MemSystemStats, Token,
-};
+use mem_ctrl::{ChannelSet, HomogeneousMemory, LineRequest, MemBusy, Organization, Token};
 
 /// A concrete memory backend (static dispatch over the paper's designs).
 ///
-/// One value exists per `System`, so the size spread between variants
-/// (the page-placement comparator carries per-page heat tables) is not
-/// worth a heap indirection on every memory call.
-#[allow(clippy::large_enum_variant)]
+/// Every variant is an [`Organization`] over a [`ChannelSet`], so the
+/// enum dispatches only routing — submit and completion — and the
+/// organization-specific accessors; the plumbing ([`mem_ctrl::MainMemory`]'s
+/// tick, stats, wake-up, audit and trace) is the channel set's.
 #[derive(Debug)]
 pub enum MemBackend {
     /// N identical channels of one device type.
@@ -23,8 +23,6 @@ pub enum MemBackend {
     Cwf(HeteroCwfMemory),
     /// The §7.1 page-placement comparator.
     PagePlaced(PagePlacedMemory),
-    /// A profiling pass over the baseline (collects page heat).
-    Profiling(ProfilingMemory<HomogeneousMemory>),
     /// The DRAM-cache hybrid: fast channels as a tags-in-DRAM line cache
     /// in front of a slow NVM-like store (DESIGN.md §17).
     DramCache(DramCacheMemory),
@@ -40,20 +38,11 @@ impl MemBackend {
         }
     }
 
-    /// Reads served by the fast channel for page-placed memory.
+    /// Per-page access counts, if this is a page-tallying profiling pass.
     #[must_use]
-    pub fn page_placed(&self) -> Option<&PagePlacedMemory> {
+    pub fn page_counts(&self) -> Option<&BTreeMap<u64, u64>> {
         match self {
-            MemBackend::PagePlaced(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The profiler, if this is a profiling pass.
-    #[must_use]
-    pub fn profiling(&self) -> Option<&ProfilingMemory<HomogeneousMemory>> {
-        match self {
-            MemBackend::Profiling(m) => Some(m),
+            MemBackend::Homogeneous(m) => m.page_counts(),
             _ => None,
         }
     }
@@ -67,15 +56,6 @@ impl MemBackend {
         }
     }
 
-    /// The DRAM-cache backend, if that is what this is (seeded-fault
-    /// tests reach through this to the injection hooks).
-    pub fn dramcache_mut(&mut self) -> Option<&mut DramCacheMemory> {
-        match self {
-            MemBackend::DramCache(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Serialize the backend's mutable state (checkpointing). A one-byte
     /// variant tag guards against resuming into a different organization;
     /// the variant itself is rebuilt from the run config, never decoded.
@@ -85,27 +65,12 @@ impl MemBackend {
     /// Fails when the concrete backend cannot be checkpointed (e.g. a
     /// controller trace sink is attached).
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
+        w.put_u8(self.ckpt_tag());
         match self {
-            MemBackend::Homogeneous(m) => {
-                w.put_u8(0);
-                m.save_state(w)
-            }
-            MemBackend::Cwf(m) => {
-                w.put_u8(1);
-                m.save_state(w)
-            }
-            MemBackend::PagePlaced(m) => {
-                w.put_u8(2);
-                m.save_state(w)
-            }
-            MemBackend::Profiling(m) => {
-                w.put_u8(3);
-                m.save_state(w, |inner, w| inner.save_state(w))
-            }
-            MemBackend::DramCache(m) => {
-                w.put_u8(4);
-                m.save_state(w)
-            }
+            MemBackend::Homogeneous(m) => m.save_state(w),
+            MemBackend::Cwf(m) => m.save_state(w),
+            MemBackend::PagePlaced(m) => m.save_state(w),
+            MemBackend::DramCache(m) => m.save_state(w),
         }
     }
 
@@ -118,15 +83,27 @@ impl MemBackend {
     /// different backend variant.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         let tag = r.get_u8()?;
-        match (tag, self) {
-            (0, MemBackend::Homogeneous(m)) => m.load_state(r),
-            (1, MemBackend::Cwf(m)) => m.load_state(r),
-            (2, MemBackend::PagePlaced(m)) => m.load_state(r),
-            (3, MemBackend::Profiling(m)) => m.load_state(r, |inner, r| inner.load_state(r)),
-            (4, MemBackend::DramCache(m)) => m.load_state(r),
-            (tag, _) => Err(cwf_ckpt::CkptError::new(format!(
+        if tag != self.ckpt_tag() {
+            return Err(cwf_ckpt::CkptError::new(format!(
                 "backend variant mismatch: checkpoint has tag {tag}"
-            ))),
+            )));
+        }
+        match self {
+            MemBackend::Homogeneous(m) => m.load_state(r),
+            MemBackend::Cwf(m) => m.load_state(r),
+            MemBackend::PagePlaced(m) => m.load_state(r),
+            MemBackend::DramCache(m) => m.load_state(r),
+        }
+    }
+
+    /// The checkpoint's one-byte variant tag (3 belonged to the retired
+    /// profiling wrapper).
+    fn ckpt_tag(&self) -> u8 {
+        match self {
+            MemBackend::Homogeneous(_) => 0,
+            MemBackend::Cwf(_) => 1,
+            MemBackend::PagePlaced(_) => 2,
+            MemBackend::DramCache(_) => 4,
         }
     }
 
@@ -146,105 +123,46 @@ impl MemBackend {
     }
 }
 
-impl MainMemory for MemBackend {
-    fn try_submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
+impl Organization for MemBackend {
+    fn channels(&self) -> &ChannelSet {
         match self {
-            MemBackend::Homogeneous(m) => m.try_submit(req, now),
-            MemBackend::Cwf(m) => m.try_submit(req, now),
-            MemBackend::PagePlaced(m) => m.try_submit(req, now),
-            MemBackend::Profiling(m) => m.try_submit(req, now),
-            MemBackend::DramCache(m) => m.try_submit(req, now),
+            MemBackend::Homogeneous(m) => m.channels(),
+            MemBackend::Cwf(m) => m.channels(),
+            MemBackend::PagePlaced(m) => m.channels(),
+            MemBackend::DramCache(m) => m.channels(),
         }
     }
 
-    fn tick(&mut self, now: u64) {
+    fn channels_mut(&mut self) -> &mut ChannelSet {
         match self {
-            MemBackend::Homogeneous(m) => m.tick(now),
-            MemBackend::Cwf(m) => m.tick(now),
-            MemBackend::PagePlaced(m) => m.tick(now),
-            MemBackend::Profiling(m) => m.tick(now),
-            MemBackend::DramCache(m) => m.tick(now),
+            MemBackend::Homogeneous(m) => m.channels_mut(),
+            MemBackend::Cwf(m) => m.channels_mut(),
+            MemBackend::PagePlaced(m) => m.channels_mut(),
+            MemBackend::DramCache(m) => m.channels_mut(),
         }
     }
 
-    fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
+    fn submit(&mut self, req: &LineRequest, now: u64) -> Result<Option<Token>, MemBusy> {
         match self {
-            MemBackend::Homogeneous(m) => m.drain_events(now, out),
-            MemBackend::Cwf(m) => m.drain_events(now, out),
-            MemBackend::PagePlaced(m) => m.drain_events(now, out),
-            MemBackend::Profiling(m) => m.drain_events(now, out),
-            MemBackend::DramCache(m) => m.drain_events(now, out),
+            MemBackend::Homogeneous(m) => m.submit(req, now),
+            MemBackend::Cwf(m) => m.submit(req, now),
+            MemBackend::PagePlaced(m) => m.submit(req, now),
+            MemBackend::DramCache(m) => m.submit(req, now),
         }
     }
 
-    fn stats(&mut self, now: u64) -> MemSystemStats {
+    fn complete(&mut self, domain: usize, token: Token, at: u64) {
         match self {
-            MemBackend::Homogeneous(m) => m.stats(now),
-            MemBackend::Cwf(m) => m.stats(now),
-            MemBackend::PagePlaced(m) => m.stats(now),
-            MemBackend::Profiling(m) => m.stats(now),
-            MemBackend::DramCache(m) => m.stats(now),
+            MemBackend::Homogeneous(m) => m.complete(domain, token, at),
+            MemBackend::Cwf(m) => m.complete(domain, token, at),
+            MemBackend::PagePlaced(m) => m.complete(domain, token, at),
+            MemBackend::DramCache(m) => m.complete(domain, token, at),
         }
     }
 
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        match self {
-            MemBackend::Homogeneous(m) => m.next_activity(now),
-            MemBackend::Cwf(m) => m.next_activity(now),
-            MemBackend::PagePlaced(m) => m.next_activity(now),
-            MemBackend::Profiling(m) => m.next_activity(now),
-            MemBackend::DramCache(m) => m.next_activity(now),
-        }
-    }
-
-    // Audit hooks for the verify oracle. The page-placed and profiling
-    // comparators fall back to the trait's no-op defaults: their channels
-    // are the same audited controller types, but they are diagnostic
-    // backends outside the oracle's clean-run matrix.
-    fn enable_audit(&mut self) {
-        match self {
-            MemBackend::Homogeneous(m) => m.enable_audit(),
-            MemBackend::Cwf(m) => m.enable_audit(),
-            MemBackend::DramCache(m) => m.enable_audit(),
-            MemBackend::PagePlaced(_) | MemBackend::Profiling(_) => {}
-        }
-    }
-
-    fn audit_channels(&self) -> Vec<mem_ctrl::ChannelDesc> {
-        match self {
-            MemBackend::Homogeneous(m) => m.audit_channels(),
-            MemBackend::Cwf(m) => m.audit_channels(),
-            MemBackend::DramCache(m) => m.audit_channels(),
-            MemBackend::PagePlaced(_) | MemBackend::Profiling(_) => Vec::new(),
-        }
-    }
-
-    fn drain_audit(&mut self, out: &mut Vec<mem_ctrl::AuditRecord>) {
-        match self {
-            MemBackend::Homogeneous(m) => m.drain_audit(out),
-            MemBackend::Cwf(m) => m.drain_audit(out),
-            MemBackend::DramCache(m) => m.drain_audit(out),
-            MemBackend::PagePlaced(_) | MemBackend::Profiling(_) => {}
-        }
-    }
-
-    fn enable_trace(&mut self) {
-        match self {
-            MemBackend::Homogeneous(m) => m.enable_trace(),
-            MemBackend::Cwf(m) => m.enable_trace(),
-            MemBackend::PagePlaced(m) => m.enable_trace(),
-            MemBackend::Profiling(m) => m.enable_trace(),
-            MemBackend::DramCache(m) => m.enable_trace(),
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
-        match self {
-            MemBackend::Homogeneous(m) => m.drain_trace(out),
-            MemBackend::Cwf(m) => m.drain_trace(out),
-            MemBackend::PagePlaced(m) => m.drain_trace(out),
-            MemBackend::Profiling(m) => m.drain_trace(out),
-            MemBackend::DramCache(m) => m.drain_trace(out),
+    fn deferred_read_issued(&mut self, domain: usize, token: Token) {
+        if let MemBackend::DramCache(m) = self {
+            m.deferred_read_issued(domain, token);
         }
     }
 }
@@ -609,6 +527,8 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use mem_ctrl::MainMemory;
 
     #[test]
     fn every_kind_builds() {

@@ -5,15 +5,15 @@
 //! DRAM reads; the default harness uses a scaled-down value, which
 //! preserves orderings because the generators are stationary).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cache_hier::{Cache, CacheCfg, LineMeta};
 use cpu_model::{TraceOp, TraceSource};
-use cwf_core::{hot_pages, CwfConfig, HeteroCwfMemory, PagePlacedMemory, ProfilingMemory};
+use cwf_core::{hot_pages, CwfConfig, HeteroCwfMemory, PagePlacedMemory};
 use dram_power::{power_at_utilization, IddTable, LpddrIo, SystemEnergyModel};
 use dram_timing::{DeviceConfig, DeviceKind};
 use mem_ctrl::HomogeneousMemory;
-use workloads::{by_name, suite, TraceGen};
+use workloads::{by_name, suite, BenchmarkProfile, TraceGen};
 
 use crate::config::{MemBackend, MemKind, RunConfig};
 use crate::metrics::RunMetrics;
@@ -634,6 +634,22 @@ pub fn ablations(benches: &[&str], reads: u64) -> Table {
     t
 }
 
+/// The §7.1 profiling pass: run `profile` under `cfg` on the DDR3
+/// baseline with a per-page access tally, and return the counts with the
+/// top 7.6% of touched pages — the ones the paper pins in RLDRAM3.
+#[must_use]
+pub fn profile_hot_pages(
+    cfg: &RunConfig,
+    profile: &BenchmarkProfile,
+) -> (BTreeMap<u64, u64>, BTreeSet<u64>) {
+    let tally = MemBackend::Homogeneous(HomogeneousMemory::baseline_ddr3().with_page_tally());
+    let mut sys = System::with_backend(cfg, profile, tally);
+    let _ = sys.run();
+    let counts = sys.hierarchy().memory().page_counts().expect("tallying backend").clone();
+    let hot = hot_pages(&counts, 0.076);
+    (counts, hot)
+}
+
 /// §7.1 page placement and §7.2 unterminated-LPDDR alternatives.
 #[must_use]
 pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
@@ -641,23 +657,8 @@ pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
     let rows: Vec<(String, f64, f64)> =
         parallel_map(benches.iter().map(|b| (*b).to_owned()).collect(), |bench| {
             let profile = by_name(bench).expect("known benchmark");
-            let cfg = RunConfig::paper(MemKind::Ddr3, reads / 2);
-            // Offline profiling pass over the baseline.
-            let mut prof_sys = System::with_backend(
-                &cfg,
-                profile,
-                MemBackend::Profiling(ProfilingMemory::new(HomogeneousMemory::baseline_ddr3())),
-            );
-            let _ = prof_sys.run();
-            let counts = prof_sys
-                .hierarchy()
-                .memory()
-                .profiling()
-                .expect("profiling backend")
-                .page_counts()
-                .clone();
-            // Top 7.6% of touched pages go to RLDRAM3 (paper §7.1).
-            let hot = hot_pages(&counts, 0.076);
+            let (counts, hot) =
+                profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
             let cfg = RunConfig::paper(MemKind::Ddr3, reads);
             let ws_pp = ipc_custom(&cfg, bench, || {
                 MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()))
@@ -743,8 +744,8 @@ pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
     let dc_kind = MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow);
     let tasks: Vec<(String, usize)> =
         benches.iter().flat_map(|b| (0..VARIANTS).map(move |v| ((*b).to_owned(), v))).collect();
-    let results: Vec<(f64, Option<f64>)> = parallel_map(tasks.clone(), move |(bench, v)| {
-        match *v {
+    let results: Vec<(f64, Option<f64>)> =
+        parallel_map(tasks.clone(), move |(bench, v)| match *v {
             0 => (run_benchmark(&RunConfig::paper(MemKind::Ddr3, reads), bench).ipc_total(), None),
             1 => (run_benchmark(&RunConfig::paper(MemKind::Rl, reads), bench).ipc_total(), None),
             2 => {
@@ -756,23 +757,9 @@ pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
                 (m.ipc_total(), hit)
             }
             _ => {
-                // §7.1 recipe: offline profiling pass, top 7.6% of pages hot.
                 let profile = by_name(bench).expect("known benchmark");
-                let prof_cfg = RunConfig::paper(MemKind::Ddr3, reads / 2);
-                let mut prof_sys = System::with_backend(
-                    &prof_cfg,
-                    profile,
-                    MemBackend::Profiling(ProfilingMemory::new(HomogeneousMemory::baseline_ddr3())),
-                );
-                let _ = prof_sys.run();
-                let counts = prof_sys
-                    .hierarchy()
-                    .memory()
-                    .profiling()
-                    .expect("profiling backend")
-                    .page_counts()
-                    .clone();
-                let hot = hot_pages(&counts, 0.076);
+                let (_, hot) =
+                    profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
                 let cfg = RunConfig::paper(MemKind::Ddr3, reads);
                 (
                     ipc_custom(&cfg, bench, || {
@@ -781,8 +768,7 @@ pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
                     None,
                 )
             }
-        }
-    });
+        });
     let by_task: BTreeMap<(String, usize), (f64, Option<f64>)> =
         tasks.into_iter().zip(results).collect();
 

@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the experiment drivers.
 
+use cwf_tracelog::json::escape;
+
 /// A printable table: title, column headers, rows of cells.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -132,23 +134,6 @@ impl std::fmt::Display for Table {
 // Structured (JSON) export.
 // ---------------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format an `f64` with a fixed six-decimal representation.
 ///
 /// Fixed precision (rather than shortest-roundtrip) makes the byte
@@ -240,8 +225,8 @@ fn write_json(
     let mut o = String::new();
     o.push_str("{\n");
     o.push_str("  \"schema\": \"cwfmem.run.v1\",\n");
-    o.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&m.bench)));
-    o.push_str(&format!("  \"mem\": \"{}\",\n", json_escape(&m.mem.label())));
+    o.push_str(&format!("  \"bench\": \"{}\",\n", escape(&m.bench)));
+    o.push_str(&format!("  \"mem\": \"{}\",\n", escape(&m.mem.label())));
     o.push_str(&format!("  \"cycles\": {},\n", m.cycles));
     o.push_str(&format!(
         "  \"insts_per_core\": [{}],\n",
@@ -317,7 +302,7 @@ fn write_json(
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&format!("\n      \"{}\"", json_escape(&viol.to_string())));
+            o.push_str(&format!("\n      \"{}\"", escape(&viol.to_string())));
         }
         if !v.violations.is_empty() {
             o.push_str("\n    ");
@@ -335,7 +320,7 @@ fn write_json(
             o.push(',');
         }
         o.push_str("\n    {\n");
-        o.push_str(&format!("      \"label\": \"{}\",\n", json_escape(&c.label)));
+        o.push_str(&format!("      \"label\": \"{}\",\n", escape(&c.label)));
         o.push_str(&format!("      \"kind\": \"{}\",\n", format!("{:?}", c.kind).to_lowercase()));
         o.push_str(&format!("      \"mem_cycles\": {},\n", c.mem_cycles));
         o.push_str(&format!("      \"reads\": {},\n", c.channel.reads));

@@ -3,10 +3,15 @@
 //! kernel-level seeded fault (an optimistic `next_activity` bound must be
 //! caught as a skipped deadline).
 
+use cwf_core::PagePlacedMemory;
 use dram_timing::DeviceKind;
-use sim_harness::config::MemKind;
+use sim_harness::config::{MemBackend, MemKind};
+use sim_harness::experiments::profile_hot_pages;
 use sim_harness::report::to_json;
-use sim_harness::{run_benchmark_diag, run_benchmark_verified, Kernel, RunConfig, System};
+use sim_harness::{
+    run_benchmark_diag, run_benchmark_traced_with_backend, run_benchmark_verified, Kernel,
+    RunConfig, System,
+};
 
 /// Three benches x six organizations (the legacy trio plus spec-layer
 /// DDR5/LPDDR4 and a heterogeneous DDR5 CWF pairing): every run under the
@@ -43,6 +48,36 @@ fn clean_runs_are_violation_free_and_metric_identical() {
                 kind.label()
             );
             assert_eq!(k_on, k_off, "{bench}/{}: kernel behaviour changed", kind.label());
+        }
+    }
+}
+
+/// The §7.1 page-placed comparator, built the way
+/// `experiments::alternatives` builds it (a profiling pass, then the top
+/// 7.6% of pages on RLDRAM3), is oracle-clean under both kernels, and the
+/// oracle does not perturb it.
+#[test]
+fn page_placed_runs_are_violation_free_and_metric_identical() {
+    for kernel in [Kernel::Cycle, Kernel::Event] {
+        for bench in ["stream", "mcf", "libquantum"] {
+            let profile = workloads::by_name(bench).expect("known bench");
+            let mut off = RunConfig::quick(MemKind::Ddr3, 400);
+            off.kernel = kernel;
+            off.verify = false;
+            let (_, hot) = profile_hot_pages(&off, profile);
+            let placed = || MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()));
+            let on = RunConfig { verify: true, ..off };
+
+            let (m_on, k_on, report, _) = run_benchmark_traced_with_backend(&on, bench, placed());
+            let (m_off, k_off, _, _) = run_benchmark_traced_with_backend(&off, bench, placed());
+
+            let report = report.expect("verify was enabled");
+            let cell = format!("{bench}/page-placed/{}", kernel.name());
+            assert!(report.is_clean(), "{cell}: {:?}", report.violations);
+            assert!(report.commands_checked > 0, "{cell}: oracle saw no DRAM commands");
+            assert!(report.fills_completed > 0, "{cell}: oracle retired no fills");
+            assert_eq!(to_json(&m_on), to_json(&m_off), "{cell}: oracle perturbed the simulation");
+            assert_eq!(k_on, k_off, "{cell}: kernel behaviour changed");
         }
     }
 }

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use cwf_tracelog::json::escape;
+
 /// Stable diagnostic code. `SL1xx` codes come from the spec model checker,
 /// `DL2xx` codes from the source determinism lint. Codes are part of the
 /// tool's contract: tests, docs and CI grep for them, so existing codes
@@ -161,24 +163,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// mirrors the hand-rolled report writers elsewhere in the workspace.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the machine-readable scorecard for one lint run.
 ///
 /// The document schema is `cwfmem.lint.v1` — additive next to
@@ -196,15 +180,15 @@ pub fn scorecard_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"cwfmem.lint.v1\",\n");
-    out.push_str(&format!("  \"pass\": \"{}\",\n", json_escape(pass)));
-    let tlist: Vec<String> = targets.iter().map(|t| format!("\"{}\"", json_escape(t))).collect();
+    out.push_str(&format!("  \"pass\": \"{}\",\n", escape(pass)));
+    let tlist: Vec<String> = targets.iter().map(|t| format!("\"{}\"", escape(t))).collect();
     out.push_str(&format!("  \"targets\": [{}],\n", tlist.join(", ")));
     out.push_str("  \"summary\": {");
     for (i, (k, v)) in summary.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\": {v}", json_escape(k)));
+        out.push_str(&format!("\"{}\": {v}", escape(k)));
     }
     out.push_str("},\n");
     out.push_str("  \"diagnostics\": [");
@@ -217,9 +201,9 @@ pub fn scorecard_json(
              \"subject\": \"{}\", \"message\": \"{}\"}}",
             d.code.id(),
             d.code.slug(),
-            json_escape(&d.target),
-            json_escape(&d.subject),
-            json_escape(&d.message),
+            escape(&d.target),
+            escape(&d.subject),
+            escape(&d.message),
         ));
     }
     if !diags.is_empty() {

@@ -9,7 +9,7 @@
 use cwf_verify::{Oracle, OracleRule};
 use dram_timing::{DeviceConfig, Rule};
 use mem_ctrl::audit::{AuditRecord, ChannelDesc};
-use mem_ctrl::{AggregatedController, Controller, CtrlParams, Loc, Token};
+use mem_ctrl::{AggregatedController, Controller, Loc, Token};
 
 /// Convert one controller's drained command/power logs into audit records
 /// for `channel`.
@@ -161,52 +161,61 @@ fn undropped_refresh_stream_is_clean() {
     assert!(report.is_clean(), "{:?}", report.violations);
 }
 
-/// Fault (c): the aggregated RLDRAM3 controller grants its single shared
-/// command slot twice in one device cycle. Each sub-channel's own command
-/// stream stays perfectly legal, so only the cross-channel bus checker can
-/// catch it.
-#[test]
-fn double_booked_cmd_slot_is_caught_by_the_bus_checker() {
+/// Run four RLDRAM3 sub-channels behind one shared-bus arbiter with every
+/// sub-queue loaded, so at least two sub-channels want the command slot
+/// in (almost) every cycle, and return the oracle's report.
+fn shared_bus_report(double_book: bool) -> cwf_verify::VerifyReport {
     let cfg = DeviceConfig::rldram3();
-    let mut agg = AggregatedController::new(&cfg, 4, 1, 1, "rl", CtrlParams::default());
-    agg.enable_command_log();
-    agg.inject_double_book_slot();
+    let mut subs: Vec<Controller> =
+        (0..4).map(|i| Controller::new(cfg.clone(), 1, 1, &format!("rl-sub{i}"))).collect();
+    for s in &mut subs {
+        s.enable_command_log();
+    }
+    let mut agg = AggregatedController::new();
+    if double_book {
+        agg.inject_double_book_slot();
+    }
 
     let mut token = 0u64;
     for now in 0..400u64 {
-        // Keep all four sub-queues loaded so at least two sub-channels
-        // want the slot in (almost) every cycle.
-        for sub in 0..4 {
-            if agg.read_space(sub) {
+        for s in &mut subs {
+            if s.read_space() {
                 let loc =
                     Loc { rank: 0, bank: (token % 16) as u8, row: (token % 512) as u32, col: 0 };
-                assert!(agg.enqueue_read(sub, Token(token), loc, false, now));
+                assert!(s.enqueue_read(Token(token), loc, false, now));
                 token += 1;
             }
         }
-        agg.tick_mem(now);
-        agg.take_completions();
+        agg.tick_mem(&mut subs, now);
+        for s in &mut subs {
+            s.drain_completions();
+        }
     }
 
-    let channels: Vec<ChannelDesc> = (0..4)
-        .map(|i| ChannelDesc {
-            label: format!("rl-sub{i}"),
+    let channels: Vec<ChannelDesc> = subs
+        .iter()
+        .map(|s| ChannelDesc {
+            label: s.label().to_owned(),
             cfg: cfg.clone(),
             ranks: 1,
             bus_group: Some(0),
         })
         .collect();
     let mut oracle = Oracle::new(channels);
-    for (i, log) in agg.take_command_logs().into_iter().enumerate() {
-        let records: Vec<AuditRecord> = log
-            .into_iter()
-            .map(|(at_mem, cmd)| AuditRecord::Cmd { channel: i, at_mem, cmd })
-            .collect();
-        oracle.observe_records(&records);
+    for (i, s) in subs.iter_mut().enumerate() {
+        oracle.observe_records(&drain_records(s, i));
     }
     oracle.finalize(400 * u64::from(cfg.cpu_cycles_per_mem_cycle));
+    oracle.report()
+}
 
-    let report = oracle.report();
+/// Fault (c): the aggregated RLDRAM3 controller grants its single shared
+/// command slot twice in one device cycle. Each sub-channel's own command
+/// stream stays perfectly legal, so only the cross-channel bus checker can
+/// catch it.
+#[test]
+fn double_booked_cmd_slot_is_caught_by_the_bus_checker() {
+    let report = shared_bus_report(true);
     assert!(!report.is_clean(), "a double-booked command slot must be detected");
     assert!(
         report.violations.iter().all(|v| v.rule == OracleRule::CmdSlotDoubleBooked),
@@ -219,41 +228,6 @@ fn double_booked_cmd_slot_is_caught_by_the_bus_checker() {
 /// arbitration is clean across every checker.
 #[test]
 fn honest_arbitration_is_clean() {
-    let cfg = DeviceConfig::rldram3();
-    let mut agg = AggregatedController::new(&cfg, 4, 1, 1, "rl", CtrlParams::default());
-    agg.enable_command_log();
-
-    let mut token = 0u64;
-    for now in 0..400u64 {
-        for sub in 0..4 {
-            if agg.read_space(sub) {
-                let loc =
-                    Loc { rank: 0, bank: (token % 16) as u8, row: (token % 512) as u32, col: 0 };
-                assert!(agg.enqueue_read(sub, Token(token), loc, false, now));
-                token += 1;
-            }
-        }
-        agg.tick_mem(now);
-        agg.take_completions();
-    }
-
-    let channels: Vec<ChannelDesc> = (0..4)
-        .map(|i| ChannelDesc {
-            label: format!("rl-sub{i}"),
-            cfg: cfg.clone(),
-            ranks: 1,
-            bus_group: Some(0),
-        })
-        .collect();
-    let mut oracle = Oracle::new(channels);
-    for (i, log) in agg.take_command_logs().into_iter().enumerate() {
-        let records: Vec<AuditRecord> = log
-            .into_iter()
-            .map(|(at_mem, cmd)| AuditRecord::Cmd { channel: i, at_mem, cmd })
-            .collect();
-        oracle.observe_records(&records);
-    }
-    oracle.finalize(400 * u64::from(cfg.cpu_cycles_per_mem_cycle));
-    let report = oracle.report();
+    let report = shared_bus_report(false);
     assert!(report.is_clean(), "{:?}", report.violations);
 }
