@@ -29,15 +29,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use cwf_tracelog::json::quote;
 use sim_harness::config::MemKind;
-use sim_harness::sweep::{cell_seed, Cell};
-use sim_harness::{report, Kernel, RunConfig};
+use sim_harness::sweep::{cell_seed, panic_text, Cell};
+use sim_harness::{Kernel, RunConfig};
 
 use crate::cache::{CellOutput, ResultCache, Submission};
 use crate::digest::cell_key;
 use crate::http::{self, Chunked};
-use crate::json::{quote, Json};
 use crate::pool::Pool;
+use crate::Json;
 
 /// Largest cell grid one `POST /sweep` may submit.
 pub const MAX_CELLS: usize = 10_000;
@@ -190,17 +191,6 @@ impl State {
     }
 }
 
-/// Render a panic payload (`&str` or `String` in practice) as text.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Execute one cell and render its outcome. Runs on a pool worker;
 /// panics become a failed [`CellOutput`]. Failures are delivered to the
 /// sweeps waiting on the cell but never memoized (see
@@ -208,14 +198,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// served a possibly-transient error doc forever.
 fn run_cell(cell: &Cell) -> CellOutput {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let (m, k, v) = sim_harness::run_benchmark_verified(&cell.cfg, &cell.bench);
-        match v {
-            Some(v) => {
-                let clean = v.is_clean();
-                (report::to_json_verified(&m, &k, &v), clean)
-            }
-            None => (report::to_json_diag(&m, &k), true),
-        }
+        let o = sim_harness::run_benchmark_outcome(&cell.cfg, &cell.bench, None);
+        (o.to_json(), o.verify.as_ref().is_none_or(sim_harness::VerifyReport::is_clean))
     }));
     match run {
         Ok((json, clean)) => {
@@ -480,10 +464,11 @@ fn cell_trace(job: &Arc<SweepJob>, n: &str, stream: &mut TcpStream) -> std::io::
     cfg.trace = true;
     cfg.verify = false; // the sweep already verified; the trace rerun just records
     let bench = cell.bench.clone();
-    let traced = catch_unwind(AssertUnwindSafe(|| sim_harness::run_benchmark_traced(&cfg, &bench)));
-    match traced {
-        Ok((_, _, _, Some(t))) => http::respond_json(stream, &t.perfetto_json()),
-        Ok((_, _, _, None)) => http::respond_error(stream, 500, "trace rerun produced no trace"),
+    let traced =
+        catch_unwind(AssertUnwindSafe(|| sim_harness::run_benchmark_outcome(&cfg, &bench, None)));
+    match traced.map(|o| o.trace) {
+        Ok(Some(t)) => http::respond_json(stream, &t.perfetto_json()),
+        Ok(None) => http::respond_error(stream, 500, "trace rerun produced no trace"),
         Err(payload) => http::respond_error(stream, 500, &panic_text(&*payload)),
     }
 }
@@ -689,6 +674,23 @@ mod tests {
         assert_eq!(status, 405);
         let (status, _) = client_request(addr, "GET", "/no/such/route", None).unwrap();
         assert_eq!(status, 404);
+        server.stop();
+    }
+
+    #[test]
+    fn hostile_json_is_a_400_and_the_server_survives() {
+        let server = Server::start("127.0.0.1:0", 1).unwrap();
+        let addr = server.addr();
+        let deep = "[".repeat(100_000);
+        let dup = r#"{"benches": ["mcf"], "kinds": ["rl"], "reads": 100, "reads": 900}"#;
+        for (body, needle) in [(deep.as_str(), "nesting deeper"), (dup, "duplicate object key")] {
+            let (status, text) = client_request(addr, "POST", "/sweep", Some(body)).unwrap();
+            assert_eq!(status, 400, "{text}");
+            assert!(text.contains(needle), "{text}");
+        }
+        let (status, text) = client_request(addr, "GET", "/stats", None).unwrap();
+        assert_eq!(status, 200);
+        assert!(Json::parse(text.trim()).unwrap().get("cache").is_some(), "{text}");
         server.stop();
     }
 

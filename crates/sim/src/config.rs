@@ -479,7 +479,7 @@ pub fn trace_default() -> bool {
 
 impl RunConfig {
     /// The paper's methodology scaled by `reads` (it uses 2 M DRAM reads;
-    /// our default harness uses `CWF_READS`, see the bench crate).
+    /// `cwfmem figures` defaults to 8000 and takes `--reads N`).
     #[must_use]
     pub fn paper(mem: MemKind, reads: u64) -> Self {
         RunConfig {

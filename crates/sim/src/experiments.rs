@@ -1,8 +1,8 @@
 //! One driver per paper figure/table (see DESIGN.md §5 for the index).
 //!
-//! Every driver returns [`Table`]s that the `cwf-bench` harness prints.
+//! Every driver returns [`Table`]s that `cwfmem figures <name>` prints.
 //! Workload size is the caller's `reads` parameter (the paper runs 2 M
-//! DRAM reads; the default harness uses a scaled-down value, which
+//! DRAM reads; `cwfmem figures` defaults to a scaled-down value, which
 //! preserves orderings because the generators are stationary).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +18,8 @@ use workloads::{by_name, suite, BenchmarkProfile, TraceGen};
 use crate::config::{MemBackend, MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, pct_delta, Table};
-use crate::runner::{parallel_map, run_benchmark};
+use crate::runner::run_benchmark;
+use crate::sweep::{jobs, parallel_map};
 use crate::system::System;
 
 /// The full 27-program suite.
@@ -284,10 +285,9 @@ pub fn fig4_critical_word_distribution(benches: &[&str], misses: u64) -> Table {
         "Figure 4: critical word distribution at the DRAM level (paper: word 0 >50% for 21 of 27)",
         &["bench", "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"],
     );
-    let rows: Vec<(String, [u64; 8])> =
-        parallel_map(benches.iter().map(|b| (*b).to_owned()).collect(), |bench| {
-            (bench.clone(), critical_word_profile(bench, misses).0)
-        });
+    let rows: Vec<(String, [u64; 8])> = parallel_map(benches, jobs(), |bench| {
+        ((*bench).to_owned(), critical_word_profile(bench, misses).0)
+    });
     let mut word0_over_half = 0;
     for (bench, hist) in &rows {
         let total: u64 = hist.iter().sum::<u64>().max(1);
@@ -555,7 +555,7 @@ pub fn ablations(benches: &[&str], reads: u64) -> Table {
         .flat_map(|b| (0..variants.len() + 2).map(move |v| ((*b).to_owned(), v)))
         .collect();
     let variants_ref = &variants;
-    let results: Vec<f64> = parallel_map(tasks.clone(), move |(bench, v)| {
+    let results: Vec<f64> = parallel_map(&tasks, jobs(), move |(bench, v)| {
         let paper = |mem, prefetch: bool| {
             let mut c = RunConfig::paper(mem, reads);
             c.prefetch = prefetch;
@@ -654,24 +654,21 @@ pub fn profile_hot_pages(
 #[must_use]
 pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
     // --- §7.1: profile-guided page placement ---
-    let rows: Vec<(String, f64, f64)> =
-        parallel_map(benches.iter().map(|b| (*b).to_owned()).collect(), |bench| {
-            let profile = by_name(bench).expect("known benchmark");
-            let (counts, hot) =
-                profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
-            let cfg = RunConfig::paper(MemKind::Ddr3, reads);
-            let ws_pp = ipc_custom(&cfg, bench, || {
-                MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()))
-            });
-            let ws_base = run_benchmark(&cfg, bench).ipc_total();
-            let hot_frac = {
-                let total: u64 = counts.values().sum();
-                let hot_count: u64 =
-                    counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
-                hot_count as f64 / total.max(1) as f64
-            };
-            ((*bench).to_owned(), ws_pp / ws_base.max(1e-9), hot_frac)
-        });
+    let rows: Vec<(String, f64, f64)> = parallel_map(benches, jobs(), |bench| {
+        let profile = by_name(bench).expect("known benchmark");
+        let (counts, hot) = profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
+        let cfg = RunConfig::paper(MemKind::Ddr3, reads);
+        let ws_pp =
+            ipc_custom(&cfg, bench, || MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone())));
+        let ws_base = run_benchmark(&cfg, bench).ipc_total();
+        let hot_frac = {
+            let total: u64 = counts.values().sum();
+            let hot_count: u64 =
+                counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
+            hot_count as f64 / total.max(1) as f64
+        };
+        ((*bench).to_owned(), ws_pp / ws_base.max(1e-9), hot_frac)
+    });
     let mut t71 = Table::new(
         "§7.1 page placement: top 7.6% of pages in RLDRAM3 (paper: -9.3%..+11.2%, avg ~+8%)",
         &["bench", "normalized throughput", "accesses to hot pages"],
@@ -733,19 +730,26 @@ pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
 /// placement. Throughput is normalized to the DDR3 baseline; the last
 /// column reports the DRAM cache's read hit rate (blank for the others).
 ///
-/// The interesting workloads are the `dcsweep`/`dcthrash`/`dcresident` stressors:
-/// `dcsweep` streams a footprint larger than the cache (hit rate
-/// collapses, every miss pays probe + NVM fill), while CWF and page
-/// placement keep their fast-store benefit because neither depends on
-/// reuse. Suite programs with locality show the cache recovering.
+/// The workload set is fixed: the three DRAM-cache stressors plus two
+/// suite programs, so the table shows both where the cache collapses and
+/// where it recovers. `dcsweep` streams a footprint larger than the cache
+/// (hit rate collapses, every miss pays probe + NVM fill), `dcthrash`
+/// rotates hot windows faster than the cache can relearn them, and
+/// `dcresident` parks a working set that fits; CWF and page placement
+/// keep their fast-store benefit because neither depends on reuse.
 #[must_use]
-pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
+pub fn dramcache_head_to_head(reads: u64) -> Table {
     const VARIANTS: usize = 4; // 0 = DDR3 base, 1 = RL, 2 = DRAM cache, 3 = page placement
+    let benches = ["dcsweep", "dcthrash", "dcresident", "mcf", "stream"];
+    // Residency needs at least one full pass over `dcresident`'s 12 MiB
+    // working set (196608 lines) before hits can exist; shorter runs would
+    // report a structurally-zero hit column.
+    let reads = reads.max(150_000);
     let dc_kind = MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow);
     let tasks: Vec<(String, usize)> =
         benches.iter().flat_map(|b| (0..VARIANTS).map(move |v| ((*b).to_owned(), v))).collect();
     let results: Vec<(f64, Option<f64>)> =
-        parallel_map(tasks.clone(), move |(bench, v)| match *v {
+        parallel_map(&tasks, jobs(), move |(bench, v)| match *v {
             0 => (run_benchmark(&RunConfig::paper(MemKind::Ddr3, reads), bench).ipc_total(), None),
             1 => (run_benchmark(&RunConfig::paper(MemKind::Rl, reads), bench).ipc_total(), None),
             2 => {
@@ -777,7 +781,7 @@ pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
         &["bench", "CWF (RL)", "DRAM cache (RLDRAM3+NVM)", "page placement", "DC read hit rate"],
     );
     let mut means = [Vec::new(), Vec::new(), Vec::new()];
-    for b in benches {
+    for b in &benches {
         let base = by_task[&((*b).to_owned(), 0)].0.max(1e-9);
         let norm: Vec<f64> =
             (1..VARIANTS).map(|v| by_task[&((*b).to_owned(), v)].0 / base).collect();

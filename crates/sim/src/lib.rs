@@ -9,14 +9,17 @@
 //! paper's methodology (§5):
 //!
 //! * 8 cores at 3.2 GHz, warm-up, then measurement until a target number
-//!   of DRAM reads (the paper uses 2 M; scale with `CWF_READS`);
+//!   of DRAM reads (the paper uses 2 M; `cwfmem figures --reads N`
+//!   scales it);
 //! * system throughput `Σ IPC_shared / IPC_alone`, normalised to the DDR3
 //!   baseline for the figures;
 //! * Micron-style DRAM power from controller activity, the §6.1.3 system
 //!   energy model.
 //!
-//! [`experiments`] contains one driver per paper figure/table; the
-//! `cwf-bench` crate prints them from `cargo bench`.
+//! [`experiments`] contains one driver per paper figure/table;
+//! `cwfmem figures <name>` prints them. [`run_benchmark_outcome`] runs one
+//! benchmark and returns a [`RunOutcome`], whose
+//! [`to_json`](RunOutcome::to_json) is the run's `cwfmem.run.v1` document.
 //!
 //! # Examples
 //!
@@ -44,8 +47,7 @@ pub use metrics::RunMetrics;
 pub use report::Table;
 pub use runner::{
     normalized_throughput, resume_benchmark, resume_benchmark_to_cycle, run_benchmark,
-    run_benchmark_ckpt, run_benchmark_diag, run_benchmark_traced,
-    run_benchmark_traced_with_backend, run_benchmark_verified, weighted_speedup, CkptOutcome,
+    run_benchmark_ckpt, run_benchmark_outcome, weighted_speedup, CkptOutcome, RunOutcome,
 };
 pub use sweep::{Cell, CellResult};
 pub use system::{KernelStats, System};

@@ -178,6 +178,10 @@ pub fn to_json(m: &crate::metrics::RunMetrics) -> String {
 /// else — including the schema tag, which the addition does not break —
 /// is byte-identical to [`to_json`] on the same metrics, keeping the two
 /// kernels' metric documents directly diffable.
+///
+/// A finished run's front ends print [`crate::RunOutcome::to_json`],
+/// which picks between this, [`to_json_verified`] and [`to_json_traced`];
+/// the three stay public for callers that hold the parts separately.
 #[must_use]
 pub fn to_json_diag(m: &crate::metrics::RunMetrics, k: &crate::system::KernelStats) -> String {
     write_json(m, Some(k), None, None)
@@ -212,7 +216,7 @@ pub fn to_json_traced(
     write_json(m, Some(k), v, Some(t))
 }
 
-fn write_json(
+pub(crate) fn write_json(
     m: &crate::metrics::RunMetrics,
     kernel: Option<&crate::system::KernelStats>,
     verify: Option<&cwf_verify::VerifyReport>,

@@ -2,9 +2,51 @@
 
 use workloads::by_name;
 
-use crate::config::{MemKind, RunConfig};
+use crate::config::RunConfig;
 use crate::metrics::RunMetrics;
 use crate::system::{KernelStats, System};
+
+/// Everything one finished run reports. The metrics are the same
+/// whether or not the observers ran: the oracle and the tracer observe,
+/// never steer.
+#[derive(Debug)]
+pub struct RunOutcome {
+    /// The run's metrics.
+    pub metrics: RunMetrics,
+    /// Kernel execution counters (tick-call counts, skipped cycles).
+    pub kernel: KernelStats,
+    /// The verify oracle's report (`None` when `cfg.verify` is off).
+    pub verify: Option<cwf_verify::VerifyReport>,
+    /// The collected trace (`None` when `cfg.trace` is off).
+    pub trace: Option<crate::trace::TraceReport>,
+}
+
+impl RunOutcome {
+    /// Collect `sys`'s reports for a run that just finished with `metrics`.
+    #[must_use]
+    pub fn collect(metrics: RunMetrics, sys: &System) -> Self {
+        RunOutcome {
+            metrics,
+            kernel: sys.kernel_stats(),
+            verify: sys.verify_report(),
+            trace: sys.trace_report(),
+        }
+    }
+
+    /// The run's `cwfmem.run.v1` document with the kernel object and,
+    /// when present, the verify and trace objects. Every front end
+    /// (`run --json`, `resume --json`, serve cells) prints this, so a
+    /// split or served run is byte-identical to the plain one.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        crate::report::write_json(
+            &self.metrics,
+            Some(&self.kernel),
+            self.verify.as_ref(),
+            self.trace.as_ref(),
+        )
+    }
+}
 
 /// Run one benchmark under `cfg`.
 ///
@@ -14,90 +56,31 @@ use crate::system::{KernelStats, System};
 /// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
 #[must_use]
 pub fn run_benchmark(cfg: &RunConfig, bench: &str) -> RunMetrics {
-    run_benchmark_diag(cfg, bench).0
+    run_benchmark_outcome(cfg, bench, None).metrics
 }
 
-/// Run one benchmark under `cfg`, also returning the kernel's execution
-/// counters (tick-call counts, skipped cycles). The metrics half is
-/// identical to [`run_benchmark`] — the diagnostics ride alongside, never
-/// inside, [`RunMetrics`].
+/// Run one benchmark under `cfg` and collect everything it reports. The
+/// memory is `backend` when given (e.g. a `--spec file.toml` homogeneous
+/// memory whose device config came from disk), else `cfg.mem`'s preset.
 ///
 /// # Panics
 ///
 /// Panics if `bench` is not one of the 27 suite programs or the
 /// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
 #[must_use]
-pub fn run_benchmark_diag(cfg: &RunConfig, bench: &str) -> (RunMetrics, KernelStats) {
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats())
-}
-
-/// Run one benchmark under `cfg`, also returning the verify oracle's
-/// report (`None` when `cfg.verify` is off). Metrics are bit-identical to
-/// [`run_benchmark`] — the oracle observes, never steers.
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_verified(
+pub fn run_benchmark_outcome(
     cfg: &RunConfig,
     bench: &str,
-) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>) {
+    backend: Option<crate::config::MemBackend>,
+) -> RunOutcome {
     let profile = by_name(bench)
         .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
+    let mut sys = match backend {
+        Some(backend) => System::with_backend(cfg, profile, backend),
+        None => System::new(cfg, profile),
+    };
     let metrics = sys.run();
-    (metrics, sys.kernel_stats(), sys.verify_report())
-}
-
-/// Run one benchmark under `cfg`, also returning the collected trace
-/// (`None` when `cfg.trace` is off) and, when `cfg.verify` is on, the
-/// oracle's report. Metrics are bit-identical to [`run_benchmark`] — the
-/// tracer observes, never steers.
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_traced(
-    cfg: &RunConfig,
-    bench: &str,
-) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>, Option<crate::trace::TraceReport>)
-{
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
-}
-
-/// Run one benchmark under `cfg` on an explicit, pre-built memory backend
-/// (e.g. a `--spec file.toml` homogeneous memory whose device config came
-/// from disk rather than a [`MemKind`] preset). Same return shape as
-/// [`run_benchmark_traced`].
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_traced_with_backend(
-    cfg: &RunConfig,
-    bench: &str,
-    backend: crate::config::MemBackend,
-) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>, Option<crate::trace::TraceReport>)
-{
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::with_backend(cfg, profile, backend);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
+    RunOutcome::collect(metrics, &sys)
 }
 
 /// Result of a checkpoint-bounded run segment ([`run_benchmark_ckpt`],
@@ -106,17 +89,9 @@ pub fn run_benchmark_traced_with_backend(
 #[allow(clippy::large_enum_variant)] // one value per run segment; not stored in bulk
 #[derive(Debug)]
 pub enum CkptOutcome {
-    /// The run finished before reaching the stop cycle.
-    Finished {
-        /// The run's metrics (identical to an unsegmented run).
-        metrics: RunMetrics,
-        /// Kernel execution counters.
-        kernel: KernelStats,
-        /// The verify oracle's report (`None` when `cfg.verify` is off).
-        verify: Option<cwf_verify::VerifyReport>,
-        /// The collected trace (`None` when `cfg.trace` is off).
-        trace: Option<crate::trace::TraceReport>,
-    },
+    /// The run finished before reaching the stop cycle, with the same
+    /// outcome as an unsegmented run.
+    Finished(RunOutcome),
     /// The run paused at the stop cycle; the blob resumes it.
     Paused {
         /// A `cwfmem.ckpt.v1` blob (see [`System::save_ckpt`]).
@@ -144,27 +119,18 @@ pub fn run_benchmark_ckpt(
     segment_outcome(sys.run_to_cycle(stop_at), sys)
 }
 
-/// Resume a checkpointed run to completion, returning what
-/// [`run_benchmark_traced_with_backend`] would have for the
-/// uninterrupted run: verify and trace reports are present exactly when
-/// the checkpointed run had them enabled.
+/// Resume a checkpointed run to completion, returning what the
+/// uninterrupted run would have: verify and trace reports are present
+/// exactly when the checkpointed run had them enabled.
 ///
 /// # Errors
 ///
 /// Fails when the blob is malformed or disagrees with the workspace's
 /// benchmark registry.
-#[allow(clippy::type_complexity)] // mirrors run_benchmark_traced_with_backend
-pub fn resume_benchmark(
-    bytes: &[u8],
-) -> cwf_ckpt::Result<(
-    RunMetrics,
-    KernelStats,
-    Option<cwf_verify::VerifyReport>,
-    Option<crate::trace::TraceReport>,
-)> {
+pub fn resume_benchmark(bytes: &[u8]) -> cwf_ckpt::Result<RunOutcome> {
     let mut sys = System::from_ckpt(bytes)?;
     let metrics = sys.run();
-    Ok((metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report()))
+    Ok(RunOutcome::collect(metrics, &sys))
 }
 
 /// Resume a checkpointed run, pausing again at the first cycle
@@ -183,12 +149,7 @@ pub fn resume_benchmark_to_cycle(bytes: &[u8], stop_at: u64) -> cwf_ckpt::Result
 /// serialize.
 fn segment_outcome(metrics: Option<RunMetrics>, mut sys: System) -> cwf_ckpt::Result<CkptOutcome> {
     match metrics {
-        Some(metrics) => Ok(CkptOutcome::Finished {
-            metrics,
-            kernel: sys.kernel_stats(),
-            verify: sys.verify_report(),
-            trace: sys.trace_report(),
-        }),
+        Some(metrics) => Ok(CkptOutcome::Finished(RunOutcome::collect(metrics, &sys))),
         None => Ok(CkptOutcome::Paused { ckpt: sys.save_ckpt()? }),
     }
 }
@@ -221,49 +182,10 @@ pub fn normalized_throughput(cfg: &RunConfig, baseline: &RunConfig, bench: &str)
     ws / ws_base
 }
 
-/// Run `f` for every (benchmark, config) pair across worker threads and
-/// return results in input order. Simulations are independent, so this is
-/// the safe coarse-grained parallelism the harness uses. The worker
-/// count honours `CWF_JOBS` (see [`crate::sweep::jobs`]).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = crate::sweep::jobs();
-    let n = items.len();
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("poisoned slot") = Some(r);
-            });
-        }
-    });
-    for (o, s) in out.iter_mut().zip(slots) {
-        *o = s.into_inner().expect("poisoned slot");
-    }
-    out.into_iter().map(|o| o.expect("every slot filled")).collect()
-}
-
-/// Memory kind of this run's `mem` field wrapped for `parallel_map` use.
-#[must_use]
-pub fn mem_of(metrics: &RunMetrics) -> MemKind {
-    metrics.mem
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MemKind;
 
     #[test]
     fn weighted_speedup_is_near_core_count_for_light_sharing() {
@@ -279,15 +201,5 @@ mod tests {
     #[should_panic(expected = "unknown benchmark")]
     fn unknown_benchmark_panics() {
         let _ = run_benchmark(&RunConfig::quick(MemKind::Ddr3, 10), "doom");
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let cfg = RunConfig::quick(MemKind::Ddr3, 150);
-        let items = vec!["stream", "mcf", "gobmk"];
-        let out = parallel_map(items.clone(), |b| run_benchmark(&cfg, b));
-        for (name, m) in items.iter().zip(&out) {
-            assert_eq!(*name, m.bench);
-        }
     }
 }

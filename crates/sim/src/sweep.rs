@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 use crate::config::{MemKind, RunConfig};
 use crate::metrics::RunMetrics;
-use crate::runner::run_benchmark_diag;
+use crate::runner::run_benchmark_outcome;
 use crate::system::KernelStats;
 
 /// One unit of sweep work: a benchmark under a configuration.
@@ -146,9 +146,38 @@ pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
 /// results (see the module docs).
 #[must_use]
 pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
-    let n = cells.len();
+    parallel_map(cells, workers, |cell| {
+        // AssertUnwindSafe: the closure only touches the cell (read-only)
+        // and its own fresh System; a panic cannot leave shared state
+        // half-mutated.
+        match catch_unwind(AssertUnwindSafe(|| run_benchmark_outcome(&cell.cfg, &cell.bench, None)))
+        {
+            Ok(o) => CellResult::Done(o.metrics, o.kernel),
+            Err(payload) => CellResult::Failed {
+                bench: cell.bench.clone(),
+                mem: cell.cfg.mem,
+                // `&*payload`, not `&payload`: the Box itself is `Any` and
+                // would shadow the payload.
+                error: panic_text(&*payload),
+            },
+        }
+    })
+}
+
+/// Apply `f` to every item across `workers` threads (at least one, at
+/// most one per item) and return the results in input order. This is the
+/// workspace's one simulation worker pool: sweeps and every figure driver
+/// run on it. A panic in `f` propagates; [`run_cells_with`] catches its
+/// own.
+pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers.clamp(1, n.max(1)) {
             scope.spawn(|| loop {
@@ -156,23 +185,8 @@ pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
                 if i >= n {
                     break;
                 }
-                let cell = &cells[i];
-                // AssertUnwindSafe: the closure only touches the cell
-                // (read-only) and its own fresh System; a panic cannot
-                // leave shared state half-mutated.
-                let res = match catch_unwind(AssertUnwindSafe(|| {
-                    run_benchmark_diag(&cell.cfg, &cell.bench)
-                })) {
-                    Ok((m, k)) => CellResult::Done(m, k),
-                    Err(payload) => CellResult::Failed {
-                        bench: cell.bench.clone(),
-                        mem: cell.cfg.mem,
-                        // `&*payload`, not `&payload`: the Box itself is
-                        // `Any` and would shadow the payload.
-                        error: panic_text(&*payload),
-                    },
-                };
-                *slots[i].lock().expect("result slot poisoned") = Some(res);
+                let r = f(&items[i]);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
@@ -183,7 +197,8 @@ pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
 }
 
 /// Render a panic payload (`&str` or `String` in practice) as text.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -247,6 +262,16 @@ mod tests {
             CellResult::Done(..) => panic!("bad cell should fail"),
         }
         assert!(out[1].metrics().is_some());
+    }
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let cfg = RunConfig::quick(MemKind::Ddr3, 150);
+        let items = ["stream", "mcf", "gobmk"];
+        let out = parallel_map(&items, 2, |b| crate::run_benchmark(&cfg, b));
+        for (name, m) in items.iter().zip(&out) {
+            assert_eq!(*name, m.bench);
+        }
     }
 
     #[test]

@@ -300,7 +300,7 @@ mod tests {
         let rep = TraceReport::new(events, 3, meta);
         assert_eq!(rep.summary.reads, 1);
         let obj = rep.to_json_object("  ");
-        let doc = cwf_tracelog::json::parse(&obj).expect("valid JSON");
+        let doc = cwf_tracelog::json::Value::parse(&obj).expect("valid JSON");
         assert_eq!(doc.get("dropped_events").and_then(|v| v.as_f64()), Some(3.0));
         assert_eq!(doc.get("waterfall_reads").and_then(|v| v.as_f64()), Some(1.0));
         assert!(doc.get("stages").and_then(|s| s.get("queue")).is_some());

@@ -9,7 +9,7 @@ use dram_timing::DeviceKind;
 use mem_ctrl::{LineRequest, MainMemory};
 use sim_harness::config::MemKind;
 use sim_harness::report::to_json;
-use sim_harness::{run_benchmark_diag, run_benchmark_verified, Kernel, RunConfig};
+use sim_harness::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 /// Drive `mem` over `[from, to)` CPU cycles, feeding every drained event
 /// and audit record to the oracle (the same plumbing `System` uses).
@@ -143,8 +143,10 @@ fn dramcache_full_system_is_clean_and_kernel_identical() {
         let mut event_cfg = cycle_cfg;
         event_cfg.kernel = Kernel::Event;
 
-        let (mc, kc, rc) = run_benchmark_verified(&cycle_cfg, bench);
-        let (me, _ke, re) = run_benchmark_verified(&event_cfg, bench);
+        let RunOutcome { metrics: mc, kernel: kc, verify: rc, .. } =
+            run_benchmark_outcome(&cycle_cfg, bench, None);
+        let RunOutcome { metrics: me, verify: re, .. } =
+            run_benchmark_outcome(&event_cfg, bench, None);
         for (kernel, report) in [("cycle", rc), ("event", re)] {
             let report = report.expect("verify was enabled");
             assert!(report.is_clean(), "{bench}/{kernel}: {:?}", report.violations);
@@ -160,7 +162,8 @@ fn dramcache_full_system_is_clean_and_kernel_identical() {
         // The oracle is an observer: same bytes with verification off.
         let mut off = cycle_cfg;
         off.verify = false;
-        let (m_off, k_off) = run_benchmark_diag(&off, bench);
+        let RunOutcome { metrics: m_off, kernel: k_off, .. } =
+            run_benchmark_outcome(&off, bench, None);
         assert_eq!(to_json(&mc), to_json(&m_off), "{bench}: oracle perturbed the simulation");
         assert_eq!(kc, k_off, "{bench}: kernel behaviour changed under the oracle");
     }

@@ -8,10 +8,7 @@ use dram_timing::DeviceKind;
 use sim_harness::config::{MemBackend, MemKind};
 use sim_harness::experiments::profile_hot_pages;
 use sim_harness::report::to_json;
-use sim_harness::{
-    run_benchmark_diag, run_benchmark_traced_with_backend, run_benchmark_verified, Kernel,
-    RunConfig, System,
-};
+use sim_harness::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome, System};
 
 /// Three benches x six organizations (the legacy trio plus spec-layer
 /// DDR5/LPDDR4 and a heterogeneous DDR5 CWF pairing): every run under the
@@ -33,8 +30,10 @@ fn clean_runs_are_violation_free_and_metric_identical() {
             let mut off = on;
             off.verify = false;
 
-            let (m_on, k_on, report) = run_benchmark_verified(&on, bench);
-            let (m_off, k_off) = run_benchmark_diag(&off, bench);
+            let RunOutcome { metrics: m_on, kernel: k_on, verify: report, .. } =
+                run_benchmark_outcome(&on, bench, None);
+            let RunOutcome { metrics: m_off, kernel: k_off, .. } =
+                run_benchmark_outcome(&off, bench, None);
 
             let report = report.expect("verify was enabled");
             assert!(report.is_clean(), "{bench}/{}: {:?}", kind.label(), report.violations);
@@ -68,8 +67,10 @@ fn page_placed_runs_are_violation_free_and_metric_identical() {
             let placed = || MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()));
             let on = RunConfig { verify: true, ..off };
 
-            let (m_on, k_on, report, _) = run_benchmark_traced_with_backend(&on, bench, placed());
-            let (m_off, k_off, _, _) = run_benchmark_traced_with_backend(&off, bench, placed());
+            let RunOutcome { metrics: m_on, kernel: k_on, verify: report, .. } =
+                run_benchmark_outcome(&on, bench, Some(placed()));
+            let RunOutcome { metrics: m_off, kernel: k_off, .. } =
+                run_benchmark_outcome(&off, bench, Some(placed()));
 
             let report = report.expect("verify was enabled");
             let cell = format!("{bench}/page-placed/{}", kernel.name());

@@ -27,6 +27,64 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Escape a string and wrap it in quotes: a complete JSON string token.
+#[must_use]
+pub fn quote(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a small hostile
+/// document (`[[[[…`) overflow the stack; every document this workspace
+/// writes or reads nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Value::parse`] rejected a document. Every variant carries the
+/// byte offset where parsing stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Malformed JSON.
+    Syntax {
+        /// Byte offset of the error.
+        at: usize,
+        /// What was expected or found.
+        what: &'static str,
+    },
+    /// Arrays/objects nested deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first bracket past the limit.
+        at: usize,
+    },
+    /// An object names the same key twice. Picking either occurrence
+    /// would silently discard the other, so the document is malformed.
+    DuplicateKey {
+        /// Byte offset of the repeated key.
+        at: usize,
+        /// The repeated key.
+        key: String,
+    },
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::Syntax { at, what } => write!(f, "{what} at byte {at}"),
+            ParseError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            ParseError::DuplicateKey { at, key } => {
+                write!(f, "duplicate object key {} at byte {at}", quote(key))
+            }
+        }
+    }
+}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -40,12 +98,29 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object. Keys are sorted (BTreeMap); duplicate keys keep the
-    /// last occurrence.
+    /// An object. Keys are sorted (BTreeMap) and unique: the parser
+    /// rejects a repeated key.
     Obj(BTreeMap<String, Value>),
 }
 
 impl Value {
+    /// Parse a complete JSON document.
+    ///
+    /// # Errors
+    /// Fails on the first syntax error, on trailing data after the
+    /// top-level value, on nesting deeper than [`MAX_DEPTH`], and on a
+    /// repeated object key.
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
+        let b = text.as_bytes();
+        let mut p = Parser { b, i: 0 };
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.i != b.len() {
+            return p.err("trailing data");
+        }
+        Ok(v)
+    }
+
     /// Object member lookup; `None` for non-objects/missing keys.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -60,6 +135,28 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as an integer, if it is a whole number in `0..=2^53`
+    /// (the range an `f64` holds exactly).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is `true`/`false`.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -83,23 +180,6 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document.
-///
-/// # Errors
-/// Returns a message with the byte offset of the first syntax error,
-/// or on trailing garbage after the top-level value.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let b = text.as_bytes();
-    let mut p = Parser { b, i: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(v)
-}
-
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -112,15 +192,17 @@ impl Parser<'_> {
         }
     }
 
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("{what} at byte {}", self.i))
+    fn err<T>(&self, what: &'static str) -> Result<T, ParseError> {
+        Err(ParseError::Syntax { at: self.i, what })
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// One value nested `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(ParseError::TooDeep { at: self.i }),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -130,7 +212,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
         if self.b[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(v)
@@ -139,7 +221,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.i;
         if self.b.get(self.i) == Some(&b'-') {
             self.i += 1;
@@ -151,11 +233,15 @@ impl Parser<'_> {
         {
             self.i += 1;
         }
-        let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-        s.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number at byte {start}"))
+        // The scanned bytes are ASCII, so the slice is valid UTF-8.
+        std::str::from_utf8(&self.b[start..self.i])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
+            .map(Value::Num)
+            .ok_or(ParseError::Syntax { at: start, what: "bad number" })
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         debug_assert_eq!(self.b[self.i], b'"');
         self.i += 1;
         let mut out = String::new();
@@ -178,12 +264,12 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            let cp = self
                                 .b
                                 .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                            let Some(cp) = cp else { return self.err("bad \\u escape") };
                             // Surrogates are not paired; plain BMP is
                             // all the exporter emits.
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
@@ -206,12 +292,11 @@ impl Parser<'_> {
                         0xF0..=0xF4 => 4,
                         _ => return self.err("invalid UTF-8"),
                     };
-                    let chunk = self
-                        .b
-                        .get(self.i..self.i + len)
-                        .ok_or_else(|| format!("truncated UTF-8 at byte {}", self.i))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.i))?;
+                    let Some(s) =
+                        self.b.get(self.i..self.i + len).and_then(|c| std::str::from_utf8(c).ok())
+                    else {
+                        return self.err("invalid UTF-8");
+                    };
                     out.push_str(s);
                     self.i += len;
                 }
@@ -219,7 +304,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.i += 1; // '['
         let mut out = Vec::new();
         self.skip_ws();
@@ -228,7 +313,7 @@ impl Parser<'_> {
             return Ok(Value::Arr(out));
         }
         loop {
-            out.push(self.value()?);
+            out.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.b.get(self.i) {
                 Some(b',') => {
@@ -243,7 +328,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.i += 1; // '{'
         let mut out = BTreeMap::new();
         self.skip_ws();
@@ -256,13 +341,17 @@ impl Parser<'_> {
             if self.b.get(self.i) != Some(&b'"') {
                 return self.err("expected object key");
             }
+            let at = self.i;
             let key = self.string()?;
+            if out.contains_key(&key) {
+                return Err(ParseError::DuplicateKey { at, key });
+            }
             self.skip_ws();
             if self.b.get(self.i) != Some(&b':') {
                 return self.err("expected ':'");
             }
             self.i += 1;
-            let v = self.value()?;
+            let v = self.value(depth + 1)?;
             out.insert(key, v);
             self.skip_ws();
             match self.b.get(self.i) {
@@ -298,7 +387,7 @@ pub struct ChromeTraceCheck {
 /// # Errors
 /// Returns a description of the first violation found.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceCheck, String> {
-    let doc = parse(text)?;
+    let doc = Value::parse(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_arr)
@@ -357,22 +446,41 @@ mod tests {
     fn escape_specials() {
         assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(quote("a\"b"), "\"a\\\"b\"");
     }
 
     #[test]
     fn parse_round_trip() {
-        let v = parse(r#"{"a": [1, -2.5, "x\ny", true, null], "b": {}}"#).unwrap();
+        let v = Value::parse(r#"{"a": [1, -2.5, "x\ny", true, null], "b": {}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.0));
         assert_eq!(v.get("b"), Some(&Value::Obj(BTreeMap::new())));
+
+        let v = Value::parse(r#"{"benches": ["mcf", "stream"], "reads": 500, "quick": true}"#);
+        let v = v.unwrap();
+        assert_eq!(v.get("reads").and_then(Value::as_u64), Some(500));
+        assert_eq!(v.get("quick").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("benches").and_then(Value::as_arr).unwrap()[1].as_str(), Some("stream"));
+        assert!(v.get("missing").is_none());
+
+        let s = |text: &str| Value::parse(text).unwrap().as_str().map(str::to_owned);
+        assert_eq!(s(r#""a\"b\\c\nd\u0041""#).as_deref(), Some("a\"b\\c\ndA"));
+        assert_eq!(s("\"héllo\"").as_deref(), Some("héllo"));
+
+        // Whole numbers up to 2^53 (exact in an f64) convert; nothing else.
+        let n = |text: &str| Value::parse(text).unwrap().as_u64();
+        assert_eq!(
+            (n("42"), n("1e3"), n("9007199254740992")),
+            (Some(42), Some(1000), Some(1 << 53))
+        );
+        assert_eq!((n("9007199254740994"), n("-1"), n("1.5"), n("true")), (None, None, None, None));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{} x").is_err());
-        assert!(parse("nul").is_err());
+        for bad in ["{", "[1,]", "{} x", "{}extra", "nul", "\"unterminated", "{1: 2}", "\"\\x\""] {
+            assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

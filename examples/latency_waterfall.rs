@@ -8,7 +8,7 @@
 //! `mem` is any `MemKind` name (`ddr3`, `rl`, `lp`, ...; default `rl`).
 
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark_traced, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 use cwfmem::tracelog::waterfall::STAGE_NAMES;
 
 fn main() {
@@ -34,8 +34,7 @@ fn main() {
     println!("== latency waterfall: {bench} on {mem:?}, {reads} DRAM reads ==\n");
 
     let cfg = RunConfig { trace: true, ..RunConfig::paper(mem, reads) };
-    let (_m, _k, _v, trace) = run_benchmark_traced(&cfg, &bench);
-    let t = trace.expect("trace enabled above");
+    let t = run_benchmark_outcome(&cfg, &bench, None).trace.expect("trace enabled above");
 
     println!(
         "{} events traced ({} dropped), {} reads decomposed, {} incomplete\n",

@@ -15,13 +15,11 @@ use cwfmem::dram::DeviceSpec;
 use cwfmem::power::LpddrIo;
 use cwfmem::sim::config::{MemBackend, MemKind};
 use cwfmem::sim::experiments::{
-    ablations, all_benches, alternatives, default_benches, fig10_11_energy, fig1_homogeneous,
-    fig2_power_utilization, fig3_line_profiles, fig4_critical_word_distribution, fig6_7_8_cwf,
-    fig9_placement,
+    ablations, all_benches, alternatives, default_benches, dramcache_head_to_head, fig10_11_energy,
+    fig1_homogeneous, fig2_power_utilization, fig3_line_profiles, fig4_critical_word_distribution,
+    fig6_7_8_cwf, fig9_placement,
 };
-use cwfmem::sim::{
-    run_benchmark, run_benchmark_traced, run_benchmark_traced_with_backend, Kernel, RunConfig,
-};
+use cwfmem::sim::{run_benchmark, run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 use cwfmem::speclint::{lint_specs, scorecard_json, Diagnostic, SpecLintReport};
 use cwfmem::workloads::suite;
 
@@ -35,6 +33,21 @@ const KINDS: [(&str, MemKind); 9] = [
     ("rl-ad", MemKind::RlAdaptive),
     ("rl-or", MemKind::RlOracle),
     ("rl-rand", MemKind::RlRandom),
+];
+
+/// `cwfmem figures` names, in the order `all` prints them.
+const FIGURES: [&str; 11] = [
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig6",
+    "fig9",
+    "fig10",
+    "ablations",
+    "alternatives",
+    "dramcache",
+    "all",
 ];
 
 fn usage() -> ! {
@@ -53,11 +66,11 @@ fn usage() -> ! {
          cwfmem compare --bench <name> [--reads N]\n  \
          cwfmem sweep [--benches a,b,c|--all-benches] [--kinds k1,k2] [--reads N] [--jobs N] \
          [--json DIR]\n  \
-         cwfmem figures <fig1|fig2|fig3|fig4|fig6|fig9|fig10|ablations|alternatives|all> \
-         [--reads N] [--all-benches] [--csv DIR]\n  \
+         cwfmem figures <{}> [--reads N] [--all-benches] [--csv DIR]\n  \
          cwfmem dump-trace --bench <name> [--core N] [--ops N] [--seed S] --out <file>\n\n\
          memory kinds: {}\n\
          device specs: {} (also fast+slow CWF pairs, e.g. rldram3+ddr5_4800)",
+        FIGURES.join("|"),
         KINDS.map(|(n, _)| n).join(", "),
         DeviceSpec::embedded_ids().join(", ")
     );
@@ -327,23 +340,13 @@ fn build_config(args: &[String]) -> RunConfig {
 
 /// Print a run's outcome for the checkpoint paths (`run --ckpt-at` that
 /// finished early, and `resume`): the `cwfmem.run.v1` document under
-/// `--json`, a compact summary otherwise. The document selection mirrors
-/// `cmd_run` exactly (trace ⊃ verify ⊃ diag), so a split run's output is
-/// byte-identical to the unsplit run's. Exits nonzero on an unclean
-/// oracle report, mirroring `cmd_run`.
-fn emit_run_outcome(
-    json: bool,
-    m: &cwfmem::sim::RunMetrics,
-    kstats: &cwfmem::sim::KernelStats,
-    verify: Option<&cwfmem::sim::VerifyReport>,
-    trace: Option<&cwfmem::sim::TraceReport>,
-) {
+/// `--json` (the same [`RunOutcome::to_json`] `cmd_run` prints, so a
+/// split run's output is byte-identical to the unsplit run's), a compact
+/// summary otherwise. Exits nonzero on an unclean oracle report.
+fn emit_run_outcome(json: bool, o: &RunOutcome) {
+    let (m, kstats) = (&o.metrics, &o.kernel);
     if json {
-        match (verify, trace) {
-            (v, Some(t)) => print!("{}", cwfmem::sim::report::to_json_traced(m, kstats, v, t)),
-            (Some(v), None) => print!("{}", cwfmem::sim::report::to_json_verified(m, kstats, v)),
-            (None, None) => print!("{}", cwfmem::sim::report::to_json_diag(m, kstats)),
-        }
+        print!("{}", o.to_json());
     } else {
         println!(
             "{} on {} ({} reads): IPC {:.3}, critical-word latency {:.1} ns, kernel {}",
@@ -354,14 +357,14 @@ fn emit_run_outcome(
             m.avg_cw_latency_ns(),
             kstats.kernel.name()
         );
-        if let Some(v) = verify {
+        if let Some(v) = &o.verify {
             if v.is_clean() {
                 println!("  verify clean ({} commands checked)", v.commands_checked);
             } else {
                 println!("  verify: {} violation(s)", v.total_violations);
             }
         }
-        if let Some(t) = trace {
+        if let Some(t) = &o.trace {
             println!(
                 "  trace: {} events ({} dropped), {} reads decomposed",
                 t.events.len(),
@@ -370,11 +373,30 @@ fn emit_run_outcome(
             );
         }
     }
-    if let Some(v) = verify {
-        if !v.is_clean() {
-            eprintln!("verify: {} violation(s) detected", v.total_violations);
+    exit_if_unclean(o);
+}
+
+/// An unclean oracle report is a failure (CI runs `--verify` and relies
+/// on the exit status).
+fn exit_if_unclean(o: &RunOutcome) {
+    if let Some(v) = o.verify.as_ref().filter(|v| !v.is_clean()) {
+        eprintln!("verify: {} violation(s) detected", v.total_violations);
+        std::process::exit(1);
+    }
+}
+
+/// Write the run's Perfetto trace to `path` when both are present.
+fn write_trace(path: Option<&String>, o: &RunOutcome) {
+    if let (Some(path), Some(t)) = (path, &o.trace) {
+        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
+            eprintln!("cannot write trace {path}: {e}");
             std::process::exit(1);
         }
+        eprintln!(
+            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
+            t.events.len(),
+            t.dropped
+        );
     }
 }
 
@@ -392,9 +414,9 @@ fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64,
                 ckpt.len(),
             );
         }
-        cwfmem::sim::CkptOutcome::Finished { metrics, kernel, verify, trace } => {
+        cwfmem::sim::CkptOutcome::Finished(o) => {
             eprintln!("run finished before cycle {at}; no checkpoint written");
-            emit_run_outcome(json, &metrics, &kernel, verify.as_ref(), trace.as_ref());
+            emit_run_outcome(json, &o);
         }
     }
 }
@@ -461,14 +483,14 @@ fn cmd_resume(args: &[String]) {
         }
         return;
     }
-    let (m, kstats, mut verify, mut trace) = match cwfmem::sim::resume_benchmark(&bytes) {
-        Ok(out) => out,
+    let mut o = match cwfmem::sim::resume_benchmark(&bytes) {
+        Ok(o) => o,
         Err(e) => {
             eprintln!("cannot resume {path}: {e}");
             std::process::exit(1);
         }
     };
-    if args.iter().any(|a| a == "--verify") && verify.is_none() {
+    if args.iter().any(|a| a == "--verify") && o.verify.is_none() {
         eprintln!(
             "cannot enable verify on resume: the checkpointed run had the oracle off \
              (re-run with --verify from the start)"
@@ -476,10 +498,10 @@ fn cmd_resume(args: &[String]) {
         std::process::exit(1);
     }
     if args.iter().any(|a| a == "--no-verify") {
-        verify = None;
+        o.verify = None;
     }
     let trace_out = arg_value(args, "--trace").filter(|p| !p.starts_with("--"));
-    if args.iter().any(|a| a == "--trace") && trace.is_none() {
+    if args.iter().any(|a| a == "--trace") && o.trace.is_none() {
         eprintln!(
             "cannot enable tracing on resume: the checkpointed run had tracing off \
              (re-run with --trace from the start)"
@@ -487,20 +509,10 @@ fn cmd_resume(args: &[String]) {
         std::process::exit(1);
     }
     if args.iter().any(|a| a == "--no-trace") {
-        trace = None;
+        o.trace = None;
     }
-    if let (Some(out), Some(t)) = (&trace_out, &trace) {
-        if let Err(e) = std::fs::write(out, t.perfetto_json()) {
-            eprintln!("cannot write trace {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote Perfetto trace to {out} ({} events, {} dropped); open at ui.perfetto.dev",
-            t.events.len(),
-            t.dropped
-        );
-    }
-    emit_run_outcome(json, &m, &kstats, verify.as_ref(), trace.as_ref());
+    write_trace(trace_out.as_ref(), &o);
+    emit_run_outcome(json, &o);
 }
 
 /// `serve [--bind <addr:port>] [--workers N]` — the sweep HTTP server
@@ -545,7 +557,7 @@ fn cmd_run(args: &[String]) {
             }
         }
     }
-    let (m, kstats, verify, trace) = if let Some(replay) = arg_value(args, "--replay") {
+    let o = if let Some(replay) = arg_value(args, "--replay") {
         // Replay an external trace, phase-shifted per core (see `dump-trace`).
         use cwfmem::sim::system::BoxedTrace;
         use cwfmem::workloads::FileTraceSource;
@@ -564,53 +576,35 @@ fn cmd_run(args: &[String]) {
         let backend = cfg.mem.build(cfg.parity_error_rate, cfg.seed);
         let mut sys = cwfmem::sim::System::with_trace_sources(&cfg, &replay, sources, backend);
         let m = sys.run();
-        (m, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
+        RunOutcome::collect(m, &sys)
     } else {
         let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-        match arg_value(args, "--spec").filter(|v| spec_is_path(v)) {
-            Some(path) => {
-                // A file-backed spec: build the homogeneous backend from
-                // the parsed config (baseline topology; single-command
-                // x9-class parts need only 4 devices per 72-bit access).
-                let spec = load_spec(&path);
-                let chips = match spec.config.addressing {
-                    cwfmem::dram::AddressingStyle::SingleCommand => 4,
-                    cwfmem::dram::AddressingStyle::RasCas => 9,
-                };
-                let backend = MemBackend::Homogeneous(cwfmem::memctrl::HomogeneousMemory::new(
-                    spec.config,
-                    4,
-                    1,
-                    chips,
-                    cwfmem::memctrl::CtrlParams::default(),
-                ));
-                run_benchmark_traced_with_backend(&cfg, &bench, backend)
-            }
-            None => run_benchmark_traced(&cfg, &bench),
-        }
+        // A file-backed spec: build the homogeneous backend from the
+        // parsed config (baseline topology; single-command x9-class parts
+        // need only 4 devices per 72-bit access).
+        let backend = arg_value(args, "--spec").filter(|v| spec_is_path(v)).map(|path| {
+            let spec = load_spec(&path);
+            let chips = match spec.config.addressing {
+                cwfmem::dram::AddressingStyle::SingleCommand => 4,
+                cwfmem::dram::AddressingStyle::RasCas => 9,
+            };
+            MemBackend::Homogeneous(cwfmem::memctrl::HomogeneousMemory::new(
+                spec.config,
+                4,
+                1,
+                chips,
+                cwfmem::memctrl::CtrlParams::default(),
+            ))
+        });
+        run_benchmark_outcome(&cfg, &bench, backend)
     };
-    if let (Some(path), Some(t)) = (&trace_out, &trace) {
-        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
-            eprintln!("cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
-            t.events.len(),
-            t.dropped
-        );
-    }
+    write_trace(trace_out.as_ref(), &o);
+    let (m, kstats, verify, trace) = (&o.metrics, &o.kernel, &o.verify, &o.trace);
     if args.iter().any(|a| a == "--json") {
         // The sweep's structured schema (`cwfmem.run.v1`), one document,
         // plus the additive kernel (and, under `--verify`/`--trace`,
         // oracle and trace) diagnostics objects.
-        match (&verify, &trace) {
-            (v, Some(t)) => {
-                print!("{}", cwfmem::sim::report::to_json_traced(&m, &kstats, v.as_ref(), t));
-            }
-            (Some(v), None) => print!("{}", cwfmem::sim::report::to_json_verified(&m, &kstats, v)),
-            (None, None) => print!("{}", cwfmem::sim::report::to_json_diag(&m, &kstats)),
-        }
+        print!("{}", o.to_json());
     } else {
         println!("{} on {} ({} cores, {} reads):", m.mem.label(), m.bench, cfg.cores, m.dram_reads);
         println!("  IPC (aggregate)        {:.3}", m.ipc_total());
@@ -646,7 +640,7 @@ fn cmd_run(args: &[String]) {
                 pc(kstats.core_replay_cycles)
             );
         }
-        if let Some(v) = &verify {
+        if let Some(v) = verify {
             if v.is_clean() {
                 println!(
                     "  verify                 clean ({} commands, {} events, {} core spans checked)",
@@ -660,7 +654,7 @@ fn cmd_run(args: &[String]) {
                 );
             }
         }
-        if let Some(t) = &trace {
+        if let Some(t) = trace {
             println!(
                 "  trace                  {} events ({} dropped), {} reads decomposed",
                 t.events.len(),
@@ -669,14 +663,7 @@ fn cmd_run(args: &[String]) {
             );
         }
     }
-    // An unclean oracle report is a failure (CI runs `--verify` and relies
-    // on the exit status).
-    if let Some(v) = &verify {
-        if !v.is_clean() {
-            eprintln!("verify: {} violation(s) detected", v.total_violations);
-            std::process::exit(1);
-        }
-    }
+    exit_if_unclean(&o);
 }
 
 fn cmd_trace_check(args: &[String]) {
@@ -818,13 +805,41 @@ fn cmd_dump_trace(args: &[String]) {
 }
 
 fn cmd_figures(args: &[String]) {
-    let which = args.first().cloned().unwrap_or_else(|| "all".into());
+    let which = args.first().map_or("all", String::as_str);
+    if !FIGURES.contains(&which) {
+        eprintln!("unknown figure '{which}'");
+        usage()
+    }
     let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
     let csv_dir = arg_value(args, "--csv").map(std::path::PathBuf::from);
     let benches: Vec<&'static str> =
         if args.iter().any(|a| a == "--all-benches") { all_benches() } else { default_benches() };
-    let run = |name: &str| -> bool { which == name || which == "all" };
-    let emit = |tables: Vec<cwfmem::sim::Table>| {
+    for name in FIGURES.iter().filter(|&&f| f != "all" && (which == f || which == "all")) {
+        let tables = match *name {
+            "fig1" => {
+                let (a, b) = fig1_homogeneous(&benches, reads);
+                vec![a, b]
+            }
+            "fig2" => vec![fig2_power_utilization()],
+            "fig3" => vec![fig3_line_profiles((40 * reads).max(200_000))],
+            "fig4" => vec![fig4_critical_word_distribution(&benches, 4 * reads)],
+            "fig6" => {
+                let (a, b, c) = fig6_7_8_cwf(&benches, reads);
+                vec![a, b, c]
+            }
+            "fig9" => vec![fig9_placement(&benches, reads)],
+            "fig10" => {
+                let (a, b) = fig10_11_energy(&benches, reads);
+                vec![a, b]
+            }
+            "ablations" => vec![ablations(&benches, reads)],
+            "alternatives" => {
+                let (a, b) = alternatives(&benches, reads);
+                vec![a, b]
+            }
+            "dramcache" => vec![dramcache_head_to_head(reads)],
+            _ => unreachable!("every name but `all` has an arm"),
+        };
         for t in tables {
             println!("{t}");
             if let Some(dir) = &csv_dir {
@@ -834,36 +849,5 @@ fn cmd_figures(args: &[String]) {
                 }
             }
         }
-    };
-    if run("fig1") {
-        let (a, b) = fig1_homogeneous(&benches, reads);
-        emit(vec![a, b]);
-    }
-    if run("fig2") {
-        emit(vec![fig2_power_utilization()]);
-    }
-    if run("fig3") {
-        emit(vec![fig3_line_profiles((40 * reads).max(200_000))]);
-    }
-    if run("fig4") {
-        emit(vec![fig4_critical_word_distribution(&benches, 4 * reads)]);
-    }
-    if run("fig6") {
-        let (a, b, c) = fig6_7_8_cwf(&benches, reads);
-        emit(vec![a, b, c]);
-    }
-    if run("fig9") {
-        emit(vec![fig9_placement(&benches, reads)]);
-    }
-    if run("fig10") {
-        let (a, b) = fig10_11_energy(&benches, reads);
-        emit(vec![a, b]);
-    }
-    if run("ablations") {
-        emit(vec![ablations(&benches, reads)]);
-    }
-    if run("alternatives") {
-        let (a, b) = alternatives(&benches, reads);
-        emit(vec![a, b]);
     }
 }

@@ -6,7 +6,6 @@
 //! splits inside the warm-up window), with the verify oracle on.
 
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::report::{to_json_traced, to_json_verified};
 use cwfmem::sim::{resume_benchmark, run_benchmark_ckpt, CkptOutcome, Kernel, RunConfig};
 use proptest::prelude::*;
 
@@ -16,10 +15,10 @@ const KINDS: [MemKind; 4] = [MemKind::Rl, MemKind::Ddr3, MemKind::RlAdaptive, Me
 /// Render a finished outcome as its verified run document.
 fn doc(outcome: CkptOutcome) -> String {
     match outcome {
-        CkptOutcome::Finished { metrics, kernel, verify, trace: _ } => {
-            let v = verify.expect("verify was enabled");
+        CkptOutcome::Finished(o) => {
+            let v = o.verify.as_ref().expect("verify was enabled");
             assert!(v.is_clean(), "oracle must stay clean: {:?}", v.violations.first());
-            to_json_verified(&metrics, &kernel, &v)
+            o.to_json()
         }
         CkptOutcome::Paused { .. } => panic!("run did not finish"),
     }
@@ -38,12 +37,12 @@ fn resume_with_verify_and_trace_matches_unsplit_run() {
     cfg.trace = true;
 
     let whole = match run_benchmark_ckpt(&cfg, "mcf", u64::MAX).expect("whole run") {
-        CkptOutcome::Finished { metrics, kernel, verify, trace } => {
-            let v = verify.expect("verify on");
-            let t = trace.expect("trace on");
+        CkptOutcome::Finished(o) => {
+            let v = o.verify.as_ref().expect("verify on");
+            let t = o.trace.as_ref().expect("trace on");
             assert!(v.is_clean(), "oracle must stay clean: {:?}", v.violations.first());
             assert!(!t.events.is_empty(), "traced run collects events");
-            to_json_traced(&metrics, &kernel, Some(&v), &t)
+            o.to_json()
         }
         CkptOutcome::Paused { .. } => panic!("unbounded run must finish"),
     };
@@ -58,11 +57,11 @@ fn resume_with_verify_and_trace_matches_unsplit_run() {
             CkptOutcome::Paused { ckpt } => ckpt,
             CkptOutcome::Finished { .. } => panic!("split at {split_pct}% must pause"),
         };
-        let (m, k, v, t) = resume_benchmark(&ckpt).expect("resume");
-        let v = v.expect("verify survives the checkpoint");
-        let t = t.expect("trace survives the checkpoint");
+        let o = resume_benchmark(&ckpt).expect("resume");
+        let v = o.verify.as_ref().expect("verify survives the checkpoint");
+        assert!(o.trace.is_some(), "trace survives the checkpoint");
         assert!(v.is_clean());
-        let resumed = to_json_traced(&m, &k, Some(&v), &t);
+        let resumed = o.to_json();
         assert_eq!(whole, resumed, "split at {split_pct}% diverged");
     }
 }
@@ -92,11 +91,11 @@ proptest! {
 
         match run_benchmark_ckpt(&cfg, bench, stop_at).expect("segmented run") {
             CkptOutcome::Paused { ckpt } => {
-                let (m, k, v, t) = resume_benchmark(&ckpt).expect("resume");
-                let v = v.expect("verify survives the checkpoint");
-                prop_assert!(t.is_none(), "tracing was off");
+                let o = resume_benchmark(&ckpt).expect("resume");
+                let v = o.verify.as_ref().expect("verify survives the checkpoint");
+                prop_assert!(o.trace.is_none(), "tracing was off");
                 prop_assert!(v.is_clean());
-                let resumed = to_json_verified(&m, &k, &v);
+                let resumed = o.to_json();
                 prop_assert_eq!(&whole, &resumed, "split at cycle {} diverged", stop_at);
             }
             // stop_at landed at or past the natural end: the segmented

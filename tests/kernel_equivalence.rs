@@ -14,7 +14,7 @@
 //! per-cell ratios).
 
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{report, run_benchmark_diag, Kernel, RunConfig};
+use cwfmem::sim::{report, run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 const BENCHES: [&str; 3] = ["stream", "mcf", "libquantum"];
 const KINDS: [MemKind; 3] = [MemKind::Ddr3, MemKind::Rl, MemKind::Lpddr2];
@@ -30,8 +30,10 @@ fn event_kernel_is_bit_identical_and_skips_ticks() {
             let mut event_cfg = cycle_cfg;
             event_cfg.kernel = Kernel::Event;
 
-            let (mc, kc) = run_benchmark_diag(&cycle_cfg, bench);
-            let (me, ke) = run_benchmark_diag(&event_cfg, bench);
+            let RunOutcome { metrics: mc, kernel: kc, .. } =
+                run_benchmark_outcome(&cycle_cfg, bench, None);
+            let RunOutcome { metrics: me, kernel: ke, .. } =
+                run_benchmark_outcome(&event_cfg, bench, None);
 
             // The strongest equality we can state: the serialized metric
             // documents (which cover cycles, IPC, latency histograms,

@@ -8,7 +8,7 @@
 //! `cargo test --test trace_golden -- --nocapture pins`).
 
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark_traced, Kernel, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, Kernel, RunConfig};
 use cwfmem::tracelog::json::validate_chrome_trace;
 
 /// FNV-1a over the export text — cheap, dependency-free pinning.
@@ -32,8 +32,7 @@ const GOLDEN_DIGEST: u64 = 0xd118_ddc0_d7bd_dc57;
 fn export_with(kernel: Kernel) -> (String, usize) {
     let cfg =
         RunConfig { trace: true, verify: false, kernel, ..RunConfig::quick(MemKind::Ddr3, 300) };
-    let (_m, _k, _v, trace) = run_benchmark_traced(&cfg, "leslie3d");
-    let t = trace.expect("trace on");
+    let t = run_benchmark_outcome(&cfg, "leslie3d", None).trace.expect("trace on");
     (t.perfetto_json(), t.events.len())
 }
 

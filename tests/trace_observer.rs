@@ -9,7 +9,7 @@
 
 use cwfmem::sim::config::MemKind;
 use cwfmem::sim::report::to_json;
-use cwfmem::sim::{run_benchmark, run_benchmark_traced, Kernel, RunConfig};
+use cwfmem::sim::{run_benchmark, run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 /// Run `bench` with tracing off and on (verify pinned off so only the
 /// trace flag varies) and assert the metrics JSON is byte-identical.
@@ -18,7 +18,8 @@ fn assert_trace_is_pure(mem: MemKind, kernel: Kernel, bench: &str) {
     let plain = run_benchmark(&base, bench);
 
     let traced_cfg = RunConfig { trace: true, ..base };
-    let (traced, _k, verify, trace) = run_benchmark_traced(&traced_cfg, bench);
+    let RunOutcome { metrics: traced, verify, trace, .. } =
+        run_benchmark_outcome(&traced_cfg, bench, None);
     assert!(verify.is_none(), "verify pinned off");
     let t = trace.expect("cfg.trace = true must yield a trace report");
 
@@ -65,7 +66,8 @@ fn trace_coexists_with_verify_oracle() {
     let plain = run_benchmark(&base, "mcf");
 
     let both = RunConfig { trace: true, ..base };
-    let (traced, _k, verify, trace) = run_benchmark_traced(&both, "mcf");
+    let RunOutcome { metrics: traced, verify, trace, .. } =
+        run_benchmark_outcome(&both, "mcf", None);
     let v = verify.expect("verify on");
     assert!(v.is_clean(), "oracle must stay clean under tracing: {v:?}");
     assert!(!trace.expect("trace on").events.is_empty());

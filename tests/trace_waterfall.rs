@@ -10,7 +10,7 @@
 use cwfmem::cwf::{CwfConfig, HeteroCwfMemory};
 use cwfmem::memctrl::{LineRequest, MainMemory};
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark_traced, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 use cwfmem::tracelog::{waterfall, TraceEvent};
 use proptest::prelude::*;
 
@@ -132,8 +132,7 @@ fn waterfall_is_additive_end_to_end() {
     // Full-system runs: every decomposed read, every organization.
     for mem in [MemKind::Ddr3, MemKind::Rl, MemKind::Lpddr2] {
         let cfg = RunConfig { trace: true, verify: false, ..RunConfig::quick(mem, 600) };
-        let (_m, _k, _v, trace) = run_benchmark_traced(&cfg, "mcf");
-        let t = trace.expect("trace on");
+        let t = run_benchmark_outcome(&cfg, "mcf", None).trace.expect("trace on");
         assert!(t.summary.reads > 0, "{mem:?}: nothing decomposed");
         for w in &t.waterfalls {
             let sum: u64 = w.stages.iter().sum();
