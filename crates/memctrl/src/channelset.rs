@@ -12,6 +12,13 @@
 //! Channels are numbered domain by domain, in domain order: that global
 //! index is the one [`AuditRecord`]s, [`ChannelDesc`]s, controller trace
 //! events and [`MemSystemStats`] entries all use.
+//!
+//! Each controller wakes on its own: a domain keeps one cached
+//! [`Controller::next_activity_mem`] bound per controller, ticks only the
+//! controllers whose bound has come due, and settles the rest as their
+//! no-op tick would (DESIGN.md §9, "Memory bound").
+
+use std::cell::Cell;
 
 use cwf_tracelog::TraceEvent;
 
@@ -27,6 +34,11 @@ pub struct ClockDomain {
     /// CPU cycles per device cycle.
     ratio: u64,
     ctrls: Vec<Controller>,
+    /// Per controller, its cached [`Controller::next_activity_mem`] bound
+    /// in device cycles: `u64::MAX` means none, and any bound at or below
+    /// the current device cycle (0 included) is stale. Not checkpointed:
+    /// a restored domain starts stale.
+    wake: Vec<Cell<u64>>,
     /// The §4.2.4 shared command bus, when the domain has one.
     arbiter: Option<AggregatedController>,
     /// Reads waiting for queue space: (token, channel, location, prefetch).
@@ -48,6 +60,7 @@ impl ClockDomain {
         );
         ClockDomain {
             ratio: ratio.max(1),
+            wake: vec![Cell::new(0); ctrls.len()],
             ctrls,
             arbiter: None,
             deferred_reads: Vec::new(),
@@ -68,8 +81,14 @@ impl ClockDomain {
     }
 
     /// Mutable access to the controllers (checkpointing, fault injection).
+    /// Every cached wake bound goes stale.
     pub fn controllers_mut(&mut self) -> &mut [Controller] {
+        self.invalidate();
         &mut self.ctrls
+    }
+
+    fn invalidate(&mut self) {
+        self.wake.iter_mut().for_each(|w| *w.get_mut() = 0);
     }
 
     fn mem_now(&self, now: u64) -> u64 {
@@ -98,6 +117,19 @@ struct TickBuf {
     issued: Vec<Token>,
 }
 
+/// How many controller device ticks a [`ChannelSet`] ran and how many it
+/// skipped as provably idle. A host-speed diagnostic: it is neither
+/// checkpointed nor reported in any run document, because the cycle kernel
+/// runs every tick and the event kernel skips some, while both produce the
+/// same bytes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CtrlTicks {
+    /// Controller ticks run.
+    pub run: u64,
+    /// Controller ticks skipped, each replaced by a settle.
+    pub skipped: u64,
+}
+
 /// An ordered list of clock domains plus the scheduled completion events
 /// and audit/trace records they produce.
 #[derive(Debug)]
@@ -111,6 +143,7 @@ pub struct ChannelSet {
     /// Organization-level trace events.
     trace_log: Vec<TraceEvent>,
     buf: TickBuf,
+    ticks: CtrlTicks,
 }
 
 impl ChannelSet {
@@ -125,6 +158,7 @@ impl ChannelSet {
             trace: false,
             trace_log: Vec::new(),
             buf: TickBuf::default(),
+            ticks: CtrlTicks::default(),
         }
     }
 
@@ -137,6 +171,12 @@ impl ChannelSet {
     /// Mutable clock domain `d`.
     pub fn domain_mut(&mut self, d: usize) -> &mut ClockDomain {
         &mut self.domains[d]
+    }
+
+    /// Controller ticks run and skipped so far.
+    #[must_use]
+    pub fn ctrl_ticks(&self) -> CtrlTicks {
+        self.ticks
     }
 
     /// Can channel `ch` of domain `d` accept a read?
@@ -164,7 +204,11 @@ impl ChannelSet {
     ) -> bool {
         let dom = &mut self.domains[d];
         let mem_now = dom.mem_now(now);
-        dom.ctrls[ch].enqueue_read(token, loc, prefetch, mem_now)
+        let accepted = dom.ctrls[ch].enqueue_read(token, loc, prefetch, mem_now);
+        if accepted {
+            dom.wake[ch].set(0);
+        }
+        accepted
     }
 
     /// Enqueue a write on channel `ch` of domain `d` at CPU cycle `now`;
@@ -172,7 +216,11 @@ impl ChannelSet {
     pub fn enqueue_write(&mut self, d: usize, ch: usize, loc: Loc, now: u64) -> bool {
         let dom = &mut self.domains[d];
         let mem_now = dom.mem_now(now);
-        dom.ctrls[ch].enqueue_write(loc, mem_now)
+        let accepted = dom.ctrls[ch].enqueue_write(loc, mem_now);
+        if accepted {
+            dom.wake[ch].set(0);
+        }
+        accepted
     }
 
     /// Queue a read for channel `ch` of domain `d`, retried at each of the
@@ -214,17 +262,43 @@ impl ChannelSet {
 
     /// Run domain `d`'s device tick if CPU cycle `now` falls on one,
     /// leaving its read completions (token, CPU cycle) in `done`.
+    ///
+    /// Only controllers whose cached wake bound is due (at or below this
+    /// device cycle) tick; the rest get [`Controller::settle_idle_tick`],
+    /// which leaves them as their no-op tick would. A due bound stays
+    /// stale after the tick, so the next [`MainMemory::next_activity`]
+    /// recomputes it. An arbitrated domain is one wake unit: its arbiter
+    /// ticks every sub-channel as soon as any one is due. The cycle
+    /// kernel never asks for bounds, so every bound stays 0 and it ticks
+    /// every controller.
     fn tick_domain(&mut self, d: usize, now: u64, done: &mut Vec<(Token, u64)>) -> bool {
         let dom = &mut self.domains[d];
         if !now.is_multiple_of(dom.ratio) {
             return false;
         }
         let mem_now = now / dom.ratio;
+        let due = |w: &Cell<u64>| w.get() <= mem_now;
+        let n = dom.ctrls.len() as u64;
         match &mut dom.arbiter {
-            Some(arbiter) => arbiter.tick_mem(&mut dom.ctrls, mem_now),
+            Some(arbiter) if dom.wake.iter().any(due) => {
+                // A sub-channel that was not due ticks as a no-op here, so
+                // its cached bound still holds.
+                arbiter.tick_mem(&mut dom.ctrls, mem_now);
+                self.ticks.run += n;
+            }
+            Some(_) => {
+                dom.ctrls.iter_mut().for_each(|c| c.settle_idle_tick(mem_now));
+                self.ticks.skipped += n;
+            }
             None => {
-                for c in &mut dom.ctrls {
-                    c.tick_mem(mem_now, true);
+                for (c, w) in dom.ctrls.iter_mut().zip(&dom.wake) {
+                    if due(w) {
+                        c.tick_mem(mem_now, true);
+                        self.ticks.run += 1;
+                    } else {
+                        c.settle_idle_tick(mem_now);
+                        self.ticks.skipped += 1;
+                    }
                 }
             }
         }
@@ -245,16 +319,24 @@ impl ChannelSet {
             return;
         }
         let mem_now = dom.mem_now(now);
-        let ctrls = &mut dom.ctrls;
+        let (ctrls, wake) = (&mut dom.ctrls, &dom.wake);
         dom.deferred_reads.retain(|&(id, ch, loc, prefetch)| {
-            let accepted = ctrls[usize::from(ch)].enqueue_read(Token(id), loc, prefetch, mem_now);
+            let ch = usize::from(ch);
+            let accepted = ctrls[ch].enqueue_read(Token(id), loc, prefetch, mem_now);
             if accepted {
+                wake[ch].set(0);
                 issued.push(Token(id));
             }
             !accepted
         });
-        dom.deferred_writes
-            .retain(|&(ch, loc)| !ctrls[usize::from(ch)].enqueue_write(loc, mem_now));
+        dom.deferred_writes.retain(|&(ch, loc)| {
+            let ch = usize::from(ch);
+            let accepted = ctrls[ch].enqueue_write(loc, mem_now);
+            if accepted {
+                wake[ch].set(0);
+            }
+            !accepted
+        });
     }
 
     /// Serialize domain `d`'s controllers where a backend's checkpoint
@@ -279,6 +361,7 @@ impl ChannelSet {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_domain(&mut self, d: usize, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         let dom = &mut self.domains[d];
+        dom.invalidate();
         match &mut dom.arbiter {
             Some(arbiter) => arbiter.load_state(&mut dom.ctrls, r),
             None => load_controllers(&mut dom.ctrls, r),
@@ -499,8 +582,16 @@ impl<O: Organization> MainMemory for O {
             chans.scheduled.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
         for dom in &chans.domains {
             let mem_now = dom.mem_now(now);
-            for c in &dom.ctrls {
-                if let Some(at_mem) = c.next_activity_mem(mem_now) {
+            for (c, wake) in dom.ctrls.iter().zip(&dom.wake) {
+                let fresh = || c.next_activity_mem(mem_now).unwrap_or(u64::MAX);
+                let mut at_mem = wake.get();
+                if at_mem <= mem_now {
+                    at_mem = fresh();
+                    wake.set(at_mem);
+                } else {
+                    debug_assert_eq!(at_mem, fresh(), "{}: cached wake bound is stale", c.label());
+                }
+                if at_mem != u64::MAX {
                     // Device cycle d happens at CPU cycle d * ratio (the
                     // tick gate); d >= mem_now + 1 implies d * ratio > now.
                     next = next.min(at_mem * dom.ratio);

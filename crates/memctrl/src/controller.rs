@@ -311,7 +311,8 @@ impl Controller {
         self.write_q.len()
     }
 
-    /// Enqueue a read transaction; returns its token, or `None` when full.
+    /// Enqueue a read transaction; returns `false` when the read queue is
+    /// full.
     pub fn enqueue_read(
         &mut self,
         token: Token,
@@ -401,6 +402,18 @@ impl Controller {
         let issued = self.schedule_round(now);
         self.sched_idle_until = if issued { 0 } else { self.sched_bound(now) };
         issued
+    }
+
+    /// Leave the controller exactly as a `tick_mem(now, true)` that finds
+    /// nothing to do would: the device-cycle counter advances and a lapsed
+    /// scheduler bound is re-derived. Both are checkpointed, so a caller
+    /// that skips a tick [`Self::next_activity_mem`] proves idle must call
+    /// this in its place to keep checkpoints byte-identical.
+    pub(crate) fn settle_idle_tick(&mut self, now: u64) {
+        self.mem_cycles = self.mem_cycles.max(now + 1);
+        if now >= self.sched_idle_until {
+            self.sched_idle_until = self.sched_bound(now);
+        }
     }
 
     /// One scheduler round: apply the write-drain hysteresis, then run the

@@ -56,7 +56,7 @@ mod txnq;
 
 pub use aggregate::AggregatedController;
 pub use audit::{AuditRecord, CacheAuditOp, ChannelDesc};
-pub use channelset::{ChannelSet, ClockDomain, Organization};
+pub use channelset::{ChannelSet, ClockDomain, CtrlTicks, Organization};
 pub use controller::{Controller, ControllerStats, CtrlParams, SchedPolicy};
 pub use homogeneous::{HomogeneousMemory, PAGE_BYTES};
 pub use mapping::{AddressMapper, Loc, MappingScheme};
