@@ -3,21 +3,16 @@
 //! A sweep cell's identity is `(config-digest, seed)`: the digest covers
 //! the benchmark name plus every [`RunConfig`] knob *except* the seed
 //! (which travels alongside, so seed sweeps share one digest), hashed
-//! with the same FNV-1a/SplitMix64 construction as
-//! [`sim_harness::sweep::cell_seed`]. The config is canonicalized
+//! with [`sim_harness::sweep::fnv_mix`], the function behind
+//! [`sim_harness::sweep::cell_seed`] too. The config is canonicalized
 //! through its `cwfmem.ckpt.v1` encoding — a byte stream that is already
 //! pinned forever by the checkpoint format — so the digest is stable
 //! across platforms, releases, and field reorderings that keep the
 //! encoding fixed. Golden tests below pin the values.
 
 use cwf_ckpt::Ckpt;
-use sim_harness::sweep::Cell;
+use sim_harness::sweep::{fnv_mix, Cell};
 use sim_harness::RunConfig;
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Identity of one sweep cell in the result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,22 +23,6 @@ pub struct CellKey {
     pub seed: u64,
 }
 
-/// FNV-1a over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: spreads the FNV bits over the whole word.
-fn finalize(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
 /// Digest of a benchmark + configuration, seed excluded. Stable forever:
 /// changing it invalidates every persisted cache and the golden test.
 #[must_use]
@@ -52,12 +31,9 @@ pub fn config_digest(bench: &str, cfg: &RunConfig) -> u64 {
     canonical.seed = 0;
     let mut w = cwf_ckpt::Writer::new();
     canonical.save(&mut w);
-    let mut h = fnv1a(FNV_OFFSET, bench.as_bytes());
-    // Separator that no benchmark name contains, so ("ab", cfg-bytes)
-    // never collides with ("a", b+cfg-bytes).
-    h = fnv1a(h, &[0xFF]);
-    h = fnv1a(h, &w.into_vec());
-    finalize(h)
+    // 0xFF separates the parts: no benchmark name contains it, so
+    // ("ab", cfg-bytes) never collides with ("a", b+cfg-bytes).
+    fnv_mix(0, &[bench.as_bytes(), &[0xFF], &w.into_vec()])
 }
 
 /// The cache key of one sweep cell.

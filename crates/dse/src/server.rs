@@ -24,15 +24,14 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use cwf_tracelog::json::quote;
 use sim_harness::config::MemKind;
-use sim_harness::sweep::{cell_seed, panic_text, Cell};
-use sim_harness::{Kernel, RunConfig};
+use sim_harness::sweep::{grid, Cell, CellResult};
+use sim_harness::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 use crate::cache::{CellOutput, ResultCache, Submission};
 use crate::digest::cell_key;
@@ -192,30 +191,27 @@ impl State {
 }
 
 /// Execute one cell and render its outcome. Runs on a pool worker;
-/// panics become a failed [`CellOutput`]. Failures are delivered to the
-/// sweeps waiting on the cell but never memoized (see
-/// [`ResultCache::complete`]): a later sweep retries instead of being
-/// served a possibly-transient error doc forever.
+/// the cell is `ok` unless it fails the sweep verdict
+/// ([`CellResult::failure`]: a panic or an unclean oracle report).
+/// Failures are delivered to the sweeps waiting on the cell but never
+/// memoized (see [`ResultCache::complete`]): a later sweep retries
+/// instead of being served a possibly-transient error doc forever.
 fn run_cell(cell: &Cell) -> CellOutput {
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        let o = sim_harness::run_benchmark_outcome(&cell.cfg, &cell.bench, None);
-        (o.to_json(), o.verify.as_ref().is_none_or(sim_harness::VerifyReport::is_clean))
-    }));
-    match run {
-        Ok((json, clean)) => {
-            CellOutput { ok: clean, bench: cell.bench.clone(), mem: cell.cfg.mem.slug(), json }
-        }
-        Err(payload) => CellOutput {
-            ok: false,
-            bench: cell.bench.clone(),
-            mem: cell.cfg.mem.slug(),
-            json: format!(
-                "{{\"error\": {}, \"bench\": {}, \"mem\": {}}}\n",
-                quote(&panic_text(&*payload)),
-                quote(&cell.bench),
-                quote(&cell.cfg.mem.slug())
-            ),
-        },
+    let result = CellResult::catch(cell, || run_benchmark_outcome(&cell.cfg, &cell.bench, None));
+    let json = match &result {
+        CellResult::Done(o) => o.to_json(),
+        CellResult::Failed { error, .. } => format!(
+            "{{\"error\": {}, \"bench\": {}, \"mem\": {}}}\n",
+            quote(error),
+            quote(&cell.bench),
+            quote(&cell.cfg.mem.slug())
+        ),
+    };
+    CellOutput {
+        ok: result.failure().is_none(),
+        bench: cell.bench.clone(),
+        mem: cell.cfg.mem.slug(),
+        json,
     }
 }
 
@@ -253,13 +249,26 @@ fn submit_sweep(state: &Arc<State>, cells: Vec<Cell>) -> Arc<SweepJob> {
     job
 }
 
+/// Optional field `key` of `v`, converted by `conv`. A key present with
+/// the wrong JSON type is an error, never the default.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    conv: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key).map(|x| conv(x).ok_or_else(|| format!("'{key}' must be {what}"))).transpose()
+}
+
 /// Parse a `POST /sweep` body into its cell grid.
 ///
 /// Shape: `{"benches": [..], "kinds": [..], "reads": N, "quick": bool,
 /// "cores": N, "verify": bool, "kernel": "cycle"|"event", "seed": N}`.
-/// Benchmarks and kinds are validated here so a typo is a 400, not a
-/// panicked cell. Tracing is always off in sweep cells (the trace
-/// endpoint reruns a cell with it on).
+/// Benchmarks, kinds and knobs are validated here ([`RunConfig::validate`])
+/// so a typo or an out-of-range knob is a 400, not a panicked cell. The
+/// cells come from [`grid`], exactly as `cwfmem sweep` builds them.
+/// Tracing is always off in sweep cells (the trace endpoint reruns a cell
+/// with it on).
 fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
     let text = std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
     let v = Json::parse(text)?;
@@ -285,38 +294,33 @@ fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
         .iter()
         .map(|k| MemKind::parse(k).ok_or_else(|| format!("unknown memory kind '{k}'")))
         .collect::<Result<_, _>>()?;
-    let reads = v.get("reads").and_then(Json::as_u64).unwrap_or(2_000);
-    let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
-    let cores = v.get("cores").and_then(Json::as_u64);
-    let verify = v.get("verify").and_then(Json::as_bool);
-    let kernel = match v.get("kernel").and_then(Json::as_str) {
-        Some(k) => Some(Kernel::from_env_str(k).ok_or_else(|| format!("unknown kernel '{k}'"))?),
-        None => None,
+    let integer = "a non-negative integer";
+    let reads = field(&v, "reads", integer, Json::as_u64)?.unwrap_or(2_000);
+    let quick = field(&v, "quick", "a boolean", Json::as_bool)?.unwrap_or(false);
+    // The template's kind is a placeholder: `grid` sets each cell's.
+    let mut cfg = if quick {
+        RunConfig::quick(MemKind::Ddr3, reads)
+    } else {
+        RunConfig::paper(MemKind::Ddr3, reads)
     };
-    let base_seed = v.get("seed").and_then(Json::as_u64);
+    if let Some(c) = field(&v, "cores", integer, Json::as_u64)? {
+        cfg.cores = u8::try_from(c).map_err(|_| format!("cores must be in 1..=8, got {c}"))?;
+    }
+    if let Some(vfy) = field(&v, "verify", "a boolean", Json::as_bool)? {
+        cfg.verify = vfy;
+    }
+    if let Some(k) = field(&v, "kernel", "a string", Json::as_str)? {
+        cfg.kernel = Kernel::parse(k).ok_or_else(|| format!("unknown kernel '{k}'"))?;
+    }
+    if let Some(seed) = field(&v, "seed", integer, Json::as_u64)? {
+        cfg.seed = seed;
+    }
+    cfg.validate()?;
     if benches.len().saturating_mul(kinds.len()) > MAX_CELLS {
         return Err(format!("grid exceeds {MAX_CELLS} cells"));
     }
-    let mut cells = Vec::with_capacity(benches.len() * kinds.len());
-    for b in &benches {
-        for &k in &kinds {
-            let mut cfg =
-                if quick { RunConfig::quick(k, reads) } else { RunConfig::paper(k, reads) };
-            if let Some(c) = cores {
-                cfg.cores = u8::try_from(c).map_err(|_| "'cores' out of range".to_owned())?;
-            }
-            if let Some(vfy) = verify {
-                cfg.verify = vfy;
-            }
-            if let Some(kn) = kernel {
-                cfg.kernel = kn;
-            }
-            cfg.trace = false;
-            cfg.seed = cell_seed(base_seed.unwrap_or(cfg.seed), b, k);
-            cells.push(Cell { bench: b.clone(), cfg });
-        }
-    }
-    Ok(cells)
+    let benches: Vec<&str> = benches.iter().map(String::as_str).collect();
+    Ok(grid(&benches, &kinds, &cfg))
 }
 
 /// Handle one connection (one request; `Connection: close` semantics).
@@ -463,13 +467,12 @@ fn cell_trace(job: &Arc<SweepJob>, n: &str, stream: &mut TcpStream) -> std::io::
     let mut cfg = cell.cfg;
     cfg.trace = true;
     cfg.verify = false; // the sweep already verified; the trace rerun just records
-    let bench = cell.bench.clone();
-    let traced =
-        catch_unwind(AssertUnwindSafe(|| sim_harness::run_benchmark_outcome(&cfg, &bench, None)));
-    match traced.map(|o| o.trace) {
-        Ok(Some(t)) => http::respond_json(stream, &t.perfetto_json()),
-        Ok(None) => http::respond_error(stream, 500, "trace rerun produced no trace"),
-        Err(payload) => http::respond_error(stream, 500, &panic_text(&*payload)),
+    match CellResult::catch(cell, || run_benchmark_outcome(&cfg, &cell.bench, None)) {
+        CellResult::Done(RunOutcome { trace: Some(t), .. }) => {
+            http::respond_json(stream, &t.perfetto_json())
+        }
+        CellResult::Done(_) => http::respond_error(stream, 500, "trace rerun produced no trace"),
+        CellResult::Failed { error, .. } => http::respond_error(stream, 500, &error),
     }
 }
 
@@ -663,6 +666,13 @@ mod tests {
             (r#"{"benches": ["nope"], "kinds": ["rl"]}"#, "unknown benchmark"),
             (r#"{"benches": ["mcf"], "kinds": ["warp-drive"]}"#, "unknown memory kind"),
             (r#"{"benches": ["mcf"], "kinds": ["rl"], "kernel": "quantum"}"#, "unknown kernel"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 0}"#, "cores must be in 1..=8"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 9}"#, "cores must be in 1..=8"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 300}"#, "cores must be in 1..=8"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "reads": 0}"#, "reads must be at least 1"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "reads": "abc"}"#, "'reads' must be"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "verify": "yes"}"#, "'verify' must be"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "seed": -1}"#, "'seed' must be"),
         ] {
             let (status, text) = client_request(addr, "POST", "/sweep", Some(body)).unwrap();
             assert_eq!(status, 400, "body {body} -> {text}");
@@ -674,6 +684,10 @@ mod tests {
         assert_eq!(status, 405);
         let (status, _) = client_request(addr, "GET", "/no/such/route", None).unwrap();
         assert_eq!(status, 404);
+        // Every rejection left the server up and no sweep registered.
+        let (status, text) = client_request(addr, "GET", "/stats", None).unwrap();
+        assert_eq!(status, 200);
+        assert!(text.contains("\"sweeps\": 0"), "{text}");
         server.stop();
     }
 

@@ -939,13 +939,6 @@ impl Controller {
             let data_end = out.data_end.expect("read produces data");
             self.reads_done += 1;
             let queue = now.saturating_sub(txn.enqueue_mem);
-            #[cfg(feature = "trace-long-waits")]
-            if queue > 200 {
-                eprintln!(
-                    "LONGWAIT q={} pf={} rank={} bank={} row={} now={}",
-                    queue, txn.prefetch, txn.loc.rank, txn.loc.bank, txn.loc.row, now
-                );
-            }
             let service = data_end - now;
             self.sum_queue_mem += queue;
             self.sum_service_mem += service;

@@ -243,26 +243,30 @@ impl MemKind {
         }
     }
 
-    /// Parse a `--mem`/`--kinds` token: a legacy slug (`ddr3`, `rl-ad`,
-    /// ...), a spec id (`ddr5_4800`), or a `fast+slow` CWF pairing of two
-    /// spec tokens (`rldram3+ddr5_4800`). Pairings that name a paper
+    /// The paper's nine organizations, in the order `cwfmem list` prints
+    /// them. Each one's [`slug`](MemKind::slug) is its CLI spelling; this
+    /// is the one table of them.
+    pub const PAPER: [MemKind; 9] = [
+        MemKind::Ddr3,
+        MemKind::Lpddr2,
+        MemKind::Rldram3,
+        MemKind::Rd,
+        MemKind::Rl,
+        MemKind::Dl,
+        MemKind::RlAdaptive,
+        MemKind::RlOracle,
+        MemKind::RlRandom,
+    ];
+
+    /// Parse a `--mem`/`--kinds` token: a paper kind's slug (`ddr3`,
+    /// `rl-ad`, ...), a spec id (`ddr5_4800`), or a `fast+slow` CWF pairing
+    /// of two spec tokens (`rldram3+ddr5_4800`). Pairings that name a paper
     /// design point (and plain `ddr3`/`lpddr2`/`rldram3`) normalize to the
-    /// legacy kind so reports and seeds stay byte-identical.
+    /// paper kind so reports and seeds stay byte-identical.
     #[must_use]
     pub fn parse(token: &str) -> Option<MemKind> {
-        const LEGACY: [(&str, MemKind); 9] = [
-            ("ddr3", MemKind::Ddr3),
-            ("lpddr2", MemKind::Lpddr2),
-            ("rldram3", MemKind::Rldram3),
-            ("rd", MemKind::Rd),
-            ("rl", MemKind::Rl),
-            ("dl", MemKind::Dl),
-            ("rl-ad", MemKind::RlAdaptive),
-            ("rl-or", MemKind::RlOracle),
-            ("rl-rand", MemKind::RlRandom),
-        ];
-        if let Some((_, k)) = LEGACY.iter().find(|(n, _)| *n == token) {
-            return Some(*k);
+        if let Some(k) = MemKind::PAPER.into_iter().find(|k| k.slug() == token) {
+            return Some(k);
         }
         if let Some(pair) = token.strip_prefix("dramcache:") {
             let (fast_tok, slow_tok) = pair.split_once('+')?;
@@ -357,9 +361,9 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Parse a `CWF_KERNEL` value (`"cycle"` or `"event"`, case-insensitive).
+    /// Parse a kernel name (`"cycle"` or `"event"`, case-insensitive).
     #[must_use]
-    pub fn from_env_str(s: &str) -> Option<Kernel> {
+    pub fn parse(s: &str) -> Option<Kernel> {
         match s.to_ascii_lowercase().as_str() {
             "cycle" => Some(Kernel::Cycle),
             "event" => Some(Kernel::Event),
@@ -374,16 +378,6 @@ impl Kernel {
             Kernel::Cycle => "cycle",
             Kernel::Event => "event",
         }
-    }
-
-    /// The kernel selected by the `CWF_KERNEL` environment variable
-    /// (default: [`Kernel::Event`]).
-    #[must_use]
-    pub fn from_env() -> Kernel {
-        std::env::var("CWF_KERNEL")
-            .ok()
-            .and_then(|s| Self::from_env_str(&s))
-            .unwrap_or(Kernel::Event)
     }
 }
 
@@ -427,18 +421,17 @@ pub struct RunConfig {
     /// instruction fast-forward. Fills the 4 MB L2 so that eviction,
     /// writeback and adaptive-placement behaviour is in steady state.
     pub functional_warm_ops: u64,
-    /// Simulation kernel (`CWF_KERNEL` env: `cycle`/`event`; default event).
+    /// Simulation kernel (default event).
     pub kernel: Kernel,
     /// Run the cross-layer verify oracle alongside the simulation
     /// ([`cwf_verify`]). Observation only — metrics are bit-identical
     /// either way; the cost is bookkeeping time and memory. Defaults to on
-    /// in debug builds and off in release sweeps; `CWF_VERIFY=1`/`0`
-    /// overrides, and the CLI's `--verify`/`--no-verify` override both.
+    /// in debug builds and off in release builds; the CLI's
+    /// `--verify`/`--no-verify` set it.
     pub verify: bool,
     /// Collect cross-layer trace events ([`cwf_tracelog`]) into the
     /// system's ring buffer. Observation only — metrics are bit-identical
-    /// either way. Defaults to off; `CWF_TRACE=1` enables it, and the
-    /// CLI's `--trace`/`--no-trace` override both.
+    /// either way. Defaults to off; the CLI's `--trace <file>` enables it.
     pub trace: bool,
 }
 
@@ -457,26 +450,6 @@ cwf_ckpt::ckpt_struct!(RunConfig {
     trace,
 });
 
-/// The default verify-oracle setting: `CWF_VERIFY` (`1`/`true`/`on` or
-/// `0`/`false`/`off`) when set, else on for debug builds, off for release.
-#[must_use]
-pub fn verify_default() -> bool {
-    match std::env::var("CWF_VERIFY") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"),
-        Err(_) => cfg!(debug_assertions),
-    }
-}
-
-/// The default tracing setting: `CWF_TRACE` (`1`/`true`/`on`/`yes` to
-/// enable) when set, else off.
-#[must_use]
-pub fn trace_default() -> bool {
-    match std::env::var("CWF_TRACE") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"),
-        Err(_) => false,
-    }
-}
-
 impl RunConfig {
     /// The paper's methodology scaled by `reads` (it uses 2 M DRAM reads;
     /// `cwfmem figures` defaults to 8000 and takes `--reads N`).
@@ -492,9 +465,9 @@ impl RunConfig {
             seed: 0xD2A4_0001,
             parity_error_rate: 0.0,
             functional_warm_ops: 40_000,
-            kernel: Kernel::from_env(),
-            verify: verify_default(),
-            trace: trace_default(),
+            kernel: Kernel::Event,
+            verify: cfg!(debug_assertions),
+            trace: false,
         }
     }
 
@@ -509,18 +482,27 @@ impl RunConfig {
         }
     }
 
-    /// Same run with a different core count.
-    #[must_use]
-    pub fn with_cores(mut self, cores: u8) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Same run with the prefetcher disabled.
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
+    /// Reject knobs the simulator cannot honour: a core count outside
+    /// 1..=8, zero target reads, or a parity error rate that is not a
+    /// probability. Every front end (`cwfmem run`/`sweep`, `serve`) calls
+    /// this before running, so a bad knob is an error, never a panic or a
+    /// silently different run.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending knob and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=8).contains(&self.cores) {
+            return Err(format!("cores must be in 1..=8, got {}", self.cores));
+        }
+        if self.target_dram_reads == 0 {
+            return Err("reads must be at least 1".to_owned());
+        }
+        let p = self.parity_error_rate;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("parity-rate must be in [0, 1], got {p}"));
+        }
+        Ok(())
     }
 }
 
@@ -532,22 +514,13 @@ mod tests {
 
     #[test]
     fn every_kind_builds() {
-        for kind in [
-            MemKind::Ddr3,
-            MemKind::Lpddr2,
-            MemKind::Rldram3,
-            MemKind::Rd,
-            MemKind::Rl,
-            MemKind::Dl,
-            MemKind::RlAdaptive,
-            MemKind::RlOracle,
-            MemKind::RlRandom,
+        for kind in MemKind::PAPER.into_iter().chain([
             MemKind::Spec(DeviceKind::Ddr4),
             MemKind::Spec(DeviceKind::Ddr5),
             MemKind::Spec(DeviceKind::Lpddr4),
             MemKind::SpecCwf(DeviceKind::Rldram3, DeviceKind::Ddr5),
             MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow),
-        ] {
+        ]) {
             let mut mem = kind.build(0.0, 1);
             mem.tick(0);
             assert!(!kind.label().is_empty());
@@ -595,15 +568,13 @@ mod tests {
 
     #[test]
     fn spec_slugs_round_trip_through_parse() {
-        for k in [
+        for k in MemKind::PAPER.into_iter().chain([
             MemKind::Spec(DeviceKind::Ddr4),
             MemKind::Spec(DeviceKind::Ddr5),
             MemKind::Spec(DeviceKind::Lpddr4),
             MemKind::SpecCwf(DeviceKind::Rldram3, DeviceKind::Ddr5),
             MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow),
-            MemKind::Ddr3,
-            MemKind::Rl,
-        ] {
+        ]) {
             assert_eq!(MemKind::parse(&k.slug()), Some(k), "slug {}", k.slug());
         }
     }
@@ -635,5 +606,8 @@ mod tests {
         assert_eq!(c.cores, 8);
         assert!(c.warmup_dram_reads > 0);
         assert!(c.prefetch);
+        assert_eq!(c.kernel, Kernel::Event);
+        assert_eq!(c.verify, cfg!(debug_assertions));
+        assert!(!c.trace);
     }
 }

@@ -19,7 +19,7 @@ use crate::config::{MemBackend, MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, pct_delta, Table};
 use crate::runner::run_benchmark;
-use crate::sweep::{jobs, parallel_map};
+use crate::sweep::{jobs, parallel_map, run_cells_with, CellResult};
 use crate::system::System;
 
 /// The full 27-program suite.
@@ -80,7 +80,8 @@ impl SweepRow {
 /// Sweep `kinds` (plus the DDR3 baseline) over `benches`.
 ///
 /// Cells run across the [`crate::sweep`] worker pool (`CWF_JOBS`). A
-/// cell that panics is reported on stderr and dropped: a failed config
+/// cell that fails ([`CellResult::failure`]: a panic or an unclean
+/// oracle report) is reported on stderr and dropped: a failed config
 /// leaves a hole [`SweepRow::metrics`] reports as `None`; a failed
 /// baseline drops the whole row.
 #[must_use]
@@ -100,16 +101,13 @@ pub fn sweep(benches: &[&str], kinds: &[MemKind], reads: u64) -> Vec<SweepRow> {
             });
         }
     }
-    let results = crate::sweep::run_cells(&cells);
+    let results = run_cells_with(&cells, jobs());
     let mut by_task: BTreeMap<(String, Option<MemKind>), RunMetrics> = BTreeMap::new();
     for (task, result) in tasks.into_iter().zip(results) {
-        match result {
-            crate::sweep::CellResult::Done(m, _) => {
-                by_task.insert(task, m);
-            }
-            crate::sweep::CellResult::Failed { bench, mem, error } => {
-                eprintln!("sweep cell {bench}/{} failed: {error}", mem.label());
-            }
+        if let Some(e) = result.failure() {
+            eprintln!("{e}");
+        } else if let CellResult::Done(o) = result {
+            by_task.insert(task, o.metrics);
         }
     }
     benches

@@ -33,6 +33,13 @@ impl RunOutcome {
         }
     }
 
+    /// The verdict every front end applies to a finished run: clean
+    /// unless the verify oracle ran and found a violation.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.verify.as_ref().is_none_or(cwf_verify::VerifyReport::is_clean)
+    }
+
     /// The run's `cwfmem.run.v1` document with the kernel object and,
     /// when present, the verify and trace objects. Every front end
     /// (`run --json`, `resume --json`, serve cells) prints this, so a
@@ -192,7 +199,7 @@ mod tests {
         // A compute-heavy benchmark: each core barely interferes, so the
         // weighted speedup approaches the core count (needs a warmed run;
         // cold-start windows under-estimate IPC_shared).
-        let cfg = RunConfig::paper(MemKind::Ddr3, 2_000).with_cores(2);
+        let cfg = RunConfig { cores: 2, ..RunConfig::paper(MemKind::Ddr3, 2_000) };
         let ws = weighted_speedup(&cfg, "gobmk");
         assert!(ws > 1.4 && ws <= f64::from(cfg.cores) * 1.2, "ws = {ws}");
     }

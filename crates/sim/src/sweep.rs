@@ -12,7 +12,8 @@
 //!   `CWF_JOBS=1` and `CWF_JOBS=16` produce the same bytes.
 //! * **Panic isolation.** A cell that panics becomes
 //!   [`CellResult::Failed`] carrying the panic message; the other cells
-//!   and the sweep itself keep running.
+//!   and the sweep itself keep running. A cell whose verify oracle found a
+//!   violation completes but fails the verdict too ([`CellResult::failure`]).
 //! * **Ordered aggregation.** Results come back in input order
 //!   regardless of which worker finished first.
 //!
@@ -26,8 +27,7 @@ use std::sync::Mutex;
 
 use crate::config::{MemKind, RunConfig};
 use crate::metrics::RunMetrics;
-use crate::runner::run_benchmark_outcome;
-use crate::system::KernelStats;
+use crate::runner::{run_benchmark_outcome, RunOutcome};
 
 /// One unit of sweep work: a benchmark under a configuration.
 #[derive(Debug, Clone)]
@@ -45,11 +45,10 @@ pub struct Cell {
 /// sweep holds one result per cell — boxing would only complicate every
 /// consumer.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CellResult {
-    /// The cell ran to completion: its metrics plus the kernel's
-    /// execution counters (diagnostics; not part of the metrics schema).
-    Done(RunMetrics, KernelStats),
+    /// The cell ran to completion: everything the run reports.
+    Done(RunOutcome),
     /// The cell panicked; the sweep continued without it.
     Failed {
         /// Benchmark of the failed cell.
@@ -62,28 +61,51 @@ pub enum CellResult {
 }
 
 impl CellResult {
-    /// The metrics, if the cell completed.
+    /// Run `cell` through `run`, turning a panic into
+    /// [`CellResult::Failed`]. Every sweep front end (`cwfmem sweep`, the
+    /// figure drivers, `cwfmem serve`) executes its cells through here.
+    pub fn catch(cell: &Cell, run: impl FnOnce() -> RunOutcome) -> CellResult {
+        // AssertUnwindSafe: `run` only touches the cell (read-only) and
+        // its own fresh System; a panic cannot leave shared state
+        // half-mutated.
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(o) => CellResult::Done(o),
+            Err(payload) => CellResult::Failed {
+                bench: cell.bench.clone(),
+                mem: cell.cfg.mem,
+                // `&*payload`, not `&payload`: the Box itself is `Any` and
+                // would shadow the payload.
+                error: panic_text(&*payload),
+            },
+        }
+    }
+
+    /// The metrics, if the cell completed (clean or not).
     #[must_use]
     pub fn metrics(&self) -> Option<&RunMetrics> {
         match self {
-            CellResult::Done(m, _) => Some(m),
+            CellResult::Done(o) => Some(&o.metrics),
             CellResult::Failed { .. } => None,
         }
     }
 
-    /// The kernel diagnostics, if the cell completed.
+    /// The sweep verdict: `None` for a cell that completed clean
+    /// ([`RunOutcome::is_clean`]), else the line reporting it —
+    /// `FAILED bench/kind: <panic>` or `UNCLEAN bench/kind: N violation(s)`.
     #[must_use]
-    pub fn kernel_stats(&self) -> Option<&KernelStats> {
+    pub fn failure(&self) -> Option<String> {
         match self {
-            CellResult::Done(_, k) => Some(k),
-            CellResult::Failed { .. } => None,
+            CellResult::Done(o) if o.is_clean() => None,
+            CellResult::Done(o) => Some(format!(
+                "UNCLEAN {}/{}: {} violation(s)",
+                o.metrics.bench,
+                o.metrics.mem.label(),
+                o.verify.as_ref().map_or(0, |v| v.total_violations)
+            )),
+            CellResult::Failed { bench, mem, error } => {
+                Some(format!("FAILED {bench}/{}: {error}", mem.label()))
+            }
         }
-    }
-
-    /// True if the cell panicked.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellResult::Failed { .. })
     }
 }
 
@@ -98,17 +120,14 @@ pub fn jobs() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, std::num::NonZero::get))
 }
 
-/// Deterministic per-cell seed: an FNV-1a/SplitMix64 mix of the base
-/// seed with the cell's identity.
-///
-/// Decorrelates the random streams of different cells (same-seed cells
-/// would replay identical address noise) while staying a pure function
-/// of the inputs, so the sweep's determinism contract holds under any
-/// scheduling.
+/// The workspace's one stable 64-bit hash: FNV-1a over `parts` (in
+/// order, no separators) from the offset basis XOR `key`, then the
+/// SplitMix64 finalizer. [`cell_seed`] and the result cache's config
+/// digest are both this function, so their values are pinned together.
 #[must_use]
-pub fn cell_seed(base: u64, bench: &str, mem: MemKind) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ base;
-    for b in bench.bytes().chain(mem.slug().bytes()) {
+pub fn fnv_mix(key: u64, parts: &[&[u8]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ key;
+    for &b in parts.iter().copied().flatten() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -118,27 +137,33 @@ pub fn cell_seed(base: u64, bench: &str, mem: MemKind) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Build the (benchmark × kind) grid of cells under the paper's
-/// methodology, each with its own [`cell_seed`]-derived seed.
+/// Deterministic per-cell seed: a [`fnv_mix`] of the base seed with the
+/// cell's identity.
+///
+/// Decorrelates the random streams of different cells (same-seed cells
+/// would replay identical address noise) while staying a pure function
+/// of the inputs, so the sweep's determinism contract holds under any
+/// scheduling.
 #[must_use]
-pub fn grid(benches: &[&str], kinds: &[MemKind], reads: u64) -> Vec<Cell> {
-    let base = RunConfig::paper(MemKind::Ddr3, reads).seed;
+pub fn cell_seed(base: u64, bench: &str, mem: MemKind) -> u64 {
+    fnv_mix(base, &[bench.as_bytes(), mem.slug().as_bytes()])
+}
+
+/// Build the (benchmark × kind) grid of cells, benchmark-major: each cell
+/// is `template` with its kind and a [`cell_seed`] derived from
+/// `template.seed`. `cwfmem sweep` and `cwfmem serve` both build their
+/// grids here.
+#[must_use]
+pub fn grid(benches: &[&str], kinds: &[MemKind], template: &RunConfig) -> Vec<Cell> {
     benches
         .iter()
         .flat_map(|b| {
-            kinds.iter().map(move |&k| {
-                let mut cfg = RunConfig::paper(k, reads);
-                cfg.seed = cell_seed(base, b, k);
-                Cell { bench: (*b).to_owned(), cfg }
+            kinds.iter().map(move |&mem| Cell {
+                bench: (*b).to_owned(),
+                cfg: RunConfig { mem, seed: cell_seed(template.seed, b, mem), ..*template },
             })
         })
         .collect()
-}
-
-/// Run every cell across [`jobs`] worker threads; results in input order.
-#[must_use]
-pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
-    run_cells_with(cells, jobs())
 }
 
 /// Run every cell across exactly `workers` threads; results in input
@@ -147,20 +172,7 @@ pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
 #[must_use]
 pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
     parallel_map(cells, workers, |cell| {
-        // AssertUnwindSafe: the closure only touches the cell (read-only)
-        // and its own fresh System; a panic cannot leave shared state
-        // half-mutated.
-        match catch_unwind(AssertUnwindSafe(|| run_benchmark_outcome(&cell.cfg, &cell.bench, None)))
-        {
-            Ok(o) => CellResult::Done(o.metrics, o.kernel),
-            Err(payload) => CellResult::Failed {
-                bench: cell.bench.clone(),
-                mem: cell.cfg.mem,
-                // `&*payload`, not `&payload`: the Box itself is `Any` and
-                // would shadow the payload.
-                error: panic_text(&*payload),
-            },
-        }
+        CellResult::catch(cell, || run_benchmark_outcome(&cell.cfg, &cell.bench, None))
     })
 }
 
@@ -198,7 +210,7 @@ where
 
 /// Render a panic payload (`&str` or `String` in practice) as text.
 #[must_use]
-pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -214,16 +226,23 @@ mod tests {
 
     #[test]
     fn grid_covers_the_cross_product() {
-        let cells = grid(&["mcf", "stream"], &[MemKind::Ddr3, MemKind::Rl], 100);
+        let template = RunConfig::paper(MemKind::Ddr3, 100);
+        let cells = grid(&["mcf", "stream"], &[MemKind::Ddr3, MemKind::Rl], &template);
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].bench, "mcf");
         assert_eq!(cells[0].cfg.mem, MemKind::Ddr3);
         assert_eq!(cells[3].bench, "stream");
         assert_eq!(cells[3].cfg.mem, MemKind::Rl);
+        for c in &cells {
+            let seed = cell_seed(template.seed, &c.bench, c.cfg.mem);
+            assert!(c.cfg == RunConfig { seed, ..RunConfig::paper(c.cfg.mem, 100) });
+        }
     }
 
     #[test]
-    fn cell_seeds_are_stable_and_distinct() {
+    fn cell_seeds_are_pinned_and_distinct() {
+        // The sweep's and perfbench's seeds hang off this value.
+        assert_eq!(cell_seed(0xD2A4_0001, "mcf", MemKind::Rl), 0x2f35_93e5_7611_cb86);
         let a = cell_seed(1, "mcf", MemKind::Rl);
         assert_eq!(a, cell_seed(1, "mcf", MemKind::Rl));
         assert_ne!(a, cell_seed(1, "mcf", MemKind::Ddr3));
@@ -233,13 +252,8 @@ mod tests {
 
     #[test]
     fn results_come_back_in_input_order() {
-        let cells = grid(&["stream", "mcf"], &[MemKind::Ddr3], 120)
-            .into_iter()
-            .map(|mut c| {
-                c.cfg = RunConfig { seed: c.cfg.seed, ..RunConfig::quick(c.cfg.mem, 120) };
-                c
-            })
-            .collect::<Vec<_>>();
+        let cells =
+            grid(&["stream", "mcf"], &[MemKind::Ddr3], &RunConfig::quick(MemKind::Ddr3, 120));
         let out = run_cells_with(&cells, 2);
         assert_eq!(out.len(), 2);
         for (cell, r) in cells.iter().zip(&out) {

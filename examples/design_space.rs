@@ -18,19 +18,8 @@ fn main() {
         "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W", "cw-fast"
     );
 
-    let kinds = [
-        MemKind::Ddr3,
-        MemKind::Lpddr2,
-        MemKind::Rldram3,
-        MemKind::Dl,
-        MemKind::Rl,
-        MemKind::RlAdaptive,
-        MemKind::RlOracle,
-        MemKind::Rd,
-        MemKind::RlRandom,
-    ];
     let mut base_ipc = None;
-    for kind in kinds {
+    for kind in MemKind::PAPER {
         let m = run_benchmark(&RunConfig::paper(kind, reads), &bench);
         let ipc = m.ipc_total();
         let base = *base_ipc.get_or_insert(ipc);

@@ -12,23 +12,9 @@ use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 use cwfmem::tracelog::waterfall::STAGE_NAMES;
 
 fn main() {
-    const KINDS: [MemKind; 9] = [
-        MemKind::Ddr3,
-        MemKind::Lpddr2,
-        MemKind::Rldram3,
-        MemKind::Rd,
-        MemKind::Rl,
-        MemKind::Dl,
-        MemKind::RlAdaptive,
-        MemKind::RlOracle,
-        MemKind::RlRandom,
-    ];
     let bench = std::env::args().nth(1).unwrap_or_else(|| "mcf".to_owned());
     let mem = std::env::args().nth(2).map_or(MemKind::Rl, |s| {
-        KINDS
-            .into_iter()
-            .find(|k| k.slug() == s)
-            .unwrap_or_else(|| panic!("unknown memory kind '{s}'"))
+        MemKind::parse(&s).unwrap_or_else(|| panic!("unknown memory kind '{s}'"))
     });
     let reads = 5_000;
     println!("== latency waterfall: {bench} on {mem:?}, {reads} DRAM reads ==\n");

@@ -23,18 +23,6 @@ use cwfmem::sim::{run_benchmark, run_benchmark_outcome, Kernel, RunConfig, RunOu
 use cwfmem::speclint::{lint_specs, scorecard_json, Diagnostic, SpecLintReport};
 use cwfmem::workloads::suite;
 
-const KINDS: [(&str, MemKind); 9] = [
-    ("ddr3", MemKind::Ddr3),
-    ("lpddr2", MemKind::Lpddr2),
-    ("rldram3", MemKind::Rldram3),
-    ("rd", MemKind::Rd),
-    ("rl", MemKind::Rl),
-    ("dl", MemKind::Dl),
-    ("rl-ad", MemKind::RlAdaptive),
-    ("rl-or", MemKind::RlOracle),
-    ("rl-rand", MemKind::RlRandom),
-];
-
 /// `cwfmem figures` names, in the order `all` prints them.
 const FIGURES: [&str; 11] = [
     "fig1",
@@ -54,44 +42,110 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  cwfmem list\n  cwfmem run --mem <kind> --bench <name>|--replay <file> [--reads N] \
          [--cores N] [--no-prefetch] [--parity-rate P] [--seed S] [--kernel cycle|event] \
-         [--verify|--no-verify] [--trace <out.json>|--no-trace] [--json]\n  \
+         [--verify|--no-verify] [--trace <out.json>] [--json]\n  \
          cwfmem run --spec <id|file.toml> --bench <name> ...   # spec-layer device\n  \
          cwfmem run ... --ckpt-at <cycle> --ckpt-out <file>    # pause + checkpoint\n  \
          cwfmem resume <file.ckpt> [--ckpt-at <cycle> --ckpt-out <file>] \
          [--verify|--no-verify] [--trace <out.json>|--no-trace] [--json]\n  \
          cwfmem serve [--bind <addr:port>] [--workers N]       # sweep HTTP server\n  \
          cwfmem spec-lint <id|file.toml|specs-dir> [--json] [--parse-only]\n  \
-         cwfmem spec-check <id|file.toml>        # alias: full lint of one spec\n  \
          cwfmem trace-check <file.json>\n  \
          cwfmem compare --bench <name> [--reads N]\n  \
          cwfmem sweep [--benches a,b,c|--all-benches] [--kinds k1,k2] [--reads N] [--jobs N] \
-         [--json DIR]\n  \
+         [--verify|--no-verify] [--json DIR]\n  \
          cwfmem figures <{}> [--reads N] [--all-benches] [--csv DIR]\n  \
          cwfmem dump-trace --bench <name> [--core N] [--ops N] [--seed S] --out <file>\n\n\
          memory kinds: {}\n\
          device specs: {} (also fast+slow CWF pairs, e.g. rldram3+ddr5_4800)",
         FIGURES.join("|"),
-        KINDS.map(|(n, _)| n).join(", "),
+        MemKind::PAPER.map(MemKind::slug).join(", "),
         DeviceSpec::embedded_ids().join(", ")
     );
     std::process::exit(2)
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
+/// Print `msg` and the usage text; exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    usage()
+}
+
+/// One subcommand's arguments, parsed strictly: an unknown flag, a flag
+/// missing its value, a stray operand or a value that does not parse
+/// exits 2 naming it — nothing falls back to a default.
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    operands: Vec<String>,
+}
+
+impl Flags {
+    /// Parse `args` against the subcommand's `valued` flags (each takes
+    /// the next argument), bare `switches`, and up to `max_operands`
+    /// operands (arguments not starting with `--`).
+    fn parse(
+        args: &[String],
+        valued: &[&'static str],
+        switches: &[&'static str],
+        max_operands: usize,
+    ) -> Flags {
+        let mut f = Flags { values: Vec::new(), switches: Vec::new(), operands: Vec::new() };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if let Some(&k) = valued.iter().find(|&&k| k == a) {
+                let v = it.next().filter(|v| !v.starts_with("--"));
+                f.values
+                    .push((k, v.unwrap_or_else(|| fail(&format!("{k} needs a value"))).clone()));
+            } else if let Some(&k) = switches.iter().find(|&&k| k == a) {
+                f.switches.push(k);
+            } else if a.starts_with("--") {
+                fail(&format!("unknown flag '{a}'"));
+            } else if f.operands.len() < max_operands {
+                f.operands.push(a.clone());
+            } else {
+                fail(&format!("unexpected argument '{a}'"));
+            }
+        }
+        f
+    }
+
+    /// The value of `key` (the last one when repeated).
+    fn get(&self, key: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// True if switch `key` was given.
+    fn has(&self, key: &str) -> bool {
+        self.switches.contains(&key)
+    }
+
+    /// The value of `key` parsed as a `T`.
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key)
+            .map(|v| v.parse().unwrap_or_else(|_| fail(&format!("{key}: invalid value '{v}'"))))
+    }
+
+    /// The first operand, if any.
+    fn operand(&self) -> Option<&str> {
+        self.operands.first().map(String::as_str)
+    }
 }
 
 fn parse_kind(name: &str) -> MemKind {
-    MemKind::parse(name).unwrap_or_else(|| {
-        eprintln!("unknown memory kind '{name}'");
-        usage()
-    })
+    MemKind::parse(name).unwrap_or_else(|| fail(&format!("unknown memory kind '{name}'")))
+}
+
+/// Exit 2 unless `cfg` passes [`RunConfig::validate`]. Its messages start
+/// with the knob's name, which is also the flag's name.
+fn check(cfg: RunConfig) -> RunConfig {
+    cfg.validate().unwrap_or_else(|e| fail(&format!("--{e}")));
+    cfg
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("resume") => cmd_resume(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -100,16 +154,16 @@ fn main() {
         Some("figures") => cmd_figures(&args[1..]),
         Some("dump-trace") => cmd_dump_trace(&args[1..]),
         Some("trace-check") => cmd_trace_check(&args[1..]),
-        Some("spec-check") => cmd_spec_check(&args[1..]),
         Some("spec-lint") => cmd_spec_lint(&args[1..]),
         _ => usage(),
     }
 }
 
-fn cmd_list() {
+fn cmd_list(args: &[String]) {
+    Flags::parse(args, &[], &[], 0);
     println!("memory organizations:");
-    for (name, kind) in KINDS {
-        println!("  {name:<8} {}", kind.label());
+    for kind in MemKind::PAPER {
+        println!("  {:<8} {}", kind.slug(), kind.label());
     }
     println!("\ndevice specs (for --spec, --mem, or fast+slow CWF pairs):");
     for id in DeviceSpec::embedded_ids() {
@@ -134,7 +188,7 @@ fn spec_is_path(value: &str) -> bool {
     value.contains('/') || value.ends_with(".toml")
 }
 
-/// Load a `--spec`/`spec-check` operand: a file path, or an embedded id.
+/// Load a `--spec`/`spec-lint` operand: a file path, or an embedded id.
 fn load_spec(value: &str) -> DeviceSpec {
     let loaded = if spec_is_path(value) {
         DeviceSpec::from_file(value)
@@ -168,25 +222,6 @@ fn spec_summary_line(spec: &DeviceSpec) -> String {
     )
 }
 
-/// `spec-check <id|file.toml>` — kept as the one-spec alias for the full
-/// lint: the classic parse summary, plus every `spec-lint` diagnostic, and
-/// a nonzero exit on any of them.
-fn cmd_spec_check(args: &[String]) {
-    let Some(value) = args.first() else { usage() };
-    let spec = load_spec(value);
-    println!("{}", spec_summary_line(&spec));
-    let (reports, conformance) = lint_specs(std::slice::from_ref(&spec));
-    let diags: Vec<&Diagnostic> =
-        reports.iter().flat_map(|r| &r.diagnostics).chain(&conformance).collect();
-    for d in &diags {
-        eprintln!("{d}");
-    }
-    if !diags.is_empty() {
-        eprintln!("{}: {} lint diagnostic(s)", spec.id, diags.len());
-        std::process::exit(1);
-    }
-}
-
 /// Resolve a `spec-lint` operand into the specs to lint: a directory (all
 /// `*.toml` inside, sorted), a single file, or an embedded id.
 fn spec_lint_targets(value: &str) -> Vec<DeviceSpec> {
@@ -217,11 +252,11 @@ fn spec_lint_targets(value: &str) -> Vec<DeviceSpec> {
 /// `spec-lint <id|file.toml|dir> [--json] [--parse-only]` — the spec model
 /// checker: reachability, constraint coverage, contradiction detection,
 /// cross-spec conformance and checker/oracle rule linkage. `--parse-only`
-/// is the old `spec-check` fast path (parse + summary, no model checking).
+/// is the fast path (parse + summary, no model checking).
 fn cmd_spec_lint(args: &[String]) {
-    let json = args.iter().any(|a| a == "--json");
-    let parse_only = args.iter().any(|a| a == "--parse-only");
-    let Some(value) = args.iter().find(|a| !a.starts_with("--")) else { usage() };
+    let f = Flags::parse(args, &[], &["--json", "--parse-only"], 1);
+    let (json, parse_only) = (f.has("--json"), f.has("--parse-only"));
+    let Some(value) = f.operand() else { usage() };
     let specs = spec_lint_targets(value);
     if parse_only {
         for spec in &specs {
@@ -283,330 +318,73 @@ fn cmd_spec_lint(args: &[String]) {
     }
 }
 
-fn build_config(args: &[String]) -> RunConfig {
-    // `--spec` takes either an embedded spec id / kind token (same
-    // namespace as `--mem`) or a TOML file path; for a file the backend is
-    // built from the parsed config in `cmd_run` and the kind label comes
-    // from the file's device kind.
-    let mem = if let Some(spec_val) = arg_value(args, "--spec") {
-        if spec_is_path(&spec_val) {
-            let spec = load_spec(&spec_val);
-            MemKind::parse(&spec.id).unwrap_or(MemKind::Spec(spec.config.kind))
-        } else {
-            parse_kind(&spec_val)
-        }
-    } else {
-        parse_kind(&arg_value(args, "--mem").unwrap_or_else(|| "rl".into()))
-    };
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(10_000);
-    let mut cfg = RunConfig::paper(mem, reads);
-    if let Some(c) = arg_value(args, "--cores").and_then(|v| v.parse().ok()) {
+/// The one `RunConfig` builder of `run`, `sweep` and `compare`: the
+/// paper methodology at `mem`, then every knob flag present (each
+/// subcommand's flag list decides which knobs it offers), validated.
+fn build_config(f: &Flags, mem: MemKind, default_reads: u64) -> RunConfig {
+    let mut cfg = RunConfig::paper(mem, f.num("--reads").unwrap_or(default_reads));
+    if let Some(c) = f.num("--cores") {
         cfg.cores = c;
     }
-    if args.iter().any(|a| a == "--no-prefetch") {
-        cfg.prefetch = false;
-    }
-    if let Some(p) = arg_value(args, "--parity-rate").and_then(|v| v.parse().ok()) {
+    cfg.prefetch = !f.has("--no-prefetch");
+    if let Some(p) = f.num("--parity-rate") {
         cfg.parity_error_rate = p;
     }
-    if let Some(s) = arg_value(args, "--seed").and_then(|v| v.parse().ok()) {
+    if let Some(s) = f.num("--seed") {
         cfg.seed = s;
     }
-    // `--kernel` overrides the `CWF_KERNEL` environment default. Both
-    // kernels produce bit-identical metrics; the flag exists for
+    // Both kernels produce bit-identical metrics; the flag exists for
     // performance comparisons and debugging.
-    if let Some(k) = arg_value(args, "--kernel") {
-        cfg.kernel = Kernel::from_env_str(&k).unwrap_or_else(|| {
-            eprintln!("unknown kernel '{k}' (expected 'cycle' or 'event')");
-            usage()
+    if let Some(k) = f.get("--kernel") {
+        cfg.kernel = Kernel::parse(k).unwrap_or_else(|| {
+            fail(&format!("--kernel: unknown kernel '{k}' (expected 'cycle' or 'event')"))
         });
     }
-    // `--verify`/`--no-verify` override the `CWF_VERIFY` environment
-    // default (on in debug builds, off in release).
-    if args.iter().any(|a| a == "--verify") {
+    // Verification defaults on in debug builds, off in release.
+    if f.has("--verify") {
         cfg.verify = true;
-    } else if args.iter().any(|a| a == "--no-verify") {
+    } else if f.has("--no-verify") {
         cfg.verify = false;
     }
     // `--trace <out.json>` enables trace collection (and exports the
-    // Perfetto document); `--no-trace` overrides `CWF_TRACE`.
-    if args.iter().any(|a| a == "--trace") {
-        cfg.trace = true;
-    } else if args.iter().any(|a| a == "--no-trace") {
-        cfg.trace = false;
-    }
-    cfg
+    // Perfetto document).
+    cfg.trace = f.get("--trace").is_some();
+    check(cfg)
 }
 
-/// Print a run's outcome for the checkpoint paths (`run --ckpt-at` that
-/// finished early, and `resume`): the `cwfmem.run.v1` document under
-/// `--json` (the same [`RunOutcome::to_json`] `cmd_run` prints, so a
-/// split run's output is byte-identical to the unsplit run's), a compact
-/// summary otherwise. Exits nonzero on an unclean oracle report.
+/// `run`'s memory: `--spec` takes either an embedded spec id / kind token
+/// (same namespace as `--mem`) or a TOML file path; for a file the backend
+/// is built from the parsed config in `cmd_run` and the kind label comes
+/// from the file's device kind.
+fn run_mem(f: &Flags) -> MemKind {
+    match f.get("--spec") {
+        Some(path) if spec_is_path(path) => {
+            let spec = load_spec(path);
+            MemKind::parse(&spec.id).unwrap_or(MemKind::Spec(spec.config.kind))
+        }
+        Some(token) => parse_kind(token),
+        None => parse_kind(f.get("--mem").unwrap_or("rl")),
+    }
+}
+
+/// Print a finished run — `run`, `run --ckpt-at` that finished early,
+/// and `resume` alike: the `cwfmem.run.v1` document
+/// ([`RunOutcome::to_json`]) under `--json`, so a split run's output is
+/// byte-identical to the unsplit run's, else the key-metrics table. An
+/// unclean run ([`RunOutcome::is_clean`]) exits 1: CI runs `--verify`
+/// and relies on the exit status.
 fn emit_run_outcome(json: bool, o: &RunOutcome) {
-    let (m, kstats) = (&o.metrics, &o.kernel);
+    let (m, kstats, verify, trace) = (&o.metrics, &o.kernel, &o.verify, &o.trace);
     if json {
         print!("{}", o.to_json());
     } else {
         println!(
-            "{} on {} ({} reads): IPC {:.3}, critical-word latency {:.1} ns, kernel {}",
+            "{} on {} ({} cores, {} reads):",
             m.mem.label(),
             m.bench,
-            m.dram_reads,
-            m.ipc_total(),
-            m.avg_cw_latency_ns(),
-            kstats.kernel.name()
+            m.insts_per_core.len(),
+            m.dram_reads
         );
-        if let Some(v) = &o.verify {
-            if v.is_clean() {
-                println!("  verify clean ({} commands checked)", v.commands_checked);
-            } else {
-                println!("  verify: {} violation(s)", v.total_violations);
-            }
-        }
-        if let Some(t) = &o.trace {
-            println!(
-                "  trace: {} events ({} dropped), {} reads decomposed",
-                t.events.len(),
-                t.dropped,
-                t.summary.reads
-            );
-        }
-    }
-    exit_if_unclean(o);
-}
-
-/// An unclean oracle report is a failure (CI runs `--verify` and relies
-/// on the exit status).
-fn exit_if_unclean(o: &RunOutcome) {
-    if let Some(v) = o.verify.as_ref().filter(|v| !v.is_clean()) {
-        eprintln!("verify: {} violation(s) detected", v.total_violations);
-        std::process::exit(1);
-    }
-}
-
-/// Write the run's Perfetto trace to `path` when both are present.
-fn write_trace(path: Option<&String>, o: &RunOutcome) {
-    if let (Some(path), Some(t)) = (path, &o.trace) {
-        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
-            eprintln!("cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
-            t.events.len(),
-            t.dropped
-        );
-    }
-}
-
-/// Handle a [`cwfmem::sim::CkptOutcome`]: write the checkpoint when the
-/// run paused, otherwise report the finished run.
-fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64, json: bool) {
-    match outcome {
-        cwfmem::sim::CkptOutcome::Paused { ckpt } => {
-            if let Err(e) = std::fs::write(out_path, &ckpt) {
-                eprintln!("cannot write checkpoint {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "checkpoint at cycle {at}: wrote {} bytes (cwfmem.ckpt.v1) to {out_path}",
-                ckpt.len(),
-            );
-        }
-        cwfmem::sim::CkptOutcome::Finished(o) => {
-            eprintln!("run finished before cycle {at}; no checkpoint written");
-            emit_run_outcome(json, &o);
-        }
-    }
-}
-
-/// `run --ckpt-at <cycle> --ckpt-out <file>` — run until the target
-/// cycle, then serialize the whole simulator to a `cwfmem.ckpt.v1` file
-/// (or finish normally if the run completes first).
-fn cmd_run_ckpt(args: &[String], cfg: &RunConfig, at: u64) {
-    let Some(out_path) = arg_value(args, "--ckpt-out") else {
-        eprintln!("--ckpt-at needs --ckpt-out <file>");
-        usage()
-    };
-    if arg_value(args, "--replay").is_some()
-        || arg_value(args, "--spec").filter(|v| spec_is_path(v)).is_some()
-    {
-        eprintln!("--ckpt-at supports built-in benchmarks and embedded specs only");
-        std::process::exit(1);
-    }
-    let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    match cwfmem::sim::run_benchmark_ckpt(cfg, &bench, at) {
-        Ok(outcome) => {
-            emit_ckpt_outcome(outcome, &out_path, at, args.iter().any(|a| a == "--json"));
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `resume <file.ckpt>` — restore a checkpointed run and carry it to
-/// completion (or to another `--ckpt-at` pause point). The finished
-/// metrics are byte-identical to an unpaused run's, and the observers
-/// come back with it: a `--verify --trace` checkpoint resumes with the
-/// oracle's books and the trace ring intact, so the final verify/trace
-/// JSON objects match the unsplit run's.
-///
-/// `--no-verify`/`--no-trace` suppress the corresponding report on
-/// output; `--verify`/`--trace <out.json>` demand one, and fail loudly
-/// when the checkpointed run never collected it (observability cannot be
-/// conjured mid-run — the first half of the evidence is gone).
-fn cmd_resume(args: &[String]) {
-    let Some(path) = args.first().filter(|p| !p.starts_with("--")) else { usage() };
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read checkpoint {path}: {e}");
-        std::process::exit(1)
-    });
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(at) = arg_value(args, "--ckpt-at") {
-        let at: u64 = at.parse().unwrap_or_else(|_| {
-            eprintln!("--ckpt-at needs a cycle number");
-            usage()
-        });
-        let Some(out_path) = arg_value(args, "--ckpt-out") else {
-            eprintln!("--ckpt-at needs --ckpt-out <file>");
-            usage()
-        };
-        match cwfmem::sim::resume_benchmark_to_cycle(&bytes, at) {
-            Ok(outcome) => emit_ckpt_outcome(outcome, &out_path, at, json),
-            Err(e) => {
-                eprintln!("cannot resume {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let mut o = match cwfmem::sim::resume_benchmark(&bytes) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cannot resume {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if args.iter().any(|a| a == "--verify") && o.verify.is_none() {
-        eprintln!(
-            "cannot enable verify on resume: the checkpointed run had the oracle off \
-             (re-run with --verify from the start)"
-        );
-        std::process::exit(1);
-    }
-    if args.iter().any(|a| a == "--no-verify") {
-        o.verify = None;
-    }
-    let trace_out = arg_value(args, "--trace").filter(|p| !p.starts_with("--"));
-    if args.iter().any(|a| a == "--trace") && o.trace.is_none() {
-        eprintln!(
-            "cannot enable tracing on resume: the checkpointed run had tracing off \
-             (re-run with --trace from the start)"
-        );
-        std::process::exit(1);
-    }
-    if args.iter().any(|a| a == "--no-trace") {
-        o.trace = None;
-    }
-    write_trace(trace_out.as_ref(), &o);
-    emit_run_outcome(json, &o);
-}
-
-/// `serve [--bind <addr:port>] [--workers N]` — the sweep HTTP server
-/// (DESIGN.md §16). Runs until `POST /shutdown`.
-fn cmd_serve(args: &[String]) {
-    let bind = arg_value(args, "--bind").unwrap_or_else(|| "127.0.0.1:8327".into());
-    let workers = arg_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(cwfmem::sim::sweep::jobs);
-    let server = cwfmem::dse::Server::start(&bind, workers).unwrap_or_else(|e| {
-        eprintln!("cannot bind {bind}: {e}");
-        std::process::exit(1)
-    });
-    eprintln!(
-        "cwfmem serve: http://{} ({workers} workers) — POST /sweep, GET /sweep/<id>, \
-         GET /sweep/<id>/stream, GET /sweep/<id>/cell/<n>[/trace], GET /stats, POST /shutdown",
-        server.addr()
-    );
-    server.wait();
-    server.stop();
-    eprintln!("cwfmem serve: stopped");
-}
-
-fn cmd_run(args: &[String]) {
-    let cfg = build_config(args);
-    if let Some(at) = arg_value(args, "--ckpt-at") {
-        let at: u64 = at.parse().unwrap_or_else(|_| {
-            eprintln!("--ckpt-at needs a cycle number");
-            usage()
-        });
-        cmd_run_ckpt(args, &cfg, at);
-        return;
-    }
-    let trace_out = arg_value(args, "--trace");
-    if cfg.trace && args.iter().any(|a| a == "--trace") {
-        match &trace_out {
-            Some(p) if !p.starts_with("--") => {}
-            _ => {
-                eprintln!("--trace needs an output path (e.g. --trace trace.json)");
-                usage()
-            }
-        }
-    }
-    let o = if let Some(replay) = arg_value(args, "--replay") {
-        // Replay an external trace, phase-shifted per core (see `dump-trace`).
-        use cwfmem::sim::system::BoxedTrace;
-        use cwfmem::workloads::FileTraceSource;
-        let src = FileTraceSource::open(&replay).unwrap_or_else(|e| {
-            eprintln!("cannot load trace {replay}: {e}");
-            std::process::exit(1)
-        });
-        let mut cfg = cfg;
-        // External traces are finite: keep the warm phases inside one pass.
-        cfg.functional_warm_ops = (src.len() as u64 / 4).min(cfg.functional_warm_ops);
-        cfg.warmup_dram_reads = 0;
-        let n = usize::from(cfg.cores);
-        let sources: Vec<BoxedTrace> = (0..n)
-            .map(|i| Box::new(src.clone().starting_at(i * src.len() / n)) as BoxedTrace)
-            .collect();
-        let backend = cfg.mem.build(cfg.parity_error_rate, cfg.seed);
-        let mut sys = cwfmem::sim::System::with_trace_sources(&cfg, &replay, sources, backend);
-        let m = sys.run();
-        RunOutcome::collect(m, &sys)
-    } else {
-        let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-        // A file-backed spec: build the homogeneous backend from the
-        // parsed config (baseline topology; single-command x9-class parts
-        // need only 4 devices per 72-bit access).
-        let backend = arg_value(args, "--spec").filter(|v| spec_is_path(v)).map(|path| {
-            let spec = load_spec(&path);
-            let chips = match spec.config.addressing {
-                cwfmem::dram::AddressingStyle::SingleCommand => 4,
-                cwfmem::dram::AddressingStyle::RasCas => 9,
-            };
-            MemBackend::Homogeneous(cwfmem::memctrl::HomogeneousMemory::new(
-                spec.config,
-                4,
-                1,
-                chips,
-                cwfmem::memctrl::CtrlParams::default(),
-            ))
-        });
-        run_benchmark_outcome(&cfg, &bench, backend)
-    };
-    write_trace(trace_out.as_ref(), &o);
-    let (m, kstats, verify, trace) = (&o.metrics, &o.kernel, &o.verify, &o.trace);
-    if args.iter().any(|a| a == "--json") {
-        // The sweep's structured schema (`cwfmem.run.v1`), one document,
-        // plus the additive kernel (and, under `--verify`/`--trace`,
-        // oracle and trace) diagnostics objects.
-        print!("{}", o.to_json());
-    } else {
-        println!("{} on {} ({} cores, {} reads):", m.mem.label(), m.bench, cfg.cores, m.dram_reads);
         println!("  IPC (aggregate)        {:.3}", m.ipc_total());
         println!("  critical-word latency  {:.1} ns", m.avg_cw_latency_ns());
         println!(
@@ -663,11 +441,229 @@ fn cmd_run(args: &[String]) {
             );
         }
     }
-    exit_if_unclean(&o);
+    if !o.is_clean() {
+        let n = verify.as_ref().map_or(0, |v| v.total_violations);
+        eprintln!("verify: {n} violation(s) detected");
+        std::process::exit(1);
+    }
+}
+
+/// Write the run's Perfetto trace to `path` when both are present.
+fn write_trace(path: Option<&str>, o: &RunOutcome) {
+    if let (Some(path), Some(t)) = (path, &o.trace) {
+        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
+            eprintln!("cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!(
+            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
+            t.events.len(),
+            t.dropped
+        );
+    }
+}
+
+/// Handle a [`cwfmem::sim::CkptOutcome`]: write the checkpoint when the
+/// run paused, otherwise report the finished run.
+fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64, json: bool) {
+    match outcome {
+        cwfmem::sim::CkptOutcome::Paused { ckpt } => {
+            if let Err(e) = std::fs::write(out_path, &ckpt) {
+                eprintln!("cannot write checkpoint {out_path}: {e}");
+                std::process::exit(1);
+            }
+            eprintln!(
+                "checkpoint at cycle {at}: wrote {} bytes (cwfmem.ckpt.v1) to {out_path}",
+                ckpt.len(),
+            );
+        }
+        cwfmem::sim::CkptOutcome::Finished(o) => {
+            eprintln!("run finished before cycle {at}; no checkpoint written");
+            emit_run_outcome(json, &o);
+        }
+    }
+}
+
+/// `run --ckpt-at <cycle> --ckpt-out <file>` — run until the target
+/// cycle, then serialize the whole simulator to a `cwfmem.ckpt.v1` file
+/// (or finish normally if the run completes first).
+fn cmd_run_ckpt(f: &Flags, cfg: &RunConfig, at: u64) {
+    let Some(out_path) = f.get("--ckpt-out") else { fail("--ckpt-at needs --ckpt-out <file>") };
+    if f.get("--replay").is_some() || f.get("--spec").is_some_and(spec_is_path) {
+        eprintln!("--ckpt-at supports built-in benchmarks and embedded specs only");
+        std::process::exit(1);
+    }
+    let bench = f.get("--bench").unwrap_or("leslie3d");
+    match cwfmem::sim::run_benchmark_ckpt(cfg, bench, at) {
+        Ok(outcome) => emit_ckpt_outcome(outcome, out_path, at, f.has("--json")),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `resume <file.ckpt>` — restore a checkpointed run and carry it to
+/// completion (or to another `--ckpt-at` pause point). The finished
+/// metrics are byte-identical to an unpaused run's, and the observers
+/// come back with it: a `--verify --trace` checkpoint resumes with the
+/// oracle's books and the trace ring intact, so the final verify/trace
+/// JSON objects match the unsplit run's.
+///
+/// `--no-verify`/`--no-trace` suppress the corresponding report on
+/// output; `--verify`/`--trace <out.json>` demand one, and fail loudly
+/// when the checkpointed run never collected it (observability cannot be
+/// conjured mid-run — the first half of the evidence is gone).
+fn cmd_resume(args: &[String]) {
+    let f = Flags::parse(
+        args,
+        &["--ckpt-at", "--ckpt-out", "--trace"],
+        &["--json", "--verify", "--no-verify", "--no-trace"],
+        1,
+    );
+    let Some(path) = f.operand() else { usage() };
+    let bytes = std::fs::read(path).unwrap_or_else(|e| {
+        eprintln!("cannot read checkpoint {path}: {e}");
+        std::process::exit(1)
+    });
+    let json = f.has("--json");
+    if let Some(at) = f.num("--ckpt-at") {
+        let Some(out_path) = f.get("--ckpt-out") else { fail("--ckpt-at needs --ckpt-out <file>") };
+        match cwfmem::sim::resume_benchmark_to_cycle(&bytes, at) {
+            Ok(outcome) => emit_ckpt_outcome(outcome, out_path, at, json),
+            Err(e) => {
+                eprintln!("cannot resume {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    let mut o = match cwfmem::sim::resume_benchmark(&bytes) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("cannot resume {path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    if f.has("--verify") && o.verify.is_none() {
+        eprintln!(
+            "cannot enable verify on resume: the checkpointed run had the oracle off \
+             (re-run with --verify from the start)"
+        );
+        std::process::exit(1);
+    }
+    if f.has("--no-verify") {
+        o.verify = None;
+    }
+    let trace_out = f.get("--trace");
+    if trace_out.is_some() && o.trace.is_none() {
+        eprintln!(
+            "cannot enable tracing on resume: the checkpointed run had tracing off \
+             (re-run with --trace from the start)"
+        );
+        std::process::exit(1);
+    }
+    if f.has("--no-trace") {
+        o.trace = None;
+    }
+    write_trace(trace_out, &o);
+    emit_run_outcome(json, &o);
+}
+
+/// `serve [--bind <addr:port>] [--workers N]` — the sweep HTTP server
+/// (DESIGN.md §16). Runs until `POST /shutdown`.
+fn cmd_serve(args: &[String]) {
+    let f = Flags::parse(args, &["--bind", "--workers"], &[], 0);
+    let bind = f.get("--bind").unwrap_or("127.0.0.1:8327");
+    let workers =
+        f.num("--workers").map_or_else(cwfmem::sim::sweep::jobs, std::num::NonZeroUsize::get);
+    let server = cwfmem::dse::Server::start(bind, workers).unwrap_or_else(|e| {
+        eprintln!("cannot bind {bind}: {e}");
+        std::process::exit(1)
+    });
+    eprintln!(
+        "cwfmem serve: http://{} ({workers} workers) — POST /sweep, GET /sweep/<id>, \
+         GET /sweep/<id>/stream, GET /sweep/<id>/cell/<n>[/trace], GET /stats, POST /shutdown",
+        server.addr()
+    );
+    server.wait();
+    server.stop();
+    eprintln!("cwfmem serve: stopped");
+}
+
+fn cmd_run(args: &[String]) {
+    let f = Flags::parse(
+        args,
+        &[
+            "--mem",
+            "--spec",
+            "--bench",
+            "--replay",
+            "--reads",
+            "--cores",
+            "--parity-rate",
+            "--seed",
+            "--kernel",
+            "--trace",
+            "--ckpt-at",
+            "--ckpt-out",
+        ],
+        &["--no-prefetch", "--verify", "--no-verify", "--json"],
+        0,
+    );
+    let cfg = build_config(&f, run_mem(&f), 10_000);
+    if let Some(at) = f.num("--ckpt-at") {
+        cmd_run_ckpt(&f, &cfg, at);
+        return;
+    }
+    let o = if let Some(replay) = f.get("--replay") {
+        // Replay an external trace, phase-shifted per core (see `dump-trace`).
+        use cwfmem::sim::system::BoxedTrace;
+        use cwfmem::workloads::FileTraceSource;
+        let src = FileTraceSource::open(replay).unwrap_or_else(|e| {
+            eprintln!("cannot load trace {replay}: {e}");
+            std::process::exit(1)
+        });
+        let mut cfg = cfg;
+        // External traces are finite: keep the warm phases inside one pass.
+        cfg.functional_warm_ops = (src.len() as u64 / 4).min(cfg.functional_warm_ops);
+        cfg.warmup_dram_reads = 0;
+        let n = usize::from(cfg.cores);
+        let sources: Vec<BoxedTrace> = (0..n)
+            .map(|i| Box::new(src.clone().starting_at(i * src.len() / n)) as BoxedTrace)
+            .collect();
+        let backend = cfg.mem.build(cfg.parity_error_rate, cfg.seed);
+        let mut sys = cwfmem::sim::System::with_trace_sources(&cfg, replay, sources, backend);
+        let m = sys.run();
+        RunOutcome::collect(m, &sys)
+    } else {
+        let bench = f.get("--bench").unwrap_or("leslie3d");
+        // A file-backed spec: build the homogeneous backend from the
+        // parsed config (baseline topology; single-command x9-class parts
+        // need only 4 devices per 72-bit access).
+        let backend = f.get("--spec").filter(|v| spec_is_path(v)).map(|path| {
+            let spec = load_spec(path);
+            let chips = match spec.config.addressing {
+                cwfmem::dram::AddressingStyle::SingleCommand => 4,
+                cwfmem::dram::AddressingStyle::RasCas => 9,
+            };
+            MemBackend::Homogeneous(cwfmem::memctrl::HomogeneousMemory::new(
+                spec.config,
+                4,
+                1,
+                chips,
+                cwfmem::memctrl::CtrlParams::default(),
+            ))
+        });
+        run_benchmark_outcome(&cfg, bench, backend)
+    };
+    write_trace(f.get("--trace"), &o);
+    emit_run_outcome(f.has("--json"), &o);
 }
 
 fn cmd_trace_check(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+    let f = Flags::parse(args, &[], &[], 1);
+    let Some(path) = f.operand() else { usage() };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1)
@@ -687,24 +683,31 @@ fn cmd_trace_check(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    use cwfmem::sim::{report, sweep, Table};
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
-    let benches: Vec<String> = if args.iter().any(|a| a == "--all-benches") {
-        all_benches().iter().map(|b| (*b).to_owned()).collect()
-    } else if let Some(list) = arg_value(args, "--benches") {
-        list.split(',').map(str::to_owned).collect()
+    use cwfmem::sim::{sweep, CellResult, Table};
+    let f = Flags::parse(
+        args,
+        &["--benches", "--kinds", "--reads", "--jobs", "--json"],
+        &["--all-benches", "--verify", "--no-verify"],
+        0,
+    );
+    // Sweep cells never trace; the template's kind is a placeholder that
+    // `grid` replaces per cell.
+    let template = build_config(&f, MemKind::Ddr3, 8_000);
+    let benches: Vec<&str> = if f.has("--all-benches") {
+        all_benches()
+    } else if let Some(list) = f.get("--benches") {
+        list.split(',').collect()
     } else {
-        default_benches().iter().map(|b| (*b).to_owned()).collect()
+        default_benches()
     };
-    let kinds: Vec<MemKind> = arg_value(args, "--kinds").map_or_else(
+    let kinds: Vec<MemKind> = f.get("--kinds").map_or_else(
         || vec![MemKind::Ddr3, MemKind::Rl, MemKind::RlAdaptive],
         |list| list.split(',').map(parse_kind).collect(),
     );
-    let jobs = arg_value(args, "--jobs").and_then(|v| v.parse().ok()).unwrap_or_else(sweep::jobs);
-    let json_dir = arg_value(args, "--json").map(std::path::PathBuf::from);
+    let jobs = f.num("--jobs").map_or_else(sweep::jobs, std::num::NonZeroUsize::get);
+    let json_dir = f.get("--json").map(std::path::PathBuf::from);
 
-    let bench_refs: Vec<&str> = benches.iter().map(String::as_str).collect();
-    let cells = sweep::grid(&bench_refs, &kinds, reads);
+    let cells = sweep::grid(&benches, &kinds, &template);
     eprintln!(
         "sweep: {} cells ({} benches x {} kinds), {jobs} workers",
         cells.len(),
@@ -722,39 +725,37 @@ fn cmd_sweep(args: &[String]) {
         "Sweep: IPC and p99 critical-word latency",
         &cols.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    let mut failures = 0usize;
-    for (bench, row) in bench_refs.iter().zip(results.chunks(kinds.len())) {
+    let (mut failures, mut written) = (0usize, 0usize);
+    for (bench, row) in benches.iter().zip(results.chunks(kinds.len())) {
         let mut cells_out = vec![(*bench).to_owned()];
         for r in row {
-            match r {
-                cwfmem::sim::CellResult::Done(m, k) => {
-                    cells_out.push(format!("{:.3}", m.ipc_total()));
-                    cells_out.push(format!("{:.1}", m.cw_latency_ns_quantile(0.99)));
-                    if let Some(dir) = &json_dir {
-                        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                            std::fs::write(
-                                dir.join(format!("{}__{}.json", m.bench, m.mem.slug())),
-                                report::to_json_diag(m, k),
-                            )
-                        }) {
-                            eprintln!("cannot write JSON to {}: {e}", dir.display());
-                            std::process::exit(1);
-                        }
-                    }
+            if let Some(e) = r.failure() {
+                failures += 1;
+                eprintln!("{e}");
+                cells_out.extend(["failed".to_owned(), "-".to_owned()]);
+            } else if let Some(m) = r.metrics() {
+                cells_out.push(format!("{:.3}", m.ipc_total()));
+                cells_out.push(format!("{:.1}", m.cw_latency_ns_quantile(0.99)));
+            }
+            // An unclean cell's document is written too: it carries the
+            // violations.
+            if let (CellResult::Done(o), Some(dir)) = (r, &json_dir) {
+                let m = &o.metrics;
+                let path = dir.join(format!("{}__{}.json", m.bench, m.mem.slug()));
+                if let Err(e) =
+                    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, o.to_json()))
+                {
+                    eprintln!("cannot write JSON to {}: {e}", dir.display());
+                    std::process::exit(1);
                 }
-                cwfmem::sim::CellResult::Failed { bench, mem, error } => {
-                    failures += 1;
-                    eprintln!("FAILED {bench}/{}: {error}", mem.label());
-                    cells_out.push("failed".to_owned());
-                    cells_out.push("-".to_owned());
-                }
+                written += 1;
             }
         }
         table.row(cells_out);
     }
     println!("{table}");
     if let Some(dir) = &json_dir {
-        eprintln!("wrote {} JSON documents to {}", results.len() - failures, dir.display());
+        eprintln!("wrote {written} JSON documents to {}", dir.display());
     }
     if failures > 0 {
         eprintln!("{failures} cell(s) failed");
@@ -763,20 +764,21 @@ fn cmd_sweep(args: &[String]) {
 }
 
 fn cmd_compare(args: &[String]) {
-    let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
+    let f = Flags::parse(args, &["--bench", "--reads"], &[], 0);
+    let bench = f.get("--bench").unwrap_or("leslie3d");
+    let template = build_config(&f, MemKind::Ddr3, 8_000);
     println!(
         "{:<10} {:>8} {:>9} {:>12} {:>9}",
         "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W"
     );
     let mut base = None;
-    for (_, kind) in KINDS {
-        let m = run_benchmark(&RunConfig::paper(kind, reads), &bench);
+    for mem in MemKind::PAPER {
+        let m = run_benchmark(&RunConfig { mem, ..template }, bench);
         let ipc = m.ipc_total();
         let b = *base.get_or_insert(ipc);
         println!(
             "{:<10} {:>8.2} {:>8.1}% {:>12.1} {:>9.2}",
-            kind.label(),
+            mem.label(),
             ipc,
             (ipc / b - 1.0) * 100.0,
             m.avg_cw_latency_ns(),
@@ -786,34 +788,44 @@ fn cmd_compare(args: &[String]) {
 }
 
 fn cmd_dump_trace(args: &[String]) {
-    let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    let core: u8 = arg_value(args, "--core").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let ops: u64 = arg_value(args, "--ops").and_then(|v| v.parse().ok()).unwrap_or(100_000);
-    let seed: u64 = arg_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD2A4_0001);
-    let Some(out) = arg_value(args, "--out") else { usage() };
-    let Some(profile) = cwfmem::workloads::by_name(&bench) else {
+    let f = Flags::parse(args, &["--bench", "--core", "--ops", "--seed", "--out"], &[], 0);
+    let bench = f.get("--bench").unwrap_or("leslie3d");
+    let core: u8 = f.num("--core").unwrap_or(0);
+    let ops: u64 = f.num("--ops").unwrap_or(100_000);
+    let seed: u64 = f.num("--seed").unwrap_or(0xD2A4_0001);
+    let Some(out) = f.get("--out") else { fail("dump-trace needs --out <file>") };
+    let Some(profile) = cwfmem::workloads::by_name(bench) else {
         eprintln!("unknown benchmark '{bench}'");
         std::process::exit(1)
     };
     let mut gen = cwfmem::workloads::TraceGen::new(profile, core, seed);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&out).unwrap_or_else(|e| {
+    let mut w = std::io::BufWriter::new(std::fs::File::create(out).unwrap_or_else(|e| {
         eprintln!("cannot create {out}: {e}");
         std::process::exit(1)
     }));
-    cwfmem::workloads::dump(&mut gen, ops, &mut f).expect("trace write");
+    cwfmem::workloads::dump(&mut gen, ops, &mut w).expect("trace write");
     println!("wrote {ops} records of {bench} (core {core}) to {out}");
 }
 
+/// `figures [<name>] [--reads N] [--all-benches] [--csv DIR]` — the
+/// figure drivers at the paper defaults; the name, when given, comes
+/// first.
 fn cmd_figures(args: &[String]) {
     let which = args.first().map_or("all", String::as_str);
     if !FIGURES.contains(&which) {
-        eprintln!("unknown figure '{which}'");
-        usage()
+        fail(&format!("unknown figure '{which}'"));
     }
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
-    let csv_dir = arg_value(args, "--csv").map(std::path::PathBuf::from);
+    let f = Flags::parse(
+        args.get(1..).unwrap_or_default(),
+        &["--reads", "--csv"],
+        &["--all-benches"],
+        0,
+    );
+    let reads =
+        check(RunConfig::paper(MemKind::Ddr3, f.num("--reads").unwrap_or(8_000))).target_dram_reads;
+    let csv_dir = f.get("--csv").map(std::path::PathBuf::from);
     let benches: Vec<&'static str> =
-        if args.iter().any(|a| a == "--all-benches") { all_benches() } else { default_benches() };
+        if f.has("--all-benches") { all_benches() } else { default_benches() };
     for name in FIGURES.iter().filter(|&&f| f != "all" && (which == f || which == "all")) {
         let tables = match *name {
             "fig1" => {
