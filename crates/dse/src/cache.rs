@@ -1,4 +1,4 @@
-//! Result cache keyed by `(config-digest, seed)`.
+//! Result cache keyed by [`CellKey`] (`(config-digest, seed, variant)`).
 //!
 //! The cache both memoizes finished cells and *batches* duplicates of a
 //! cell that is still computing: the first submission of a key claims it
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::digest::CellKey;
+use crate::CellKey;
 
 /// The rendered outcome of one cell, shared by every sweep that needs it.
 #[derive(Debug)]
@@ -53,7 +53,7 @@ enum Slot {
 /// Concurrent memo table over cell outcomes.
 #[derive(Default)]
 pub struct ResultCache {
-    map: Mutex<BTreeMap<(u64, u64), Slot>>,
+    map: Mutex<BTreeMap<CellKey, Slot>>,
     hits: AtomicU64,
     batched: AtomicU64,
     misses: AtomicU64,
@@ -77,7 +77,7 @@ impl ResultCache {
     /// the value directly so the caller can deliver without re-entry.
     pub fn submit(&self, key: CellKey, subscriber: Subscriber) -> Submission {
         let mut map = self.map.lock().expect("cache poisoned");
-        match map.get_mut(&(key.digest, key.seed)) {
+        match map.get_mut(&key) {
             Some(Slot::Ready(out)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Submission::Hit(Arc::clone(out))
@@ -89,7 +89,7 @@ impl ResultCache {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                map.insert((key.digest, key.seed), Slot::InFlight(vec![subscriber]));
+                map.insert(key, Slot::InFlight(vec![subscriber]));
                 Submission::Claimed
             }
         }
@@ -111,9 +111,9 @@ impl ResultCache {
         let subs = {
             let mut map = self.map.lock().expect("cache poisoned");
             let slot = if out.ok {
-                map.insert((key.digest, key.seed), Slot::Ready(Arc::clone(out)))
+                map.insert(key, Slot::Ready(Arc::clone(out)))
             } else {
-                map.remove(&(key.digest, key.seed))
+                map.remove(&key)
             };
             match slot {
                 Some(Slot::InFlight(subs)) => subs,
@@ -169,7 +169,7 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     fn key(digest: u64, seed: u64) -> CellKey {
-        CellKey { digest, seed }
+        CellKey { digest, seed, variant: sim_harness::sweep::Variant::Preset }
     }
 
     fn output() -> Arc<CellOutput> {

@@ -6,8 +6,10 @@
 //!
 //! * [`pool`] — a work-stealing worker pool executing whole-simulation
 //!   cells with panic isolation;
-//! * [`digest`] — stable `(config-digest, seed)` cell identities,
-//!   canonicalized through the `cwfmem.ckpt.v1` encoding;
+//! * [`CellKey`] — stable `(config-digest, seed, variant)` cell
+//!   identities ([`sim_harness::sweep`]'s, which `cwfmem figures` and
+//!   `compare` dedupe on too), canonicalized through the
+//!   `cwfmem.ckpt.v1` encoding;
 //! * [`cache`] — a result cache that memoizes finished cells *and*
 //!   batches duplicate submissions onto in-flight computations
 //!   (failures are delivered but never memoized, so a transient error
@@ -26,13 +28,12 @@
 //! has the protocol).
 
 pub mod cache;
-pub mod digest;
 pub mod http;
 pub mod pool;
 pub mod server;
 
 pub use cache::{CellOutput, ResultCache, Submission};
 pub use cwf_tracelog::json::Value as Json;
-pub use digest::{cell_key, config_digest, CellKey};
 pub use pool::Pool;
 pub use server::Server;
+pub use sim_harness::sweep::{cell_key, config_digest, CellKey};

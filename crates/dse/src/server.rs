@@ -34,7 +34,7 @@ use sim_harness::sweep::{grid, Cell, CellResult};
 use sim_harness::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 use crate::cache::{CellOutput, ResultCache, Submission};
-use crate::digest::cell_key;
+use crate::cell_key;
 use crate::http::{self, Chunked};
 use crate::pool::Pool;
 use crate::Json;
@@ -750,7 +750,8 @@ mod tests {
     #[test]
     fn failed_then_fixed_cell_recomputes_to_success() {
         let cache = ResultCache::new();
-        let k = crate::digest::CellKey { digest: 77, seed: 1 };
+        let k =
+            crate::CellKey { digest: 77, seed: 1, variant: sim_harness::sweep::Variant::Preset };
         let noop = || Box::new(|_out: Arc<CellOutput>| {}) as crate::cache::Subscriber;
         assert!(matches!(cache.submit(k, noop()), Submission::Claimed));
         cache.complete(

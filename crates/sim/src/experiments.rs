@@ -1,26 +1,27 @@
 //! One driver per paper figure/table (see DESIGN.md §5 for the index).
 //!
-//! Every driver returns [`Table`]s that `cwfmem figures <name>` prints.
-//! Workload size is the caller's `reads` parameter (the paper runs 2 M
-//! DRAM reads; `cwfmem figures` defaults to a scaled-down value, which
+//! The analytic figures (2, 3, 4) are functions returning [`Table`]s.
+//! Every simulated one is a [`Figure`]: the cells it needs per bench and
+//! a render function over their results. `cwfmem figures` plans the
+//! union of the selected figures' cells on one [`Plan`], so a cell two
+//! figures share (the DDR3 baseline above all) simulates once. Workload
+//! size is the caller's `reads` parameter (the paper runs 2 M DRAM
+//! reads; `cwfmem figures` defaults to a scaled-down value, which
 //! preserves orderings because the generators are stationary).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cache_hier::{Cache, CacheCfg, LineMeta};
 use cpu_model::{TraceOp, TraceSource};
-use cwf_core::{hot_pages, CwfConfig, HeteroCwfMemory, PagePlacedMemory};
 use dram_power::{power_at_utilization, IddTable, LpddrIo, SystemEnergyModel};
 use dram_timing::{DeviceConfig, DeviceKind};
-use mem_ctrl::HomogeneousMemory;
-use workloads::{by_name, suite, BenchmarkProfile, TraceGen};
+use workloads::{by_name, suite, TraceGen};
 
-use crate::config::{MemBackend, MemKind, RunConfig};
+use crate::config::{MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, pct_delta, Table};
-use crate::runner::run_benchmark;
-use crate::sweep::{jobs, parallel_map, run_cells_with, CellResult};
-use crate::system::System;
+pub use crate::sweep::profile_hot_pages;
+use crate::sweep::{jobs, parallel_map, CellRun, Plan, PlanCell, PlanResults, Variant};
 
 /// The full 27-program suite.
 #[must_use]
@@ -47,80 +48,148 @@ pub fn default_benches() -> Vec<&'static str> {
     ]
 }
 
-/// One benchmark's results across several memory kinds.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Benchmark name.
-    pub bench: String,
-    /// DDR3-baseline metrics (8-core shared run).
-    pub base: RunMetrics,
-    /// Per-kind metrics.
-    pub configs: Vec<(MemKind, RunMetrics)>,
+/// One figure cell at the paper config: the kind, whether the
+/// prefetcher is on, and the memory variant.
+type Spec = (MemKind, bool, Variant);
+
+/// The preset `mem` with the prefetcher on.
+const fn paper(mem: MemKind) -> Spec {
+    (mem, true, Variant::Preset)
 }
 
-impl SweepRow {
-    /// Normalized throughput of `kind` (1.0 = baseline).
+/// A figure's tables, from the rows of the benches whose cells all
+/// completed clean.
+type Render = fn(&[Row<'_>]) -> Vec<Table>;
+
+/// One simulated figure: the cells it needs per bench, and the tables it
+/// renders from their results.
+#[derive(Debug)]
+pub struct Figure {
+    /// The `cwfmem figures` name.
+    pub name: &'static str,
+    /// The cells each bench needs, in the order `render` reads them.
+    cells: &'static [Spec],
+    render: Render,
+    /// A fixed workload set and read floor replacing the caller's.
+    fixed: Option<(&'static [&'static str], u64)>,
+}
+
+/// One bench's results in a [`Figure`], in the order of its cells.
+struct Row<'a> {
+    bench: &'a str,
+    cells: Vec<&'a CellRun>,
+}
+
+impl Row<'_> {
+    fn m(&self, i: usize) -> &RunMetrics {
+        &self.cells[i].outcome.metrics
+    }
+
+    /// Throughput of cell `i` normalized to cell `base`.
     ///
-    /// All runs execute the same rate-mode workload (N copies / threads of
-    /// one program), so the aggregate-IPC ratio equals the normalized
-    /// weighted speedup up to the (config-insensitive) `IPC_alone` factor,
-    /// while being far less sensitive to short-run noise.
-    #[must_use]
-    pub fn normalized(&self, kind: MemKind) -> f64 {
-        self.metrics(kind).map_or(f64::NAN, |m| m.ipc_total() / self.base.ipc_total().max(1e-9))
-    }
-
-    /// Metrics of `kind`.
-    #[must_use]
-    pub fn metrics(&self, kind: MemKind) -> Option<&RunMetrics> {
-        self.configs.iter().find(|(k, _)| *k == kind).map(|(_, m)| m)
+    /// All runs execute the same rate-mode workload (N copies / threads
+    /// of one program), so the aggregate-IPC ratio equals the normalized
+    /// weighted speedup up to the (config-insensitive) `IPC_alone`
+    /// factor, while being far less sensitive to short-run noise.
+    fn norm(&self, i: usize, base: usize) -> f64 {
+        self.m(i).ipc_total() / self.m(base).ipc_total().max(1e-9)
     }
 }
 
-/// Sweep `kinds` (plus the DDR3 baseline) over `benches`.
-///
-/// Cells run across the [`crate::sweep`] worker pool (`CWF_JOBS`). A
-/// cell that fails ([`CellResult::failure`]: a panic or an unclean
-/// oracle report) is reported on stderr and dropped: a failed config
-/// leaves a hole [`SweepRow::metrics`] reports as `None`; a failed
-/// baseline drops the whole row.
+impl Figure {
+    const fn per_bench(name: &'static str, cells: &'static [Spec], render: Render) -> Self {
+        Figure { name, cells, render, fixed: None }
+    }
+
+    /// `bench`'s cells at `reads` (the caller's benches and reads, unless
+    /// the figure fixes them).
+    fn grid<'a>(&self, benches: &[&'a str], reads: u64) -> Vec<(&'a str, Vec<PlanCell>)> {
+        let (benches, reads) = match self.fixed {
+            Some((fixed, floor)) => (fixed.to_vec(), reads.max(floor)),
+            None => (benches.to_vec(), reads),
+        };
+        let cell = |bench, &(mem, prefetch, variant): &Spec| {
+            PlanCell::new(bench, RunConfig { prefetch, ..RunConfig::paper(mem, reads) }, variant)
+        };
+        benches.into_iter().map(|b| (b, self.cells.iter().map(|s| cell(b, s)).collect())).collect()
+    }
+
+    /// Request this figure's cells from `plan`.
+    pub fn plan(&self, plan: &mut Plan, benches: &[&str], reads: u64) {
+        for cell in self.grid(benches, reads).into_iter().flat_map(|(_, cells)| cells) {
+            plan.add(cell);
+        }
+    }
+
+    /// Render from a run plan's `results`. A bench missing any cell it
+    /// needs (failed, unclean, or not planned) is left out of every row
+    /// and mean.
+    #[must_use]
+    pub fn render(&self, benches: &[&str], reads: u64, results: &PlanResults) -> Vec<Table> {
+        let rows: Vec<Row<'_>> = self
+            .grid(benches, reads)
+            .into_iter()
+            .filter_map(|(bench, cells)| {
+                let cells = cells.iter().map(|c| results.get(c)).collect::<Option<_>>()?;
+                Some(Row { bench, cells })
+            })
+            .collect();
+        (self.render)(&rows)
+    }
+}
+
+/// The simulated figures, in `cwfmem figures all` order.
+pub static FIGURES: [Figure; 7] = {
+    use MemKind::{Ddr3, Dl, Lpddr2, Rd, Rl, RlAdaptive, RlOracle, Rldram3};
+    let rl_placements =
+        &[paper(Ddr3), paper(Rl), paper(RlAdaptive), paper(RlOracle), paper(Rldram3)];
+    // §7.1: DDR3 and page placement on DDR3; §7.2: DDR3 and RL. The two
+    // DDR3 requests are one cell.
+    let alternatives = &[paper(Ddr3), (Ddr3, true, Variant::PagePlaced), paper(Ddr3), paper(Rl)];
+    [
+        Figure::per_bench("fig1", &[paper(Ddr3), paper(Rldram3), paper(Lpddr2)], fig1_render),
+        Figure::per_bench("fig6", &[paper(Ddr3), paper(Rd), paper(Rl), paper(Dl)], fig6_render),
+        Figure::per_bench("fig9", rl_placements, fig9_render),
+        Figure::per_bench("fig10", &[paper(Ddr3), paper(Rl), paper(Dl)], fig10_render),
+        Figure::per_bench("ablations", &ABLATION_CELLS, ablation_render),
+        Figure::per_bench("alternatives", alternatives, alternative_render),
+        Figure {
+            name: "dramcache",
+            cells: &[
+                paper(Ddr3),
+                paper(Rl),
+                paper(MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow)),
+                (Ddr3, true, Variant::PagePlaced),
+            ],
+            render: dramcache_render,
+            // Residency needs at least one full pass over `dcresident`'s
+            // 12 MiB working set (196608 lines) before hits can exist;
+            // shorter runs would report a structurally-zero hit column.
+            fixed: Some((&DRAMCACHE_BENCHES, 150_000)),
+        },
+    ]
+};
+
+/// The simulated figure called `name`.
 #[must_use]
-pub fn sweep(benches: &[&str], kinds: &[MemKind], reads: u64) -> Vec<SweepRow> {
-    // Flatten to (bench, kind-or-baseline) cells for the worker pool.
-    // Figure drivers pin every run to the paper seed so their tables
-    // reproduce EXPERIMENTS.md exactly (the CLI `sweep` command instead
-    // decorrelates cells via `sweep::cell_seed`).
-    let mut tasks: Vec<(String, Option<MemKind>)> = Vec::new();
-    let mut cells: Vec<crate::sweep::Cell> = Vec::new();
-    for b in benches {
-        for kind in std::iter::once(None).chain(kinds.iter().copied().map(Some)) {
-            tasks.push(((*b).to_owned(), kind));
-            cells.push(crate::sweep::Cell {
-                bench: (*b).to_owned(),
-                cfg: RunConfig::paper(kind.unwrap_or(MemKind::Ddr3), reads),
-            });
-        }
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// A table of cells `1..columns.len()` normalized to cell 0: one row per
+/// bench, then their MEAN.
+fn normalized(title: &str, columns: &[&str], rows: &[Row<'_>]) -> Table {
+    let mut t = Table::new(title, columns);
+    let n = columns.len();
+    for r in rows {
+        let mut cells = vec![r.bench.to_owned()];
+        cells.extend((1..n).map(|i| format!("{:.3}", r.norm(i, 0))));
+        t.row(cells);
     }
-    let results = run_cells_with(&cells, jobs());
-    let mut by_task: BTreeMap<(String, Option<MemKind>), RunMetrics> = BTreeMap::new();
-    for (task, result) in tasks.into_iter().zip(results) {
-        if let Some(e) = result.failure() {
-            eprintln!("{e}");
-        } else if let CellResult::Done(o) = result {
-            by_task.insert(task, o.metrics);
-        }
-    }
-    benches
-        .iter()
-        .filter_map(|b| {
-            let base = by_task.remove(&((*b).to_owned(), None))?;
-            let configs = kinds
-                .iter()
-                .filter_map(|k| by_task.remove(&((*b).to_owned(), Some(*k))).map(|m| (*k, m)))
-                .collect();
-            Some(SweepRow { bench: (*b).to_owned(), base, configs })
-        })
-        .collect()
+    let mut cells = vec!["MEAN".to_owned()];
+    cells.extend((1..n).map(|i| format!("{:.3}", mean(rows.iter().map(|r| r.norm(i, 0))))));
+    t.row(cells);
+    t
 }
 
 fn mean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -137,46 +206,27 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Figure 1a (normalized throughput) and 1b (latency breakdown).
-#[must_use]
-pub fn fig1_homogeneous(benches: &[&str], reads: u64) -> (Table, Table) {
-    let rows = sweep(benches, &[MemKind::Rldram3, MemKind::Lpddr2], reads);
-
-    let mut t1 = Table::new(
+fn fig1_render(rows: &[Row<'_>]) -> Vec<Table> {
+    let t1 = normalized(
         "Figure 1a: homogeneous throughput normalized to DDR3 (paper: RLDRAM3 +31%, LPDDR2 -13%)",
         &["bench", "RLDRAM3", "LPDDR2"],
+        rows,
     );
-    for r in &rows {
-        t1.row(vec![
-            r.bench.clone(),
-            format!("{:.3}", r.normalized(MemKind::Rldram3)),
-            format!("{:.3}", r.normalized(MemKind::Lpddr2)),
-        ]);
-    }
-    t1.row(vec![
-        "MEAN".into(),
-        format!("{:.3}", mean(rows.iter().map(|r| r.normalized(MemKind::Rldram3)))),
-        format!("{:.3}", mean(rows.iter().map(|r| r.normalized(MemKind::Lpddr2)))),
-    ]);
 
     let mut t2 = Table::new(
         "Figure 1b: DRAM read latency breakdown, ns (queue + core/service)",
         &["bench", "DDR3 queue", "DDR3 core", "RLD queue", "RLD core", "LP queue", "LP core"],
     );
-    for r in &rows {
-        let rld = r.metrics(MemKind::Rldram3).expect("swept");
-        let lp = r.metrics(MemKind::Lpddr2).expect("swept");
-        t2.row(vec![
-            r.bench.clone(),
-            format!("{:.1}", r.base.mem_stats.avg_queue_ns()),
-            format!("{:.1}", r.base.mem_stats.avg_service_ns()),
-            format!("{:.1}", rld.mem_stats.avg_queue_ns()),
-            format!("{:.1}", rld.mem_stats.avg_service_ns()),
-            format!("{:.1}", lp.mem_stats.avg_queue_ns()),
-            format!("{:.1}", lp.mem_stats.avg_service_ns()),
-        ]);
+    for r in rows {
+        let mut cells = vec![r.bench.to_owned()];
+        for i in 0..3 {
+            cells.push(format!("{:.1}", r.m(i).mem_stats.avg_queue_ns()));
+            cells.push(format!("{:.1}", r.m(i).mem_stats.avg_service_ns()));
+        }
+        t2.row(cells);
     }
     t2.note("paper: RLDRAM3 average access time ~43% below DDR3, mostly from queue latency");
-    (t1, t2)
+    vec![t1, t2]
 }
 
 // ---------------------------------------------------------------------------
@@ -308,65 +358,41 @@ pub fn fig4_critical_word_distribution(benches: &[&str], misses: u64) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Figures 6 (throughput), 7 (critical-word latency) and 8 (% served by
-/// RLDRAM3) from one sweep over RD / RL / DL.
-#[must_use]
-pub fn fig6_7_8_cwf(benches: &[&str], reads: u64) -> (Table, Table, Table) {
-    let rows = sweep(benches, &[MemKind::Rd, MemKind::Rl, MemKind::Dl], reads);
-
-    let mut t6 = Table::new(
+/// RLDRAM3) from one set of cells over RD / RL / DL.
+fn fig6_render(rows: &[Row<'_>]) -> Vec<Table> {
+    let t6 = normalized(
         "Figure 6: CWF throughput normalized to DDR3 (paper: RD +21%, RL +12.9%, DL -9%)",
         &["bench", "RD", "RL", "DL"],
+        rows,
     );
-    for r in &rows {
-        t6.row(vec![
-            r.bench.clone(),
-            format!("{:.3}", r.normalized(MemKind::Rd)),
-            format!("{:.3}", r.normalized(MemKind::Rl)),
-            format!("{:.3}", r.normalized(MemKind::Dl)),
-        ]);
-    }
-    t6.row(vec![
-        "MEAN".into(),
-        format!("{:.3}", mean(rows.iter().map(|r| r.normalized(MemKind::Rd)))),
-        format!("{:.3}", mean(rows.iter().map(|r| r.normalized(MemKind::Rl)))),
-        format!("{:.3}", mean(rows.iter().map(|r| r.normalized(MemKind::Dl)))),
-    ]);
 
     let mut t7 = Table::new(
         "Figure 7: mean critical-word latency, ns (paper: RD -30%, RL -22% vs DDR3)",
         &["bench", "DDR3", "RD", "RL", "DL"],
     );
-    for r in &rows {
-        let cell = |m: &RunMetrics| format!("{:.1}", m.avg_cw_latency_ns());
-        t7.row(vec![
-            r.bench.clone(),
-            cell(&r.base),
-            cell(r.metrics(MemKind::Rd).expect("swept")),
-            cell(r.metrics(MemKind::Rl).expect("swept")),
-            cell(r.metrics(MemKind::Dl).expect("swept")),
-        ]);
+    for r in rows {
+        let mut cells = vec![r.bench.to_owned()];
+        cells.extend((0..4).map(|i| format!("{:.1}", r.m(i).avg_cw_latency_ns())));
+        t7.row(cells);
     }
-    let mean_ratio = |kind: MemKind| {
-        mean(rows.iter().map(|r| {
-            r.metrics(kind).expect("swept").avg_cw_latency_ns() / r.base.avg_cw_latency_ns()
-        }))
+    let mean_ratio = |i: usize| {
+        mean(rows.iter().map(|r| r.m(i).avg_cw_latency_ns() / r.m(0).avg_cw_latency_ns()))
     };
     t7.note(&format!(
         "mean critical-word latency vs DDR3: RD {}, RL {}, DL {}",
-        pct_delta(mean_ratio(MemKind::Rd)),
-        pct_delta(mean_ratio(MemKind::Rl)),
-        pct_delta(mean_ratio(MemKind::Dl)),
+        pct_delta(mean_ratio(1)),
+        pct_delta(mean_ratio(2)),
+        pct_delta(mean_ratio(3)),
     ));
 
     let mut t8 = Table::new(
         "Figure 8: % of critical words served by the fast DIMM under RL (paper avg: 67%)",
         &["bench", "served fast", "avg head start (cpu cycles)"],
     );
-    for r in &rows {
-        let m = r.metrics(MemKind::Rl).expect("swept");
-        let cwf = m.cwf.expect("RL is CWF");
+    for r in rows {
+        let cwf = r.m(2).cwf.expect("RL is CWF");
         t8.row(vec![
-            r.bench.clone(),
+            r.bench.to_owned(),
             pct(cwf.served_fast_fraction()),
             format!("{:.0}", cwf.avg_head_start()),
         ]);
@@ -374,7 +400,7 @@ pub fn fig6_7_8_cwf(benches: &[&str], reads: u64) -> (Table, Table, Table) {
     t8.note(
         "head start is the fast part's arrival lead over the slow part (paper: ~70 CPU cycles)",
     );
-    (t6, t7, t8)
+    vec![t6, t7, t8]
 }
 
 // ---------------------------------------------------------------------------
@@ -383,26 +409,14 @@ pub fn fig6_7_8_cwf(benches: &[&str], reads: u64) -> (Table, Table, Table) {
 
 /// Figure 9: RL vs RL-AD vs RL-OR vs all-RLDRAM3 (paper: 12.9% < 15.7% <
 /// 28% < 31%).
-#[must_use]
-pub fn fig9_placement(benches: &[&str], reads: u64) -> Table {
-    let kinds = [MemKind::Rl, MemKind::RlAdaptive, MemKind::RlOracle, MemKind::Rldram3];
-    let rows = sweep(benches, &kinds, reads);
-    let mut t = Table::new(
+fn fig9_render(rows: &[Row<'_>]) -> Vec<Table> {
+    let mut t = normalized(
         "Figure 9: placement schemes, throughput normalized to DDR3",
         &["bench", "RL", "RL AD", "RL OR", "RLDRAM3"],
+        rows,
     );
-    for r in &rows {
-        let mut cells = vec![r.bench.clone()];
-        cells.extend(kinds.iter().map(|k| format!("{:.3}", r.normalized(*k))));
-        t.row(cells);
-    }
-    let mut cells = vec!["MEAN".to_owned()];
-    cells.extend(
-        kinds.iter().map(|k| format!("{:.3}", mean(rows.iter().map(|r| r.normalized(*k))))),
-    );
-    t.row(cells);
     t.note("expected ordering: RL < RL AD < RL OR < RLDRAM3");
-    t
+    vec![t]
 }
 
 // ---------------------------------------------------------------------------
@@ -431,43 +445,27 @@ fn memory_energy_ratio(base: &RunMetrics, m: &RunMetrics, io: LpddrIo) -> f64 {
 }
 
 /// Figures 10 (system energy) and 11 (energy savings vs bandwidth).
-#[must_use]
-pub fn fig10_11_energy(benches: &[&str], reads: u64) -> (Table, Table) {
-    let rows = sweep(benches, &[MemKind::Rl, MemKind::Dl], reads);
-
+fn fig10_render(rows: &[Row<'_>]) -> Vec<Table> {
+    let io = LpddrIo::ServerAdapted;
+    let sys = |r: &Row<'_>, i| system_energy_ratio(r.m(0), r.m(i), io);
     let mut t10 = Table::new(
         "Figure 10: system energy normalized to DDR3 (paper: RL -6%, DL -13%; RL memory energy -15%)",
         &["bench", "RL system", "DL system", "RL memory", "RL mem power"],
     );
-    for r in &rows {
-        let rl = r.metrics(MemKind::Rl).expect("swept");
-        let dl = r.metrics(MemKind::Dl).expect("swept");
+    for r in rows {
         t10.row(vec![
-            r.bench.clone(),
-            format!("{:.3}", system_energy_ratio(&r.base, rl, LpddrIo::ServerAdapted)),
-            format!("{:.3}", system_energy_ratio(&r.base, dl, LpddrIo::ServerAdapted)),
-            format!("{:.3}", memory_energy_ratio(&r.base, rl, LpddrIo::ServerAdapted)),
-            format!(
-                "{:.3}",
-                rl.dram_power_w(LpddrIo::ServerAdapted)
-                    / r.base.dram_power_w(LpddrIo::ServerAdapted).max(1e-9)
-            ),
+            r.bench.to_owned(),
+            format!("{:.3}", sys(r, 1)),
+            format!("{:.3}", sys(r, 2)),
+            format!("{:.3}", memory_energy_ratio(r.m(0), r.m(1), io)),
+            format!("{:.3}", r.m(1).dram_power_w(io) / r.m(0).dram_power_w(io).max(1e-9)),
         ]);
     }
-    let rl_sys = mean(rows.iter().map(|r| {
-        system_energy_ratio(&r.base, r.metrics(MemKind::Rl).expect("swept"), LpddrIo::ServerAdapted)
-    }));
-    let dl_sys = mean(rows.iter().map(|r| {
-        system_energy_ratio(&r.base, r.metrics(MemKind::Dl).expect("swept"), LpddrIo::ServerAdapted)
-    }));
-    let rl_mem = mean(rows.iter().map(|r| {
-        memory_energy_ratio(&r.base, r.metrics(MemKind::Rl).expect("swept"), LpddrIo::ServerAdapted)
-    }));
     t10.row(vec![
         "MEAN".into(),
-        format!("{rl_sys:.3}"),
-        format!("{dl_sys:.3}"),
-        format!("{rl_mem:.3}"),
+        format!("{:.3}", mean(rows.iter().map(|r| sys(r, 1)))),
+        format!("{:.3}", mean(rows.iter().map(|r| sys(r, 2)))),
+        format!("{:.3}", mean(rows.iter().map(|r| memory_energy_ratio(r.m(0), r.m(1), io)))),
         String::new(),
     ]);
 
@@ -475,20 +473,11 @@ pub fn fig10_11_energy(benches: &[&str], reads: u64) -> (Table, Table) {
         "Figure 11: RL system-energy savings vs baseline bandwidth utilization",
         &["bench", "bus util", "energy saving"],
     );
-    let mut pts: Vec<(String, f64, f64)> = rows
-        .iter()
-        .map(|r| {
-            let rl = r.metrics(MemKind::Rl).expect("swept");
-            (
-                r.bench.clone(),
-                r.base.bus_utilization(),
-                1.0 - system_energy_ratio(&r.base, rl, LpddrIo::ServerAdapted),
-            )
-        })
-        .collect();
+    let mut pts: Vec<(&str, f64, f64)> =
+        rows.iter().map(|r| (r.bench, r.m(0).bus_utilization(), 1.0 - sys(r, 1))).collect();
     pts.sort_by(|a, b| a.1.total_cmp(&b.1));
     for (bench, util, saving) in &pts {
-        t11.row(vec![bench.clone(), pct(*util), pct(*saving)]);
+        t11.row(vec![(*bench).to_owned(), pct(*util), pct(*saving)]);
     }
     // Correlation direction check (paper: savings grow with utilization).
     let n = pts.len() as f64;
@@ -500,311 +489,131 @@ pub fn fig10_11_energy(benches: &[&str], reads: u64) -> (Table, Table) {
             "covariance(utilization, saving) = {cov:.5} (paper expects positive trend)"
         ));
     }
-    (t10, t11)
+    vec![t10, t11]
 }
 
 // ---------------------------------------------------------------------------
 // §6.1.1 / §4.2.4 ablations and §7 alternatives.
 // ---------------------------------------------------------------------------
 
-/// Aggregate IPC of a run with a custom backend factory.
-fn ipc_custom<F>(cfg: &RunConfig, bench: &str, make: F) -> f64
-where
-    F: Fn() -> MemBackend,
-{
-    let profile = by_name(bench).expect("known benchmark");
-    System::with_backend(cfg, profile, make()).run().ipc_total()
-}
+/// The prefetch-on and prefetch-off DDR3 baselines, then the §6.1.1
+/// ablations (random mapping, no prefetcher) and the §4.2.4 design
+/// choices (sub-ranking, shared command bus, LPDDR2 page policy), each
+/// normalized to the baseline with its prefetcher setting.
+const ABLATION_CELLS: [Spec; 10] = [
+    paper(MemKind::Ddr3),
+    (MemKind::Ddr3, false, Variant::Preset),
+    paper(MemKind::Rl),
+    paper(MemKind::RlRandom),
+    (MemKind::Rl, false, Variant::Preset),
+    (MemKind::Rl, true, Variant::Striped),
+    (MemKind::Rl, true, Variant::Private),
+    (MemKind::Rl, true, Variant::ClosedLp),
+    (MemKind::Ddr3, true, Variant::Fcfs),
+    (MemKind::Ddr3, true, Variant::PageMap),
+];
 
-/// A striped (4-chip) fast store: one 36-bit sub-channel instead of four
-/// x9 sub-ranks — the organization §4.2.4's first optimization replaces.
-fn striped_fast_config() -> CwfConfig {
-    let mut cfg = CwfConfig::rl();
-    // 9 B over a 36-bit bus: 2 beats = 1 device cycle.
-    cfg.fast.timings.t_burst = 1;
-    cfg.fast_subchannels = 1;
-    cfg.fast_chips = 4;
-    cfg
-}
+/// Labels of `ABLATION_CELLS[2..]`.
+const ABLATION_LABELS: [&str; 8] = [
+    "RL (reference)",
+    "RL random mapping (paper: +2.1%)",
+    "RL no prefetcher (paper: +17.3%)",
+    "RL striped 4-chip fast store",
+    "RL private fast cmd buses",
+    "RL close-page LPDDR2",
+    "DDR3 strict-FCFS scheduling",
+    "DDR3 page-interleaved channels",
+];
 
-/// §6.1.1 ablations: random mapping, no-prefetcher, and the §4.2.4 design
-/// choices (sub-ranking, shared command bus, LPDDR2 page policy).
-#[must_use]
-pub fn ablations(benches: &[&str], reads: u64) -> Table {
-    #[derive(Clone)]
-    enum Variant {
-        Kind(MemKind, bool /* prefetch */),
-        Custom(&'static str),
-    }
-    let variants: Vec<(&'static str, Variant)> = vec![
-        ("RL (reference)", Variant::Kind(MemKind::Rl, true)),
-        ("RL random mapping (paper: +2.1%)", Variant::Kind(MemKind::RlRandom, true)),
-        ("RL no prefetcher (paper: +17.3%)", Variant::Kind(MemKind::Rl, false)),
-        ("RL striped 4-chip fast store", Variant::Custom("striped")),
-        ("RL private fast cmd buses", Variant::Custom("private")),
-        ("RL close-page LPDDR2", Variant::Custom("closedlp")),
-        ("DDR3 strict-FCFS scheduling", Variant::Custom("fcfs")),
-        ("DDR3 page-interleaved channels", Variant::Custom("pagemap")),
-    ];
-
-    // Baselines: prefetch-on and prefetch-off DDR3.
-    let tasks: Vec<(String, usize)> = benches
-        .iter()
-        .flat_map(|b| (0..variants.len() + 2).map(move |v| ((*b).to_owned(), v)))
-        .collect();
-    let variants_ref = &variants;
-    let results: Vec<f64> = parallel_map(&tasks, jobs(), move |(bench, v)| {
-        let paper = |mem, prefetch: bool| {
-            let mut c = RunConfig::paper(mem, reads);
-            c.prefetch = prefetch;
-            c
-        };
-        match *v {
-            0 => run_benchmark(&paper(MemKind::Ddr3, true), bench).ipc_total(),
-            1 => run_benchmark(&paper(MemKind::Ddr3, false), bench).ipc_total(),
-            i => match &variants_ref[i - 2].1 {
-                Variant::Kind(kind, prefetch) => {
-                    run_benchmark(&paper(*kind, *prefetch), bench).ipc_total()
-                }
-                Variant::Custom(which) => {
-                    let is_rl = !matches!(*which, "fcfs" | "pagemap");
-                    let cfg = paper(if is_rl { MemKind::Rl } else { MemKind::Ddr3 }, true);
-                    let make = || -> MemBackend {
-                        match *which {
-                            "striped" => {
-                                MemBackend::Cwf(HeteroCwfMemory::new(striped_fast_config()))
-                            }
-                            "private" => MemBackend::Cwf(HeteroCwfMemory::new(
-                                CwfConfig::rl().with_private_fast_buses(),
-                            )),
-                            "closedlp" => {
-                                let mut c = CwfConfig::rl();
-                                c.slow.page_policy = dram_timing::PagePolicy::Closed;
-                                MemBackend::Cwf(HeteroCwfMemory::new(c))
-                            }
-                            "fcfs" => {
-                                let params = mem_ctrl::CtrlParams {
-                                    policy: mem_ctrl::SchedPolicy::Fcfs,
-                                    ..mem_ctrl::CtrlParams::default()
-                                };
-                                MemBackend::Homogeneous(HomogeneousMemory::new(
-                                    DeviceConfig::ddr3_1600(),
-                                    4,
-                                    1,
-                                    9,
-                                    params,
-                                ))
-                            }
-                            "pagemap" => MemBackend::Homogeneous(HomogeneousMemory::with_scheme(
-                                DeviceConfig::ddr3_1600(),
-                                4,
-                                1,
-                                9,
-                                mem_ctrl::CtrlParams::default(),
-                                mem_ctrl::MappingScheme::PageInterleave,
-                            )),
-                            _ => unreachable!("known variant"),
-                        }
-                    };
-                    ipc_custom(&cfg, bench, make)
-                }
-            },
-        }
-    });
-    let by_task: BTreeMap<(String, usize), f64> = tasks.into_iter().zip(results).collect();
-
+fn ablation_render(rows: &[Row<'_>]) -> Vec<Table> {
     let mut t = Table::new(
         "Ablations: mean throughput normalized to the matching DDR3 baseline",
         &["variant", "normalized throughput"],
     );
-    for (i, (label, variant)) in variants.iter().enumerate() {
-        let norm = mean(benches.iter().map(|b| {
-            let baseline_idx = match variant {
-                Variant::Kind(_, false) => 1, // compare against no-prefetch baseline
-                _ => 0,
-            };
-            let base = by_task[&((*b).to_owned(), baseline_idx)];
-            let ws = by_task[&((*b).to_owned(), i + 2)];
-            ws / base.max(1e-9)
-        }));
+    for (i, label) in ABLATION_LABELS.iter().enumerate() {
+        let base = usize::from(!ABLATION_CELLS[i + 2].1);
+        let norm = mean(rows.iter().map(|r| r.norm(i + 2, base)));
         t.row(vec![(*label).to_owned(), format!("{norm:.3}")]);
     }
-    t
-}
-
-/// The §7.1 profiling pass: run `profile` under `cfg` on the DDR3
-/// baseline with a per-page access tally, and return the counts with the
-/// top 7.6% of touched pages — the ones the paper pins in RLDRAM3.
-#[must_use]
-pub fn profile_hot_pages(
-    cfg: &RunConfig,
-    profile: &BenchmarkProfile,
-) -> (BTreeMap<u64, u64>, BTreeSet<u64>) {
-    let tally = MemBackend::Homogeneous(HomogeneousMemory::baseline_ddr3().with_page_tally());
-    let mut sys = System::with_backend(cfg, profile, tally);
-    let _ = sys.run();
-    let counts = sys.hierarchy().memory().page_counts().expect("tallying backend").clone();
-    let hot = hot_pages(&counts, 0.076);
-    (counts, hot)
+    vec![t]
 }
 
 /// §7.1 page placement and §7.2 unterminated-LPDDR alternatives.
-#[must_use]
-pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
-    // --- §7.1: profile-guided page placement ---
-    let rows: Vec<(String, f64, f64)> = parallel_map(benches, jobs(), |bench| {
-        let profile = by_name(bench).expect("known benchmark");
-        let (counts, hot) = profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
-        let cfg = RunConfig::paper(MemKind::Ddr3, reads);
-        let ws_pp =
-            ipc_custom(&cfg, bench, || MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone())));
-        let ws_base = run_benchmark(&cfg, bench).ipc_total();
-        let hot_frac = {
-            let total: u64 = counts.values().sum();
-            let hot_count: u64 =
-                counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
-            hot_count as f64 / total.max(1) as f64
-        };
-        ((*bench).to_owned(), ws_pp / ws_base.max(1e-9), hot_frac)
-    });
+fn alternative_render(rows: &[Row<'_>]) -> Vec<Table> {
+    let hot_share = |r: &Row<'_>| r.cells[1].hot_share.expect("page-placed cells report it");
     let mut t71 = Table::new(
         "§7.1 page placement: top 7.6% of pages in RLDRAM3 (paper: -9.3%..+11.2%, avg ~+8%)",
         &["bench", "normalized throughput", "accesses to hot pages"],
     );
-    for (bench, norm, hot_frac) in &rows {
-        t71.row(vec![bench.clone(), format!("{norm:.3}"), pct(*hot_frac)]);
+    for r in rows {
+        t71.row(vec![r.bench.to_owned(), format!("{:.3}", r.norm(1, 0)), pct(hot_share(r))]);
     }
     t71.row(vec![
         "MEAN".into(),
-        format!("{:.3}", mean(rows.iter().map(|r| r.1))),
-        pct(mean(rows.iter().map(|r| r.2))),
+        format!("{:.3}", mean(rows.iter().map(|r| r.norm(1, 0)))),
+        pct(mean(rows.iter().map(hot_share))),
     ]);
     t71.note("paper: top pages capture at most ~30% of accesses, limiting page-granularity gains");
 
     // --- §7.2: Malladi-style unterminated LPDDR ---
-    let sweep_rows = sweep(benches, &[MemKind::Rl], reads);
+    let sys = |r: &Row<'_>, io| system_energy_ratio(r.m(2), r.m(3), io);
     let mut t72 = Table::new(
         "§7.2 unterminated LPDDR2 (Malladi-style): RL system energy vs DDR3 (paper: savings -> 26.1%)",
         &["bench", "server-adapted", "unterminated"],
     );
-    for r in &sweep_rows {
-        let rl = r.metrics(MemKind::Rl).expect("swept");
+    for r in rows {
         t72.row(vec![
-            r.bench.clone(),
-            format!("{:.3}", system_energy_ratio(&r.base, rl, LpddrIo::ServerAdapted)),
-            format!("{:.3}", system_energy_ratio(&r.base, rl, LpddrIo::Unterminated)),
+            r.bench.to_owned(),
+            format!("{:.3}", sys(r, LpddrIo::ServerAdapted)),
+            format!("{:.3}", sys(r, LpddrIo::Unterminated)),
         ]);
     }
     t72.row(vec![
         "MEAN".into(),
-        format!(
-            "{:.3}",
-            mean(sweep_rows.iter().map(|r| system_energy_ratio(
-                &r.base,
-                r.metrics(MemKind::Rl).expect("swept"),
-                LpddrIo::ServerAdapted
-            )))
-        ),
-        format!(
-            "{:.3}",
-            mean(sweep_rows.iter().map(|r| system_energy_ratio(
-                &r.base,
-                r.metrics(MemKind::Rl).expect("swept"),
-                LpddrIo::Unterminated
-            )))
-        ),
+        format!("{:.3}", mean(rows.iter().map(|r| sys(r, LpddrIo::ServerAdapted)))),
+        format!("{:.3}", mean(rows.iter().map(|r| sys(r, LpddrIo::Unterminated)))),
     ]);
-    (t71, t72)
+    vec![t71, t72]
 }
 
 // ---------------------------------------------------------------------------
 // DRAM-cache head-to-head: CWF vs tags-in-DRAM cache vs page placement.
 // ---------------------------------------------------------------------------
 
-/// Head-to-head of the three heterogeneity disciplines over one workload
-/// set: the paper's word-granularity CWF split (`RL`), a conventional
-/// tags-in-DRAM line cache in front of a slow bulk store
-/// (`dramcache:rldram3+nvm_slow`), and §7.1-style profile-guided page
-/// placement. Throughput is normalized to the DDR3 baseline; the last
-/// column reports the DRAM cache's read hit rate (blank for the others).
-///
-/// The workload set is fixed: the three DRAM-cache stressors plus two
-/// suite programs, so the table shows both where the cache collapses and
-/// where it recovers. `dcsweep` streams a footprint larger than the cache
-/// (hit rate collapses, every miss pays probe + NVM fill), `dcthrash`
-/// rotates hot windows faster than the cache can relearn them, and
-/// `dcresident` parks a working set that fits; CWF and page placement
+/// The head-to-head's fixed workload set: the three DRAM-cache stressors
+/// plus two suite programs, so the table shows both where the cache
+/// collapses and where it recovers. `dcsweep` streams a footprint larger
+/// than the cache (hit rate collapses, every miss pays probe + NVM fill),
+/// `dcthrash` rotates hot windows faster than the cache can relearn them,
+/// and `dcresident` parks a working set that fits; CWF and page placement
 /// keep their fast-store benefit because neither depends on reuse.
-#[must_use]
-pub fn dramcache_head_to_head(reads: u64) -> Table {
-    const VARIANTS: usize = 4; // 0 = DDR3 base, 1 = RL, 2 = DRAM cache, 3 = page placement
-    let benches = ["dcsweep", "dcthrash", "dcresident", "mcf", "stream"];
-    // Residency needs at least one full pass over `dcresident`'s 12 MiB
-    // working set (196608 lines) before hits can exist; shorter runs would
-    // report a structurally-zero hit column.
-    let reads = reads.max(150_000);
-    let dc_kind = MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow);
-    let tasks: Vec<(String, usize)> =
-        benches.iter().flat_map(|b| (0..VARIANTS).map(move |v| ((*b).to_owned(), v))).collect();
-    let results: Vec<(f64, Option<f64>)> =
-        parallel_map(&tasks, jobs(), move |(bench, v)| match *v {
-            0 => (run_benchmark(&RunConfig::paper(MemKind::Ddr3, reads), bench).ipc_total(), None),
-            1 => (run_benchmark(&RunConfig::paper(MemKind::Rl, reads), bench).ipc_total(), None),
-            2 => {
-                let cfg = RunConfig::paper(dc_kind, reads);
-                let profile = by_name(bench).expect("known benchmark");
-                let mut sys = System::new(&cfg, profile);
-                let m = sys.run();
-                let hit = sys.hierarchy().memory().dramcache_stats().map(|s| s.read_hit_rate());
-                (m.ipc_total(), hit)
-            }
-            _ => {
-                let profile = by_name(bench).expect("known benchmark");
-                let (_, hot) =
-                    profile_hot_pages(&RunConfig::paper(MemKind::Ddr3, reads / 2), profile);
-                let cfg = RunConfig::paper(MemKind::Ddr3, reads);
-                (
-                    ipc_custom(&cfg, bench, || {
-                        MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()))
-                    }),
-                    None,
-                )
-            }
-        });
-    let by_task: BTreeMap<(String, usize), (f64, Option<f64>)> =
-        tasks.into_iter().zip(results).collect();
+const DRAMCACHE_BENCHES: [&str; 5] = ["dcsweep", "dcthrash", "dcresident", "mcf", "stream"];
 
+/// Head-to-head of the three heterogeneity disciplines: the paper's
+/// word-granularity CWF split (`RL`), a conventional tags-in-DRAM line
+/// cache in front of a slow bulk store (`dramcache:rldram3+nvm_slow`),
+/// and §7.1-style profile-guided page placement. Throughput is
+/// normalized to the DDR3 baseline; the last column reports the DRAM
+/// cache's read hit rate.
+fn dramcache_render(rows: &[Row<'_>]) -> Vec<Table> {
     let mut t = Table::new(
         "DRAM-cache head-to-head: throughput normalized to DDR3",
         &["bench", "CWF (RL)", "DRAM cache (RLDRAM3+NVM)", "page placement", "DC read hit rate"],
     );
-    let mut means = [Vec::new(), Vec::new(), Vec::new()];
-    for b in &benches {
-        let base = by_task[&((*b).to_owned(), 0)].0.max(1e-9);
-        let norm: Vec<f64> =
-            (1..VARIANTS).map(|v| by_task[&((*b).to_owned(), v)].0 / base).collect();
-        for (m, n) in means.iter_mut().zip(&norm) {
-            m.push(*n);
-        }
-        let hit = by_task[&((*b).to_owned(), 2)].1.map_or_else(String::new, pct);
-        t.row(vec![
-            (*b).to_owned(),
-            format!("{:.3}", norm[0]),
-            format!("{:.3}", norm[1]),
-            format!("{:.3}", norm[2]),
-            hit,
-        ]);
+    for r in rows {
+        let hit = r.cells[2].outcome.dramcache.map_or_else(String::new, |s| pct(s.read_hit_rate()));
+        let mut cells = vec![r.bench.to_owned()];
+        cells.extend((1..4).map(|i| format!("{:.3}", r.norm(i, 0))));
+        cells.push(hit);
+        t.row(cells);
     }
-    t.row(vec![
-        "MEAN".into(),
-        format!("{:.3}", mean(means[0].iter().copied())),
-        format!("{:.3}", mean(means[1].iter().copied())),
-        format!("{:.3}", mean(means[2].iter().copied())),
-        String::new(),
-    ]);
+    let mut cells = vec!["MEAN".to_owned()];
+    cells.extend((1..4).map(|i| format!("{:.3}", mean(rows.iter().map(|r| r.norm(i, 0))))));
+    cells.push(String::new());
+    t.row(cells);
     t.note("DRAM cache pays a tag probe on every access and an NVM fill on every miss;");
     t.note("CWF and page placement never probe — their fast-store benefit is reuse-independent");
-    t
+    vec![t]
 }
 
 #[cfg(test)]
@@ -838,14 +647,5 @@ mod tests {
         assert!(t.rows.len() >= 8);
         assert!(t.rows.iter().any(|r| r[0] == "leslie3d"));
         assert!(t.rows.iter().any(|r| r[0] == "mcf"));
-    }
-
-    #[test]
-    fn small_sweep_produces_complete_rows() {
-        let rows = sweep(&["stream"], &[MemKind::Rl], 600);
-        assert_eq!(rows.len(), 1);
-        let n = rows[0].normalized(MemKind::Rl);
-        assert!(n.is_finite() && n > 0.0);
-        assert!(rows[0].metrics(MemKind::Rl).is_some());
     }
 }

@@ -46,8 +46,8 @@ pub use cwf_verify::VerifyReport;
 pub use metrics::RunMetrics;
 pub use report::Table;
 pub use runner::{
-    normalized_throughput, resume_benchmark, resume_benchmark_to_cycle, run_benchmark,
-    run_benchmark_ckpt, run_benchmark_outcome, weighted_speedup, CkptOutcome, RunOutcome,
+    resume_benchmark, resume_benchmark_to_cycle, run_benchmark, run_benchmark_ckpt,
+    run_benchmark_outcome, weighted_speedup, CkptOutcome, RunOutcome,
 };
 pub use sweep::{Cell, CellResult};
 pub use system::{KernelStats, System};

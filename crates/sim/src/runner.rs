@@ -19,6 +19,8 @@ pub struct RunOutcome {
     pub verify: Option<cwf_verify::VerifyReport>,
     /// The collected trace (`None` when `cfg.trace` is off).
     pub trace: Option<crate::trace::TraceReport>,
+    /// DRAM-cache statistics (`None` unless the memory is a DRAM cache).
+    pub dramcache: Option<cwf_core::DramCacheStats>,
 }
 
 impl RunOutcome {
@@ -30,6 +32,7 @@ impl RunOutcome {
             kernel: sys.kernel_stats(),
             verify: sys.verify_report(),
             trace: sys.trace_report(),
+            dramcache: sys.hierarchy().memory().dramcache_stats(),
         }
     }
 
@@ -178,15 +181,6 @@ pub fn weighted_speedup(cfg: &RunConfig, bench: &str) -> f64 {
     let alone = run_benchmark(&alone_cfg, bench);
     let ipc_alone = alone.ipc_total().max(1e-9);
     shared.ipc_per_core().iter().map(|ipc| ipc / ipc_alone).sum()
-}
-
-/// Weighted speedup of `mem`, normalised to the DDR3 baseline — the
-/// y-axis of Figures 1a, 6 and 9.
-#[must_use]
-pub fn normalized_throughput(cfg: &RunConfig, baseline: &RunConfig, bench: &str) -> f64 {
-    let ws = weighted_speedup(cfg, bench);
-    let ws_base = weighted_speedup(baseline, bench).max(1e-9);
-    ws / ws_base
 }
 
 #[cfg(test)]

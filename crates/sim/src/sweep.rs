@@ -17,17 +17,30 @@
 //! * **Ordered aggregation.** Results come back in input order
 //!   regardless of which worker finished first.
 //!
+//! A [`Plan`] is a sweep that several consumers share: each requests the
+//! cells it needs, identical requests collapse onto one [`CellKey`], and
+//! every distinct cell simulates once. `cwfmem figures` and `cwfmem
+//! compare` run through one; `cwfmem serve` dedupes on the same key.
+//!
 //! The worker count comes from the `CWF_JOBS` environment variable
 //! (default: all available cores); [`run_cells_with`] takes it
 //! explicitly for tests that must not race on process-global state.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::config::{MemKind, RunConfig};
+use cwf_ckpt::Ckpt;
+use cwf_core::{hot_pages, CwfConfig, HeteroCwfMemory, PagePlacedMemory};
+use dram_timing::{DeviceConfig, PagePolicy};
+use mem_ctrl::{CtrlParams, HomogeneousMemory, MappingScheme, SchedPolicy};
+use workloads::{by_name, BenchmarkProfile};
+
+use crate::config::{MemBackend, MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::runner::{run_benchmark_outcome, RunOutcome};
+use crate::system::System;
 
 /// One unit of sweep work: a benchmark under a configuration.
 #[derive(Debug, Clone)]
@@ -149,6 +162,136 @@ pub fn cell_seed(base: u64, bench: &str, mem: MemKind) -> u64 {
     fnv_mix(base, &[bench.as_bytes(), mem.slug().as_bytes()])
 }
 
+/// Digest of a benchmark + configuration, seed excluded: [`fnv_mix`]
+/// over the bench name and the config's `cwfmem.ckpt.v1` encoding, a
+/// byte stream the checkpoint format already pins, so the digest is
+/// stable across platforms and releases. Changing it invalidates every
+/// cached key and the dse `digest_golden` pins.
+#[must_use]
+pub fn config_digest(bench: &str, cfg: &RunConfig) -> u64 {
+    let mut canonical = *cfg;
+    canonical.seed = 0;
+    let mut w = cwf_ckpt::Writer::new();
+    canonical.save(&mut w);
+    // 0xFF separates the parts: no benchmark name contains it, so
+    // ("ab", cfg-bytes) never collides with ("a", b+cfg-bytes).
+    fnv_mix(0, &[bench.as_bytes(), &[0xFF], &w.into_vec()])
+}
+
+/// How a cell's memory is built. The custom variants run on the same
+/// [`RunConfig`] as the preset they modify (RL or DDR3), so their config
+/// digests collide with it; the tag in [`CellKey`] keeps them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Variant {
+    /// `cfg.mem`'s own memory.
+    Preset,
+    /// §4.2.4: a striped (4-chip) fast store — one 36-bit sub-channel
+    /// instead of four x9 sub-ranks.
+    Striped,
+    /// §4.2.4: a private command bus per fast sub-channel.
+    Private,
+    /// §4.2.4: the RL slow store under a close-page policy.
+    ClosedLp,
+    /// The DDR3 baseline under strict FCFS scheduling.
+    Fcfs,
+    /// The DDR3 baseline with page-interleaved channels.
+    PageMap,
+    /// §7.1 page placement: a DDR3 profiling pass at half the reads, then
+    /// the run with the top 7.6% of its pages in RLDRAM3. Two simulations.
+    PagePlaced,
+}
+
+impl Variant {
+    /// Simulations one cell of this variant costs.
+    #[must_use]
+    pub fn simulations(self) -> usize {
+        1 + usize::from(self == Variant::PagePlaced)
+    }
+
+    /// The memory this variant runs `cfg` on (`None` for the preset) and,
+    /// for page placement, the share of profiled accesses that went to
+    /// the pinned pages.
+    fn backend(self, cfg: &RunConfig, bench: &str) -> (Option<MemBackend>, Option<f64>) {
+        let cwf = |c: CwfConfig| MemBackend::Cwf(HeteroCwfMemory::new(c));
+        let ddr3 = |params, scheme| {
+            let dev = DeviceConfig::ddr3_1600();
+            MemBackend::Homogeneous(HomogeneousMemory::with_scheme(dev, 4, 1, 9, params, scheme))
+        };
+        let backend = match self {
+            Variant::Preset => return (None, None),
+            Variant::Striped => {
+                let mut c = CwfConfig::rl();
+                // 9 B over a 36-bit bus: 2 beats = 1 device cycle.
+                c.fast.timings.t_burst = 1;
+                c.fast_subchannels = 1;
+                c.fast_chips = 4;
+                cwf(c)
+            }
+            Variant::Private => cwf(CwfConfig::rl().with_private_fast_buses()),
+            Variant::ClosedLp => {
+                let mut c = CwfConfig::rl();
+                c.slow.page_policy = PagePolicy::Closed;
+                cwf(c)
+            }
+            Variant::Fcfs => ddr3(
+                CtrlParams { policy: SchedPolicy::Fcfs, ..CtrlParams::default() },
+                MappingScheme::for_page_policy(DeviceConfig::ddr3_1600().page_policy),
+            ),
+            Variant::PageMap => ddr3(CtrlParams::default(), MappingScheme::PageInterleave),
+            Variant::PagePlaced => {
+                let half = RunConfig::paper(cfg.mem, cfg.target_dram_reads / 2);
+                let profiling = RunConfig {
+                    target_dram_reads: half.target_dram_reads,
+                    warmup_dram_reads: half.warmup_dram_reads,
+                    max_cycles: half.max_cycles,
+                    ..*cfg
+                };
+                let profile = by_name(bench).expect("known benchmark");
+                let (share, hot) = profile_hot_pages(&profiling, profile);
+                return (Some(MemBackend::PagePlaced(PagePlacedMemory::new(hot))), Some(share));
+            }
+        };
+        (Some(backend), None)
+    }
+}
+
+/// The §7.1 profiling pass: run `profile` under `cfg` on the DDR3
+/// baseline with a per-page access tally, and return the top 7.6% of
+/// touched pages — the ones the paper pins in RLDRAM3 — with the share of
+/// the pass's accesses that went to them.
+#[must_use]
+pub fn profile_hot_pages(cfg: &RunConfig, profile: &BenchmarkProfile) -> (f64, BTreeSet<u64>) {
+    let tally = MemBackend::Homogeneous(HomogeneousMemory::baseline_ddr3().with_page_tally());
+    let mut sys = System::with_backend(cfg, profile, tally);
+    let _ = sys.run();
+    let counts = sys.hierarchy().memory().page_counts().expect("tallying backend");
+    let hot = hot_pages(counts, 0.076);
+    let hot_count: u64 = counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
+    (hot_count as f64 / counts.values().sum::<u64>().max(1) as f64, hot)
+}
+
+/// Identity of one cell: equal keys simulate to equal results, so the
+/// plan and the dse result cache run each key once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CellKey {
+    /// [`config_digest`] of the cell's benchmark + seedless config.
+    pub digest: u64,
+    /// The cell's workload/backend seed.
+    pub seed: u64,
+    /// How the cell's memory is built.
+    pub variant: Variant,
+}
+
+/// The key of a preset cell (every `cwfmem sweep` and `serve` cell).
+#[must_use]
+pub fn cell_key(cell: &Cell) -> CellKey {
+    CellKey {
+        digest: config_digest(&cell.bench, &cell.cfg),
+        seed: cell.cfg.seed,
+        variant: Variant::Preset,
+    }
+}
+
 /// Build the (benchmark × kind) grid of cells, benchmark-major: each cell
 /// is `template` with its kind and a [`cell_seed`] derived from
 /// `template.seed`. `cwfmem sweep` and `cwfmem serve` both build their
@@ -208,6 +351,121 @@ where
         .collect()
 }
 
+/// One cell of a [`Plan`]: a [`Cell`] and how its memory is built.
+#[derive(Debug, Clone)]
+pub struct PlanCell {
+    /// The benchmark and its configuration.
+    pub cell: Cell,
+    /// The memory variant.
+    pub variant: Variant,
+}
+
+impl PlanCell {
+    /// `bench` under `cfg`, with the memory `variant` builds.
+    #[must_use]
+    pub fn new(bench: &str, cfg: RunConfig, variant: Variant) -> Self {
+        PlanCell { cell: Cell { bench: bench.to_owned(), cfg }, variant }
+    }
+
+    /// The cell's identity: equal keys simulate once.
+    #[must_use]
+    pub fn key(&self) -> CellKey {
+        CellKey { variant: self.variant, ..cell_key(&self.cell) }
+    }
+
+    /// Simulate the cell: its outcome if it completed clean, else the
+    /// [`CellResult::failure`] line, tagged with the variant unless it
+    /// is the preset.
+    ///
+    /// # Errors
+    ///
+    /// A panic or an unclean oracle report, as text.
+    pub fn run(&self) -> Result<CellRun, String> {
+        let Cell { bench, cfg } = &self.cell;
+        let mut hot_share = None;
+        let result = CellResult::catch(&self.cell, || {
+            let (backend, share) = self.variant.backend(cfg, bench);
+            hot_share = share;
+            run_benchmark_outcome(cfg, bench, backend)
+        });
+        match result {
+            CellResult::Done(outcome) if outcome.is_clean() => Ok(CellRun { outcome, hot_share }),
+            failed => {
+                let line = failed.failure().expect("an unclean or failed cell has a verdict line");
+                Err(match self.variant {
+                    Variant::Preset => line,
+                    v => format!("{line} [{v:?}]"),
+                })
+            }
+        }
+    }
+}
+
+/// A clean cell's results.
+#[derive(Debug)]
+pub struct CellRun {
+    /// Everything the run reports.
+    pub outcome: RunOutcome,
+    /// [`Variant::PagePlaced`] only: the share of the profiling pass's
+    /// accesses that went to the pages placed in RLDRAM3.
+    pub hot_share: Option<f64>,
+}
+
+/// Cells requested by any number of consumers, deduplicated by
+/// [`CellKey`]: each distinct cell simulates once, however often it was
+/// requested.
+#[derive(Debug, Default)]
+pub struct Plan {
+    cells: BTreeMap<CellKey, PlanCell>,
+    requested: usize,
+}
+
+impl Plan {
+    /// Request `cell`; a cell whose key is already planned adds nothing.
+    pub fn add(&mut self, cell: PlanCell) {
+        self.requested += cell.variant.simulations();
+        self.cells.entry(cell.key()).or_insert(cell);
+    }
+
+    /// Simulations the plan runs (one set per distinct cell), and the
+    /// simulations requested, duplicates included.
+    #[must_use]
+    pub fn simulations(&self) -> (usize, usize) {
+        (self.cells.values().map(|c| c.variant.simulations()).sum(), self.requested)
+    }
+
+    /// Run every distinct cell through `run` on `workers` threads
+    /// ([`parallel_map`]). `run` is [`PlanCell::run`] but for tests that
+    /// inject failures.
+    #[must_use]
+    pub fn run<F>(self, workers: usize, run: F) -> PlanResults
+    where
+        F: Fn(&PlanCell) -> Result<CellRun, String> + Sync,
+    {
+        let cells: Vec<(CellKey, PlanCell)> = self.cells.into_iter().collect();
+        let results = parallel_map(&cells, workers, |(_, cell)| run(cell));
+        PlanResults(cells.into_iter().map(|(key, _)| key).zip(results).collect())
+    }
+}
+
+/// A run [`Plan`]'s results, looked up by cell.
+#[derive(Debug)]
+pub struct PlanResults(BTreeMap<CellKey, Result<CellRun, String>>);
+
+impl PlanResults {
+    /// `cell`'s results if it was planned and completed clean.
+    #[must_use]
+    pub fn get(&self, cell: &PlanCell) -> Option<&CellRun> {
+        self.0.get(&cell.key()).and_then(|r| r.as_ref().ok())
+    }
+
+    /// The failure line of every cell that did not complete clean, in
+    /// key order.
+    pub fn failures(&self) -> impl Iterator<Item = &str> {
+        self.0.values().filter_map(|r| r.as_ref().err().map(String::as_str))
+    }
+}
+
 /// Render a panic payload (`&str` or `String` in practice) as text.
 #[must_use]
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -248,6 +506,56 @@ mod tests {
         assert_ne!(a, cell_seed(1, "mcf", MemKind::Ddr3));
         assert_ne!(a, cell_seed(1, "stream", MemKind::Rl));
         assert_ne!(a, cell_seed(2, "mcf", MemKind::Rl));
+    }
+
+    #[test]
+    fn digest_ignores_seed_only() {
+        let a = RunConfig::paper(MemKind::Rl, 1_000);
+        let mut b = a;
+        b.seed ^= 0xDEAD_BEEF;
+        assert_eq!(config_digest("mcf", &a), config_digest("mcf", &b));
+        let mut c = a;
+        c.cores = 4;
+        assert_ne!(config_digest("mcf", &a), config_digest("mcf", &c));
+        assert_ne!(config_digest("mcf", &a), config_digest("stream", &a));
+    }
+
+    #[test]
+    fn keys_differ_by_seed_and_variant() {
+        let cfg = RunConfig::quick(MemKind::Ddr3, 100);
+        let mut cfg2 = cfg;
+        cfg2.seed += 1;
+        let a = cell_key(&Cell { bench: "mcf".into(), cfg });
+        let b = cell_key(&Cell { bench: "mcf".into(), cfg: cfg2 });
+        assert_eq!(a.digest, b.digest);
+        assert_ne!(a.seed, b.seed);
+        assert_ne!(a, b);
+        let fcfs = PlanCell::new("mcf", cfg, Variant::Fcfs).key();
+        assert_eq!((fcfs.digest, fcfs.seed), (a.digest, a.seed));
+        assert_ne!(fcfs, a);
+        assert_eq!(PlanCell::new("mcf", cfg, Variant::Preset).key(), a);
+    }
+
+    #[test]
+    fn a_plan_runs_each_key_once() {
+        let cfg = RunConfig::quick(MemKind::Ddr3, 100);
+        let mut plan = Plan::default();
+        for variant in [Variant::Preset, Variant::PagePlaced, Variant::Preset, Variant::PagePlaced]
+        {
+            plan.add(PlanCell::new("stream", cfg, variant));
+        }
+        plan.add(PlanCell::new("no-such-bench", cfg, Variant::Preset));
+        assert_eq!(plan.simulations(), (4, 7));
+        let results = plan.run(2, PlanCell::run);
+        let placed = results.get(&PlanCell::new("stream", cfg, Variant::PagePlaced)).expect("ran");
+        assert!(placed.hot_share.is_some_and(|s| s > 0.0 && s <= 1.0));
+        let preset = results.get(&PlanCell::new("stream", cfg, Variant::Preset)).expect("ran");
+        assert!(preset.hot_share.is_none());
+        assert!(results.get(&PlanCell::new("mcf", cfg, Variant::Preset)).is_none(), "not planned");
+        assert!(results.get(&PlanCell::new("no-such-bench", cfg, Variant::Preset)).is_none());
+        let failures: Vec<&str> = results.failures().collect();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("FAILED no-such-bench/DDR3: unknown benchmark"));
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn clean_runs_are_violation_free_and_metric_identical() {
 }
 
 /// The §7.1 page-placed comparator, built the way
-/// `experiments::alternatives` builds it (a profiling pass, then the top
+/// `sweep::Variant::PagePlaced` builds it (a profiling pass, then the top
 /// 7.6% of pages on RLDRAM3), is oracle-clean under both kernels, and the
 /// oracle does not perturb it.
 #[test]

@@ -15,11 +15,11 @@ use cwfmem::dram::DeviceSpec;
 use cwfmem::power::LpddrIo;
 use cwfmem::sim::config::{MemBackend, MemKind};
 use cwfmem::sim::experiments::{
-    ablations, all_benches, alternatives, default_benches, dramcache_head_to_head, fig10_11_energy,
-    fig1_homogeneous, fig2_power_utilization, fig3_line_profiles, fig4_critical_word_distribution,
-    fig6_7_8_cwf, fig9_placement,
+    all_benches, default_benches, fig2_power_utilization, fig3_line_profiles,
+    fig4_critical_word_distribution, figure,
 };
-use cwfmem::sim::{run_benchmark, run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
+use cwfmem::sim::sweep::{self, Plan, PlanCell, PlanResults, Variant};
+use cwfmem::sim::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 use cwfmem::speclint::{lint_specs, scorecard_json, Diagnostic, SpecLintReport};
 use cwfmem::workloads::suite;
 
@@ -683,7 +683,7 @@ fn cmd_trace_check(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    use cwfmem::sim::{sweep, CellResult, Table};
+    use cwfmem::sim::{CellResult, Table};
     let f = Flags::parse(
         args,
         &["--benches", "--kinds", "--reads", "--jobs", "--json"],
@@ -757,33 +757,56 @@ fn cmd_sweep(args: &[String]) {
     if let Some(dir) = &json_dir {
         eprintln!("wrote {written} JSON documents to {}", dir.display());
     }
-    if failures > 0 {
-        eprintln!("{failures} cell(s) failed");
-        std::process::exit(1);
-    }
+    exit_if_failed(failures);
 }
 
 fn cmd_compare(args: &[String]) {
     let f = Flags::parse(args, &["--bench", "--reads"], &[], 0);
     let bench = f.get("--bench").unwrap_or("leslie3d");
     let template = build_config(&f, MemKind::Ddr3, 8_000);
+    let cells = MemKind::PAPER
+        .map(|mem| PlanCell::new(bench, RunConfig { mem, ..template }, Variant::Preset));
+    let mut plan = Plan::default();
+    cells.iter().cloned().for_each(|c| plan.add(c));
+    let results = plan.run(sweep::jobs(), PlanCell::run);
+    let failures = report_failures(&results);
     println!(
-        "{:<10} {:>8} {:>9} {:>12} {:>9}",
-        "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W"
+        "{:<10} {:>8} {:>9} {:>12} {:>9} {:>8}",
+        "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W", "cw-fast"
     );
-    let mut base = None;
-    for mem in MemKind::PAPER {
-        let m = run_benchmark(&RunConfig { mem, ..template }, bench);
+    // `MemKind::PAPER` starts with the DDR3 baseline.
+    let base = results.get(&cells[0]).map(|r| r.outcome.metrics.ipc_total());
+    for cell in &cells {
+        let Some(run) = results.get(cell) else { continue };
+        let m = &run.outcome.metrics;
         let ipc = m.ipc_total();
-        let b = *base.get_or_insert(ipc);
         println!(
-            "{:<10} {:>8.2} {:>8.1}% {:>12.1} {:>9.2}",
-            mem.label(),
+            "{:<10} {:>8.2} {:>9} {:>12.1} {:>9.2} {:>8}",
+            m.mem.label(),
             ipc,
-            (ipc / b - 1.0) * 100.0,
+            base.map_or_else(|| "-".to_owned(), |b| format!("{:.1}%", (ipc / b - 1.0) * 100.0)),
             m.avg_cw_latency_ns(),
-            m.dram_power_w(LpddrIo::ServerAdapted)
+            m.dram_power_w(LpddrIo::ServerAdapted),
+            m.cwf.map_or_else(
+                || "-".to_owned(),
+                |c| format!("{:.0}%", c.served_fast_fraction() * 100.0)
+            ),
         );
+    }
+    println!("\n(cw-fast: critical words served by the fast DIMM; '-' for non-CWF designs)");
+    exit_if_failed(failures);
+}
+
+/// Print every failed cell's line once on stderr; the count.
+fn report_failures(results: &PlanResults) -> usize {
+    results.failures().inspect(|e| eprintln!("{e}")).count()
+}
+
+/// Exit 1 after naming how many cells failed, if any did.
+fn exit_if_failed(failures: usize) {
+    if failures > 0 {
+        eprintln!("{failures} cell(s) failed");
+        std::process::exit(1);
     }
 }
 
@@ -809,7 +832,8 @@ fn cmd_dump_trace(args: &[String]) {
 
 /// `figures [<name>] [--reads N] [--all-benches] [--csv DIR]` — the
 /// figure drivers at the paper defaults; the name, when given, comes
-/// first.
+/// first. The selected simulated figures share one plan: each distinct
+/// cell simulates once, then every figure renders in `FIGURES` order.
 fn cmd_figures(args: &[String]) {
     let which = args.first().map_or("all", String::as_str);
     if !FIGURES.contains(&which) {
@@ -826,31 +850,26 @@ fn cmd_figures(args: &[String]) {
     let csv_dir = f.get("--csv").map(std::path::PathBuf::from);
     let benches: Vec<&'static str> =
         if f.has("--all-benches") { all_benches() } else { default_benches() };
-    for name in FIGURES.iter().filter(|&&f| f != "all" && (which == f || which == "all")) {
-        let tables = match *name {
-            "fig1" => {
-                let (a, b) = fig1_homogeneous(&benches, reads);
-                vec![a, b]
-            }
+    let selected: Vec<&str> =
+        FIGURES.into_iter().filter(|&f| f != "all" && (which == f || which == "all")).collect();
+
+    let mut plan = Plan::default();
+    for fig in selected.iter().filter_map(|name| figure(name)) {
+        fig.plan(&mut plan, &benches, reads);
+    }
+    let (ran, requested) = plan.simulations();
+    let results = plan.run(sweep::jobs(), PlanCell::run);
+    eprintln!("figures: ran {ran} simulations of {requested} requested");
+    let failures = report_failures(&results);
+
+    for name in selected {
+        let tables = match name {
             "fig2" => vec![fig2_power_utilization()],
             "fig3" => vec![fig3_line_profiles((40 * reads).max(200_000))],
             "fig4" => vec![fig4_critical_word_distribution(&benches, 4 * reads)],
-            "fig6" => {
-                let (a, b, c) = fig6_7_8_cwf(&benches, reads);
-                vec![a, b, c]
-            }
-            "fig9" => vec![fig9_placement(&benches, reads)],
-            "fig10" => {
-                let (a, b) = fig10_11_energy(&benches, reads);
-                vec![a, b]
-            }
-            "ablations" => vec![ablations(&benches, reads)],
-            "alternatives" => {
-                let (a, b) = alternatives(&benches, reads);
-                vec![a, b]
-            }
-            "dramcache" => vec![dramcache_head_to_head(reads)],
-            _ => unreachable!("every name but `all` has an arm"),
+            _ => figure(name)
+                .expect("every other name is simulated")
+                .render(&benches, reads, &results),
         };
         for t in tables {
             println!("{t}");
@@ -862,4 +881,5 @@ fn cmd_figures(args: &[String]) {
             }
         }
     }
+    exit_if_failed(failures);
 }

@@ -122,7 +122,7 @@ fn checkpoint_bytes_are_pinned() {
         assert_eq!(got, pin, "{name}: checkpoint bytes moved");
     }
 
-    // §7.1 page placement, built the way `experiments::alternatives` does.
+    // §7.1 page placement, built the way `sweep::Variant::PagePlaced` does.
     let (_, hot) = profile_hot_pages(&quick(MemKind::Ddr3), mcf);
     let pp = MemBackend::PagePlaced(PagePlacedMemory::new(hot));
     let got = ckpt_digest(System::with_backend(&quick(MemKind::Ddr3), mcf, pp));

@@ -1,6 +1,7 @@
 //! CLI regression: `cwfmem figures` accepts exactly its fixed figure
 //! names. A typo, or a flag where the name belongs, must fail loudly
 //! with the usage text instead of printing nothing and exiting zero.
+//! `compare`, which runs on the same cell plan, exits 1 on a failed cell.
 
 use std::process::Command;
 
@@ -37,4 +38,17 @@ fn figures_prints_and_writes_a_known_figure() {
     let csv = std::fs::read_to_string(dir.join("figure_2.csv")).expect("CSV written");
     assert!(csv.lines().count() > 1, "CSV has a header and rows: {csv}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compare_names_each_failed_cell_and_exits_1() {
+    let out = cwfmem()
+        .args(["compare", "--bench", "no-such-bench", "--reads", "50"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1), "a failed cell must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let failed = stderr.lines().filter(|l| l.starts_with("FAILED no-such-bench/")).count();
+    assert_eq!(failed, 9, "one line per organization: {stderr}");
+    assert!(stderr.contains("9 cell(s) failed"), "stderr: {stderr}");
 }
