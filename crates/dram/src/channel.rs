@@ -6,7 +6,7 @@
 //! issue per device cycle (single command bus); the caller enforces that by
 //! issuing at most once per cycle.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 use crate::bank::BankState;
 use crate::command::Command;
@@ -68,7 +68,7 @@ pub struct Channel {
     bus_gen: u64,
     /// Memoized static timing bound per `(rank, bank, command class)`.
     /// `earliest_issue` probes become an O(1) generation compare on hits.
-    memo: RefCell<Vec<MemoSlot>>,
+    memo: Vec<Cell<MemoSlot>>,
     /// When `Some`, every issued command is appended (protocol auditing).
     log: Option<Vec<(u64, Command)>>,
     /// When logging is on, every rank power-state change is appended as
@@ -98,7 +98,7 @@ impl Channel {
             stats: ChannelStats::default(),
             rank_gen: vec![0; ranks as usize],
             bus_gen: 0,
-            memo: RefCell::new(vec![MemoSlot::EMPTY; slots]),
+            memo: vec![Cell::new(MemoSlot::EMPTY); slots],
             log: None,
             power_log: None,
         }
@@ -114,15 +114,12 @@ impl Channel {
         let idx = (usize::from(rank) * banks + usize::from(bank)) * NCLASS + class;
         let rank_gen = self.rank_gen[usize::from(rank)];
         let bus_gen = if class == CLASS_READ || class == CLASS_WRITE { self.bus_gen } else { 0 };
-        {
-            let memo = self.memo.borrow();
-            let slot = memo[idx];
-            if slot.rank_gen == rank_gen && slot.bus_gen == bus_gen {
-                return slot.bound;
-            }
+        let slot = self.memo[idx].get();
+        if slot.rank_gen == rank_gen && slot.bus_gen == bus_gen {
+            return slot.bound;
         }
         let bound = compute();
-        self.memo.borrow_mut()[idx] = MemoSlot { rank_gen, bus_gen, bound };
+        self.memo[idx].set(MemoSlot { rank_gen, bus_gen, bound });
         bound
     }
 
@@ -626,8 +623,7 @@ impl Channel {
         self.bus_gen = cwf_ckpt::Ckpt::load(r)?;
         self.log = cwf_ckpt::Ckpt::load(r)?;
         self.power_log = cwf_ckpt::Ckpt::load(r)?;
-        let slots = self.memo.borrow().len();
-        *self.memo.borrow_mut() = vec![MemoSlot::EMPTY; slots];
+        self.memo.iter_mut().for_each(|m| *m.get_mut() = MemoSlot::EMPTY);
         Ok(())
     }
 }

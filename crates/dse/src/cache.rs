@@ -98,7 +98,7 @@ impl ResultCache {
     /// Publish a claimed key's result and deliver every subscriber
     /// (including the claimant's own, registered at submit time).
     ///
-    /// Successful outcomes become [`Slot::Ready`] and serve future hits;
+    /// Successful outcomes become a ready slot and serve future hits;
     /// failed outcomes (`!out.ok`) only drain the waiting subscribers —
     /// the key is *removed*, so a later submission recomputes instead of
     /// replaying a possibly-transient error forever.

@@ -81,14 +81,17 @@ impl ClockDomain {
     }
 
     /// Mutable access to the controllers (checkpointing, fault injection).
-    /// Every cached wake bound goes stale.
+    /// Every cached wake bound and scheduler fold goes stale.
     pub fn controllers_mut(&mut self) -> &mut [Controller] {
         self.invalidate();
         &mut self.ctrls
     }
 
     fn invalidate(&mut self) {
-        self.wake.iter_mut().for_each(|w| *w.get_mut() = 0);
+        for (c, w) in self.ctrls.iter_mut().zip(&mut self.wake) {
+            *w.get_mut() = 0;
+            c.forget_sched_fold();
+        }
     }
 
     fn mem_now(&self, now: u64) -> u64 {
@@ -136,6 +139,9 @@ pub struct CtrlTicks {
 pub struct ChannelSet {
     domains: Vec<ClockDomain>,
     scheduled: Vec<(u64, Scheduled)>,
+    /// The earliest CPU cycle in `scheduled` (`u64::MAX` when empty). Not
+    /// checkpointed: restoring `scheduled` rebuilds it.
+    earliest: u64,
     audit: bool,
     /// Organization-level audit records (DRAM-cache bookkeeping).
     audit_log: Vec<AuditRecord>,
@@ -153,6 +159,7 @@ impl ChannelSet {
         ChannelSet {
             domains,
             scheduled: Vec::new(),
+            earliest: u64::MAX,
             audit: false,
             audit_log: Vec::new(),
             trace: false,
@@ -238,12 +245,22 @@ impl ChannelSet {
     /// Deliver a whole line at CPU cycle `at`: every word and the fill
     /// arrive together.
     pub fn schedule_line(&mut self, at: u64, token: Token) {
-        self.scheduled.push((at, Scheduled::Line(token)));
+        self.push_scheduled(at, Scheduled::Line(token));
     }
 
     /// Deliver `event` at CPU cycle `at`.
     pub fn schedule(&mut self, at: u64, event: MemEvent) {
-        self.scheduled.push((at, Scheduled::Event(event)));
+        self.push_scheduled(at, Scheduled::Event(event));
+    }
+
+    fn push_scheduled(&mut self, at: u64, s: Scheduled) {
+        self.scheduled.push((at, s));
+        self.earliest = self.earliest.min(at);
+    }
+
+    fn set_scheduled(&mut self, scheduled: Vec<(u64, Scheduled)>) {
+        self.earliest = scheduled.iter().map(|&(at, _)| at).min().unwrap_or(u64::MAX);
+        self.scheduled = scheduled;
     }
 
     /// Record an organization-level audit record (dropped unless auditing).
@@ -417,7 +434,7 @@ impl ChannelSet {
     /// Fails on malformed input.
     pub fn load_lines(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         let lines: Vec<(u64, Token)> = cwf_ckpt::Ckpt::load(r)?;
-        self.scheduled = lines.into_iter().map(|(at, t)| (at, Scheduled::Line(t))).collect();
+        self.set_scheduled(lines.into_iter().map(|(at, t)| (at, Scheduled::Line(t))).collect());
         Ok(())
     }
 
@@ -428,7 +445,7 @@ impl ChannelSet {
     /// Fails on malformed input.
     pub fn load_events(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         let events: Vec<(u64, MemEvent)> = cwf_ckpt::Ckpt::load(r)?;
-        self.scheduled = events.into_iter().map(|(at, e)| (at, Scheduled::Event(e))).collect();
+        self.set_scheduled(events.into_iter().map(|(at, e)| (at, Scheduled::Event(e))).collect());
         Ok(())
     }
 
@@ -544,7 +561,14 @@ impl<O: Organization> MainMemory for O {
     }
 
     fn drain_events(&mut self, now: u64, out: &mut Vec<MemEvent>) {
-        let scheduled = &mut self.channels_mut().scheduled;
+        let chans = self.channels_mut();
+        if chans.earliest > now {
+            return;
+        }
+        // Every entry left behind is passed over exactly once below, so
+        // the new earliest cycle is the minimum over those.
+        let mut earliest = u64::MAX;
+        let scheduled = &mut chans.scheduled;
         let mut i = 0;
         while i < scheduled.len() {
             if scheduled[i].0 <= now {
@@ -557,9 +581,11 @@ impl<O: Organization> MainMemory for O {
                     (_, Scheduled::Event(e)) => out.push(e),
                 }
             } else {
+                earliest = earliest.min(scheduled[i].0);
                 i += 1;
             }
         }
+        chans.earliest = earliest;
     }
 
     fn stats(&mut self, now: u64) -> MemSystemStats {
@@ -578,8 +604,7 @@ impl<O: Organization> MainMemory for O {
 
     fn next_activity(&self, now: u64) -> Option<u64> {
         let chans = self.channels();
-        let mut next =
-            chans.scheduled.iter().map(|&(at, _)| at.max(now + 1)).min().unwrap_or(u64::MAX);
+        let mut next = chans.earliest.max(now + 1);
         for dom in &chans.domains {
             let mem_now = dom.mem_now(now);
             for (c, wake) in dom.ctrls.iter().zip(&dom.wake) {

@@ -15,6 +15,8 @@
 //! the low watermark (Table 1: 48-entry queues, watermarks 32/16), or
 //! opportunistically when the read queue is empty.
 
+use std::cell::Cell;
+
 use dram_timing::{
     AddressingStyle, BankState, Channel, Command, DeviceConfig, DeviceKind, PagePolicy, PowerState,
 };
@@ -24,6 +26,18 @@ use cwf_tracelog::TraceEvent;
 use crate::mapping::Loc;
 use crate::request::Token;
 use crate::txnq::{Txn, TxnQueue};
+
+/// Command kinds of a scheduler decision, and their index within a
+/// class's three [`Controller::scan`] slots: column, activate, precharge.
+const COL: usize = 0;
+const ACT: usize = 1;
+const PRE: usize = 2;
+/// Offset of the prefetch class's slots (demand's start at 0).
+const PREFETCH: usize = 3;
+
+/// A scheduler decision: the queue (`true` for reads), the command kind
+/// ([`COL`], [`ACT`] or [`PRE`]) and the transaction's queue slot.
+type Pick = (bool, usize, u32);
 
 /// Transaction scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,6 +171,11 @@ pub struct Controller {
     /// (unknown) by anything that can create or accelerate a candidate —
     /// an enqueue, any command issue, or a rank wake.
     sched_idle_until: u64,
+    /// The scheduler bound [`Self::next_activity_mem`] last folded while
+    /// `sched_idle_until` had lapsed, kept for [`Self::settle_idle_tick`]
+    /// to store instead of folding again. Every `&mut` entry that can
+    /// change a folded input clears it. Not checkpointed.
+    sched_fold: Cell<Option<u64>>,
     refresh_deadline: Vec<u64>,
     refresh_bank_rr: Vec<u8>,
     completions: Vec<ReadCompletion>,
@@ -222,6 +241,7 @@ impl Controller {
             write_q: TxnQueue::new(ranks, banks),
             drain: false,
             sched_idle_until: 0,
+            sched_fold: Cell::new(None),
             refresh_deadline: (0..ranks).map(|r| t_refi.max(1) + u64::from(r) * 7).collect(),
             refresh_bank_rr: vec![0; ranks as usize],
             completions: Vec::new(),
@@ -325,6 +345,7 @@ impl Controller {
         }
         self.read_q.push(token, loc, prefetch, enqueue_mem);
         self.sched_idle_until = 0;
+        self.sched_fold.set(None);
         if let Some(t) = self.trace.as_mut() {
             t.events.push(TraceEvent::McEnqueue {
                 token,
@@ -344,6 +365,7 @@ impl Controller {
         self.next_token += 1;
         self.write_q.push(token, loc, false, enqueue_mem);
         self.sched_idle_until = 0;
+        self.sched_fold.set(None);
         true
     }
 
@@ -385,6 +407,7 @@ impl Controller {
     /// address/command bus gave this cycle's slot to a sibling sub-channel
     /// (§4.2.4). Returns `true` iff a command was issued.
     pub fn tick_mem(&mut self, now: u64, cmd_allowed: bool) -> bool {
+        self.sched_fold.set(None);
         self.mem_cycles = self.mem_cycles.max(now + 1);
         self.manage_power(now);
         if !cmd_allowed {
@@ -409,15 +432,37 @@ impl Controller {
     /// scheduler bound is re-derived. Both are checkpointed, so a caller
     /// that skips a tick [`Self::next_activity_mem`] proves idle must call
     /// this in its place to keep checkpoints byte-identical.
+    ///
+    /// A lapsed bound is re-derived from the scheduler fold that proof
+    /// kept, when it kept one, instead of folding again. The fold ran at
+    /// some t0 < `now` and nothing has changed the controller since; the
+    /// wake bound, which does not exceed the fold, is above `now`. So
+    /// every folded candidate's ready cycle is above `now` and reads the
+    /// same at `now` as at t0, and no busy rank's refresh deadline (folded
+    /// into the wake bound too) has passed: a fresh fold returns the same
+    /// value.
     pub(crate) fn settle_idle_tick(&mut self, now: u64) {
         self.mem_cycles = self.mem_cycles.max(now + 1);
         if now >= self.sched_idle_until {
-            self.sched_idle_until = self.sched_bound(now);
+            self.sched_idle_until = match self.sched_fold.take() {
+                Some(bound) => {
+                    debug_assert_eq!(bound, self.sched_bound(now), "{}: stale fold", self.label);
+                    bound
+                }
+                None => self.sched_bound(now),
+            };
         }
     }
 
-    /// One scheduler round: apply the write-drain hysteresis, then run the
-    /// FR-FCFS selection passes. Returns `true` iff a command issued.
+    /// Forget the scheduler fold kept for [`Self::settle_idle_tick`], for
+    /// a caller about to change the controller through a path that does
+    /// not clear it itself.
+    pub(crate) fn forget_sched_fold(&mut self) {
+        self.sched_fold.set(None);
+    }
+
+    /// One scheduler round: apply the write-drain hysteresis, then issue
+    /// [`Self::round_pick`]'s decision. Returns `true` iff a command issued.
     fn schedule_round(&mut self, now: u64) -> bool {
         // Write-drain hysteresis.
         let was_draining = self.drain;
@@ -436,27 +481,38 @@ impl Controller {
                 });
             }
         }
-        if self.drain {
-            // Read-favouring drain: a demand read whose row is already
-            // open (a row-buffer hit) may bypass the drain — it costs the
-            // write stream almost nothing and avoids multi-hundred-cycle
-            // read blackouts. When the write queue is nearly overflowing,
-            // writes go unconditionally first.
-            let urgent = self.write_q.len() + 2 >= self.params.write_q_capacity;
-            if !urgent {
-                for demand in [true, false] {
-                    if let Some(i) = self.find_column(now, true, demand) {
-                        self.issue_column(now, true, i);
-                        return true;
-                    }
-                }
-            }
-            self.schedule(now, false) || self.schedule(now, true)
-        } else if !self.read_q.is_empty() {
-            self.schedule(now, true)
-        } else {
-            self.schedule(now, false)
+        let Some((reads, kind, slot)) = self.round_pick(now) else {
+            return false;
+        };
+        match kind {
+            COL => self.issue_column(now, reads, slot),
+            ACT => self.issue_activate(now, reads, slot),
+            _ => self.issue_precharge(now, reads, slot),
         }
+        true
+    }
+
+    /// The command a scheduler round issues under the current drain mode.
+    ///
+    /// Outside drain mode the read queue goes first, or the write queue
+    /// when no read waits. In drain mode the write queue goes first, then
+    /// the read queue — except that a read whose row is already open (a
+    /// row-buffer hit) may bypass the drain: it costs the write stream
+    /// almost nothing and avoids multi-hundred-cycle read blackouts. When
+    /// the write queue is nearly overflowing, writes go unconditionally
+    /// first.
+    fn round_pick(&self, now: u64) -> Option<Pick> {
+        if !self.drain {
+            return self.pick(now, !self.read_q.is_empty());
+        }
+        let urgent = self.write_q.len() + 2 >= self.params.write_q_capacity;
+        if !urgent {
+            let reads = self.scan(now, true);
+            if let Some(slot) = reads[COL].or(reads[PREFETCH + COL]) {
+                return Some((true, COL, slot));
+            }
+        }
+        self.pick(now, false).or_else(|| self.pick(now, true))
     }
 
     /// How far ahead of a refresh deadline the power manager must wake a
@@ -618,73 +674,48 @@ impl Controller {
         !txn.prefetch || now.saturating_sub(txn.enqueue_mem) >= self.params.prefetch_promote_age
     }
 
-    /// FR-FCFS (or strict FCFS) over one queue. Returns `true` iff a
-    /// command issued.
-    fn schedule(&mut self, now: u64, reads: bool) -> bool {
-        if (reads && self.read_q.is_empty()) || (!reads && self.write_q.is_empty()) {
-            return false;
+    /// FR-FCFS (or strict FCFS) decision over one queue: the first
+    /// non-empty [`Self::scan`] slot.
+    fn pick(&self, now: u64, reads: bool) -> Option<Pick> {
+        if self.queue(reads).is_empty() {
+            return None;
         }
         if self.params.policy == SchedPolicy::Fcfs {
-            return self.schedule_fcfs(now, reads);
+            return self.pick_fcfs(now, reads);
         }
-        // Class-major: demand first, then (for reads) prefetch.
-        for demand_pass in [true, false] {
-            if !reads && !demand_pass {
-                break; // writes have a single class
-            }
-            if let Some(i) = self.find_column(now, reads, demand_pass) {
-                self.issue_column(now, reads, i);
-                return true;
-            }
-            if self.cfg.addressing == AddressingStyle::RasCas {
-                if let Some(i) = self.find_activate(now, reads, demand_pass) {
-                    self.issue_activate(now, reads, i);
-                    return true;
-                }
-                if let Some(i) = self.find_conflict_precharge(now, reads, demand_pass) {
-                    self.issue_precharge(now, reads, i);
-                    return true;
-                }
-            }
-        }
-        false
+        let slots = self.scan(now, reads);
+        slots.iter().enumerate().find_map(|(i, s)| s.map(|slot| (reads, i % PREFETCH, slot)))
     }
 
     /// Strict FCFS: only the oldest transaction may make progress.
-    fn schedule_fcfs(&mut self, now: u64, reads: bool) -> bool {
-        let (slot, loc) = {
-            let (slot, t) = self.queue(reads).oldest().expect("non-empty queue");
-            (slot, t.loc)
-        };
+    fn pick_fcfs(&self, now: u64, reads: bool) -> Option<Pick> {
+        let (slot, t) = self.queue(reads).oldest().expect("non-empty queue");
+        let loc = t.loc;
         if self.refresh_blocked(loc.rank, now) {
-            return false;
+            return None;
         }
         let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let col = self.column_cmd(self.queue(reads).get(slot), reads, auto_pre);
-        if self.channel.can_issue(&col, now) {
-            self.issue_column(now, reads, slot);
-            return true;
+        if self.channel.can_issue(&self.column_cmd(t, reads, auto_pre), now) {
+            return Some((reads, COL, slot));
         }
         if self.cfg.addressing == AddressingStyle::RasCas {
             match self.channel.bank_state(loc.rank, loc.bank) {
                 BankState::Idle => {
                     let act = Command::activate(loc.rank, loc.bank, loc.row);
                     if self.channel.can_issue(&act, now) {
-                        self.issue_activate(now, reads, slot);
-                        return true;
+                        return Some((reads, ACT, slot));
                     }
                 }
                 BankState::Active { row } if row != loc.row => {
                     let pre = Command::precharge(loc.rank, loc.bank);
                     if self.channel.can_issue(&pre, now) {
-                        self.issue_precharge(now, reads, slot);
-                        return true;
+                        return Some((reads, PRE, slot));
                     }
                 }
                 BankState::Active { .. } => {}
             }
         }
-        false
+        None
     }
 
     fn queue(&self, reads: bool) -> &TxnQueue {
@@ -695,143 +726,104 @@ impl Controller {
         }
     }
 
-    /// Oldest transaction whose column command is ready now.
+    /// One walk over a queue's busy buckets that finds every FR-FCFS
+    /// candidate at once. Slot `class + kind` (class 0 for demand,
+    /// [`PREFETCH`] for prefetch; kind [`COL`], [`ACT`] or [`PRE`]) holds
+    /// the lowest-seq transaction whose command of that kind can issue
+    /// now, so the first non-empty slot is the pass order's pick: demand
+    /// column, activate, precharge, then the same for prefetch.
     ///
-    /// Indexed: within one bank's bucket every candidate shares the same
-    /// column timing bound (rows only affect legality), so the bucket's
-    /// candidate is its first class-matching entry targeting the open row
-    /// (open page) or its first class-matching entry (close page, banks
-    /// always idle) — one `can_issue` probe per bank. The global pick is
-    /// the minimum-seq candidate, which equals the old linear scan's first
-    /// match.
-    fn find_column(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
+    /// A bucket offers one kind, and per class its first entry that
+    /// qualifies:
+    ///
+    /// - column: an entry targeting the open row, or any entry on a
+    ///   single-command device (whose banks are always idle);
+    /// - activate: any entry of an idle bank;
+    /// - precharge: any entry of an open bank, provided no entry of
+    ///   either class targets the open row. Only the queue being scanned
+    ///   may veto, so a parked write cannot block read-side precharges.
+    ///
+    /// Both of a bucket's candidates issue the same command up to the
+    /// row, and neither legality nor the timing bound of a command depends
+    /// on the row, so one `can_issue` probe decides the bucket, and only
+    /// when a candidate would beat its slot's incumbent. A bucket's walk
+    /// stops once every class has its candidate.
+    fn scan(&self, now: u64, reads: bool) -> [Option<u32>; 6] {
+        let q = self.queue(reads);
         let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let q = self.queue(reads);
-        let mut best: Option<(u64, u32)> = None;
+        let single = self.cfg.addressing == AddressingStyle::SingleCommand;
+        // Writes have one class.
+        let classes = if reads { 2 } else { 1 };
+        // Per slot, the incumbent's seq (`u64::MAX` while empty) and queue
+        // slot.
+        let mut seqs = [u64::MAX; 6];
+        let mut picks = [None; 6];
         for r in 0..self.channel.ranks().len() {
-            if !q.rank_busy(r) || self.refresh_blocked(r as u8, now) {
+            let r8 = r as u8;
+            if !q.rank_busy(r) || self.refresh_blocked(r8, now) {
                 continue;
             }
             let mut mask = q.busy_banks(r);
             while mask != 0 {
                 let b = mask.trailing_zeros() as u8;
                 mask &= mask - 1;
-                // A bucket cannot beat the incumbent if even its front is
-                // younger.
-                if let Some((seq, _)) = best {
-                    if q.bucket_front(r as u8, b).is_none_or(|f| f.seq >= seq) {
-                        continue;
-                    }
-                }
-                let open = match self.cfg.addressing {
-                    AddressingStyle::RasCas => match self.channel.bank_state(r as u8, b) {
-                        BankState::Active { row } => Some(row),
-                        BankState::Idle => continue,
-                    },
-                    AddressingStyle::SingleCommand => None,
+                let open = match self.channel.bank_state(r8, b) {
+                    BankState::Active { row } if !single => Some(row),
+                    _ => None,
                 };
-                let cand = q.bucket(r as u8, b).find(|(_, t)| {
-                    self.is_demand(t, now) == demand && open.is_none_or(|row| t.loc.row == row)
+                // Per class: the first entry, and (open bank) the first
+                // entry targeting the open row.
+                let mut first: [Option<(u32, &Txn)>; 2] = [None; 2];
+                let mut hit: [Option<(u32, &Txn)>; 2] = [None; 2];
+                for (slot, t) in q.bucket(r8, b) {
+                    let c = usize::from(!self.is_demand(t, now));
+                    first[c].get_or_insert((slot, t));
+                    let done = match open {
+                        Some(row) => {
+                            if t.loc.row == row {
+                                hit[c].get_or_insert((slot, t));
+                            }
+                            hit[..classes].iter().all(Option::is_some)
+                        }
+                        None => first[..classes].iter().all(Option::is_some),
+                    };
+                    if done {
+                        break;
+                    }
+                }
+                let (kind, cands) = match open {
+                    Some(_) if hit.iter().any(Option::is_some) => (COL, hit),
+                    Some(_) => (PRE, first),
+                    None if single => (COL, first),
+                    None => (ACT, first),
+                };
+                let wins: [bool; 2] = std::array::from_fn(|c| {
+                    cands[c].is_some_and(|(_, t)| t.seq < seqs[c * PREFETCH + kind])
                 });
-                if let Some((slot, t)) = cand {
-                    if best.is_some_and(|(seq, _)| t.seq >= seq) {
-                        continue;
-                    }
-                    let cmd = self.column_cmd(t, reads, auto_pre);
-                    if self.channel.can_issue(&cmd, now) {
-                        best = Some((t.seq, slot));
-                    }
-                }
-            }
-        }
-        best.map(|(_, slot)| slot)
-    }
-
-    /// Oldest transaction whose bank is idle and whose ACT is ready.
-    fn find_activate(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
-        let q = self.queue(reads);
-        let mut best: Option<(u64, u32)> = None;
-        for r in 0..self.channel.ranks().len() {
-            if !q.rank_busy(r) || self.refresh_blocked(r as u8, now) {
-                continue;
-            }
-            let mut mask = q.busy_banks(r);
-            while mask != 0 {
-                let b = mask.trailing_zeros() as u8;
-                mask &= mask - 1;
-                if let Some((seq, _)) = best {
-                    if q.bucket_front(r as u8, b).is_none_or(|f| f.seq >= seq) {
-                        continue;
-                    }
-                }
-                if self.channel.bank_state(r as u8, b) != BankState::Idle {
+                let Some((_, t)) = (0..2).filter(|&c| wins[c]).find_map(|c| cands[c]) else {
+                    continue;
+                };
+                let cmd = match kind {
+                    COL => self.column_cmd(t, reads, auto_pre),
+                    ACT => Command::activate(r8, b, t.loc.row),
+                    _ => Command::precharge(r8, b),
+                };
+                if !self.channel.can_issue(&cmd, now) {
                     continue;
                 }
-                let cand = q.bucket(r as u8, b).find(|(_, t)| self.is_demand(t, now) == demand);
-                if let Some((slot, t)) = cand {
-                    if best.is_some_and(|(seq, _)| t.seq >= seq) {
-                        continue;
-                    }
-                    let cmd = Command::activate(t.loc.rank, t.loc.bank, t.loc.row);
-                    if self.channel.can_issue(&cmd, now) {
-                        best = Some((t.seq, slot));
-                    }
+                for c in (0..2).filter(|&c| wins[c]) {
+                    let (slot, t) = cands[c].expect("a winning class has a candidate");
+                    seqs[c * PREFETCH + kind] = t.seq;
+                    picks[c * PREFETCH + kind] = Some(slot);
                 }
             }
         }
-        best.map(|(_, slot)| slot)
+        picks
     }
 
-    /// Oldest transaction blocked by a conflicting open row, where no older
-    /// same-class transaction still wants that open row.
-    ///
-    /// Row-hit preservation: a bank whose bucket still holds *any* entry
-    /// targeting the open row (regardless of demand class) yields no
-    /// precharge candidate — this mirrors the old linear scan, where only
-    /// the queue being scheduled may veto (a parked write must not block
-    /// read-side precharges).
-    fn find_conflict_precharge(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
-        let q = self.queue(reads);
-        let mut best: Option<(u64, u32)> = None;
-        for r in 0..self.channel.ranks().len() {
-            if !q.rank_busy(r) || self.refresh_blocked(r as u8, now) {
-                continue;
-            }
-            let mut mask = q.busy_banks(r);
-            while mask != 0 {
-                let b = mask.trailing_zeros() as u8;
-                mask &= mask - 1;
-                if let Some((seq, _)) = best {
-                    if q.bucket_front(r as u8, b).is_none_or(|f| f.seq >= seq) {
-                        continue;
-                    }
-                }
-                let open = match self.channel.bank_state(r as u8, b) {
-                    BankState::Active { row } => row,
-                    BankState::Idle => continue,
-                };
-                if q.bucket(r as u8, b).any(|(_, t)| t.loc.row == open) {
-                    continue; // an entry still wants the open row
-                }
-                // All remaining entries conflict with the open row.
-                let cand = q.bucket(r as u8, b).find(|(_, t)| self.is_demand(t, now) == demand);
-                if let Some((slot, t)) = cand {
-                    if best.is_some_and(|(seq, _)| t.seq >= seq) {
-                        continue;
-                    }
-                    let cmd = Command::precharge(t.loc.rank, t.loc.bank);
-                    if self.channel.can_issue(&cmd, now) {
-                        best = Some((t.seq, slot));
-                    }
-                }
-            }
-        }
-        best.map(|(_, slot)| slot)
-    }
-
-    /// Reference implementation of [`Controller::find_column`]: the
-    /// pre-index linear scan in global FCFS order. Kept as the oracle for
-    /// the pick-equivalence property tests — the indexed finders must
+    /// Reference for [`Controller::scan`]'s column slots: the pre-index
+    /// linear scan in global FCFS order, for one class. Kept as the oracle
+    /// for the pick-equivalence property tests — the bucket scan must
     /// select exactly the transaction this scan selects.
     #[cfg(test)]
     fn find_column_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
@@ -855,8 +847,8 @@ impl Controller {
         None
     }
 
-    /// Reference implementation of [`Controller::find_activate`] (linear
-    /// FCFS scan); see [`Controller::find_column_linear`].
+    /// Reference for [`Controller::scan`]'s activate slots (linear FCFS
+    /// scan); see [`Controller::find_column_linear`].
     #[cfg(test)]
     fn find_activate_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
         let q = self.queue(reads);
@@ -875,8 +867,9 @@ impl Controller {
         None
     }
 
-    /// Reference implementation of [`Controller::find_conflict_precharge`]
-    /// (linear FCFS scan); see [`Controller::find_column_linear`].
+    /// Reference for [`Controller::scan`]'s precharge slots (linear FCFS
+    /// scan): an entry blocked by a conflicting open row; see
+    /// [`Controller::find_column_linear`].
     #[cfg(test)]
     fn find_conflict_precharge_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
         let q = self.queue(reads);
@@ -888,7 +881,7 @@ impl Controller {
                 BankState::Active { row } if row != t.loc.row => row,
                 _ => continue,
             };
-            // Same row-hit veto as the indexed finder: any same-queue entry
+            // Same row-hit veto as the bucket scan: any same-queue entry
             // still targeting the open row protects it from precharge.
             let protected = q.ordered().iter().any(|(_, o)| {
                 o.loc.rank == t.loc.rank && o.loc.bank == t.loc.bank && o.loc.row == open
@@ -902,6 +895,44 @@ impl Controller {
             }
         }
         None
+    }
+
+    /// Reference for [`Controller::round_pick`] under FR-FCFS: the linear
+    /// finders in the retired pass order — drain bypass (demand, then
+    /// prefetch row hits), then per queue and class column, activate,
+    /// precharge.
+    #[cfg(test)]
+    fn round_pick_linear(&self, now: u64) -> Option<Pick> {
+        let pick = |reads: bool| {
+            for demand in [true, false] {
+                if !reads && !demand {
+                    break; // writes have a single class
+                }
+                if let Some(i) = self.find_column_linear(now, reads, demand) {
+                    return Some((reads, COL, i));
+                }
+                if self.cfg.addressing == AddressingStyle::RasCas {
+                    if let Some(i) = self.find_activate_linear(now, reads, demand) {
+                        return Some((reads, ACT, i));
+                    }
+                    if let Some(i) = self.find_conflict_precharge_linear(now, reads, demand) {
+                        return Some((reads, PRE, i));
+                    }
+                }
+            }
+            None
+        };
+        if !self.drain {
+            return pick(!self.read_q.is_empty());
+        }
+        if self.write_q.len() + 2 < self.params.write_q_capacity {
+            for demand in [true, false] {
+                if let Some(i) = self.find_column_linear(now, true, demand) {
+                    return Some((true, COL, i));
+                }
+            }
+        }
+        pick(false).or_else(|| pick(true))
     }
 
     fn column_cmd(&self, t: &Txn, reads: bool, auto_pre: bool) -> Command {
@@ -1035,7 +1066,7 @@ impl Controller {
     /// - `deadline` / the refresh action's ready cycle once overdue;
     /// - `last_activity + powerdown_idle_cycles` for an idle `Up` rank
     ///   (suppressed inside the refresh-due window, where
-    ///   [`Self::manage_power`] refuses to sleep), and
+    ///   `manage_power` refuses to sleep), and
     ///   `last_activity + self_refresh_idle_cycles` for the PD→SR
     ///   escalation.
     ///
@@ -1050,6 +1081,8 @@ impl Controller {
         let t_refi = u64::from(t.t_refi);
         // Every candidate below is clamped to `now + 1`, so the fold can
         // stop the moment it reaches that floor — nothing can beat it.
+        // Such an early return keeps no scheduler fold.
+        self.sched_fold.set(None);
         if !self.completions.is_empty() {
             return Some(now + 1);
         }
@@ -1110,7 +1143,9 @@ impl Controller {
                 return Some(now + 1);
             }
         }
-        next = next.min(self.sched_bound(now));
+        let sched = self.sched_bound(now);
+        self.sched_fold.set((now >= self.sched_idle_until).then_some(sched));
+        next = next.min(sched);
         if next == u64::MAX {
             None
         } else {
@@ -1489,9 +1524,11 @@ mod tests {
 
         /// Few rows and banks so buckets collect row hits, row conflicts
         /// and multi-entry FCFS chains instead of degenerating to one
-        /// transaction per bank.
+        /// transaction per bank. Half the gaps are zero, so bursts fill
+        /// the write queue past its high watermark and drain mode (with
+        /// its row-hit read bypass) is probed too.
         fn item(ranks: u8, banks: u8) -> impl Strategy<Value = Item> {
-            (0..ranks, 0..banks, 0u32..5, 0u32..64, prop::bool::ANY, prop::bool::ANY, 0u8..20)
+            (0..ranks, 0..banks, 0u32..5, 0u32..64, prop::bool::ANY, prop::bool::ANY, 0u8..40)
                 .prop_map(|(rank, bank, row, col, write, prefetch, gap)| Item {
                     rank,
                     bank,
@@ -1499,37 +1536,43 @@ mod tests {
                     col,
                     write,
                     prefetch,
-                    gap,
+                    gap: gap.saturating_sub(20),
                 })
         }
 
-        /// At every cycle of a randomized run, the indexed finders must
-        /// pick exactly the slot the retired linear scan picks, across
-        /// both queues, both demand classes, and all three passes.
+        /// At every cycle of a randomized run, each of the bucket scan's
+        /// six slots must hold exactly the slot the retired linear scan
+        /// picks, for both queues, and the round's decision must be the
+        /// one the linear finders reach in the retired pass order.
         fn assert_picks_match(cfg: DeviceConfig, ranks: u32, items: &[Item]) {
             let mut c = Controller::new(cfg, ranks, 8, "pick-eq");
             let mut now = 0u64;
             let mut tok = 0u64;
             let probe = |c: &Controller, now: u64| {
                 for reads in [true, false] {
-                    for demand in [true, false] {
-                        assert_eq!(
-                            c.find_column(now, reads, demand),
+                    let slots = c.scan(now, reads);
+                    for (class, demand) in [(0, true), (PREFETCH, false)] {
+                        let linear = [
                             c.find_column_linear(now, reads, demand),
-                            "column pick diverged at {now} (reads={reads}, demand={demand})"
-                        );
-                        assert_eq!(
-                            c.find_activate(now, reads, demand),
                             c.find_activate_linear(now, reads, demand),
-                            "activate pick diverged at {now} (reads={reads}, demand={demand})"
-                        );
-                        assert_eq!(
-                            c.find_conflict_precharge(now, reads, demand),
                             c.find_conflict_precharge_linear(now, reads, demand),
-                            "precharge pick diverged at {now} (reads={reads}, demand={demand})"
-                        );
+                        ];
+                        for (kind, want) in linear.into_iter().enumerate() {
+                            assert_eq!(
+                                slots[class + kind],
+                                want,
+                                "slot {} diverged at {now} (reads={reads})",
+                                class + kind
+                            );
+                        }
                     }
                 }
+                assert_eq!(
+                    c.round_pick(now),
+                    c.round_pick_linear(now),
+                    "round decision diverged at {now} (drain={})",
+                    c.drain
+                );
             };
             for it in items {
                 for _ in 0..it.gap {
@@ -1559,18 +1602,70 @@ mod tests {
 
             #[test]
             fn indexed_frfcfs_matches_linear_scan_ddr3(
-                items in prop::collection::vec(item(2, 8), 1..48)
+                items in prop::collection::vec(item(2, 8), 1..96)
             ) {
                 assert_picks_match(DeviceConfig::ddr3_1600(), 2, &items);
             }
 
             #[test]
             fn indexed_frfcfs_matches_linear_scan_rldram3(
-                items in prop::collection::vec(item(1, 16), 1..48)
+                items in prop::collection::vec(item(1, 16), 1..96)
             ) {
                 assert_picks_match(DeviceConfig::rldram3(), 1, &items);
             }
+
+            #[test]
+            fn indexed_frfcfs_matches_linear_scan_lpddr2(
+                items in prop::collection::vec(item(1, 8), 1..96)
+            ) {
+                assert_picks_match(DeviceConfig::lpddr2_800(), 1, &items);
+            }
+
+            #[test]
+            fn indexed_frfcfs_matches_linear_scan_ddr4(
+                items in prop::collection::vec(item(1, 16), 1..96)
+            ) {
+                assert_picks_match(DeviceConfig::ddr4_2400(), 1, &items);
+            }
         }
+    }
+
+    /// A settle that stores the fold [`Controller::next_activity_mem`]
+    /// kept leaves the controller byte for byte as one that folds again.
+    #[test]
+    fn settle_reuses_the_wake_fold() {
+        let drive = || {
+            let mut c = ddr3_ctrl();
+            for i in 0..6u32 {
+                let loc = Loc { rank: 0, bank: (i % 3) as u8, row: i, col: 0 };
+                assert!(c.enqueue_read(Token(u64::from(i)), loc, false, 0));
+            }
+            assert!(c.enqueue_write(Loc { rank: 0, bank: 5, row: 9, col: 0 }, 0));
+            // The first command issues and leaves the scheduler bound
+            // lapsed (0).
+            let mut now = 0;
+            while !c.tick_mem(now, true) {
+                now += 1;
+            }
+            (c, now)
+        };
+        let (mut kept, now) = drive();
+        let (mut refolded, _) = drive();
+        let wake = kept.next_activity_mem(now).expect("work is queued");
+        assert_eq!(refolded.next_activity_mem(now), Some(wake));
+        assert!(wake > now + 1, "the settle cycle must not be due (wake {wake}, now {now})");
+        assert!(now >= kept.sched_idle_until, "the scheduler bound has lapsed");
+        assert!(kept.sched_fold.get().is_some(), "the wake kept its scheduler fold");
+        refolded.forget_sched_fold();
+        kept.settle_idle_tick(wake - 1);
+        refolded.settle_idle_tick(wake - 1);
+        let bytes = |c: &Controller| {
+            let mut w = cwf_ckpt::Writer::new();
+            c.save_state(&mut w).expect("no trace events");
+            w.into_vec()
+        };
+        assert_eq!(bytes(&kept), bytes(&refolded));
+        assert_eq!(kept.sched_fold.get(), None, "the settle consumed the fold");
     }
 
     #[test]
@@ -1627,6 +1722,7 @@ impl Controller {
             write_q,
             drain,
             sched_idle_until,
+            sched_fold: _,
             refresh_deadline,
             refresh_bank_rr,
             completions,
@@ -1675,6 +1771,7 @@ impl Controller {
     /// Fails on malformed input or a refresh-deadline count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"CTRL")?;
+        self.sched_fold.set(None);
         self.channel.load_state(r)?;
         self.read_q = cwf_ckpt::Ckpt::load(r)?;
         self.write_q = cwf_ckpt::Ckpt::load(r)?;

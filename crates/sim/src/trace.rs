@@ -1,4 +1,4 @@
-//! System-level trace collection ([`Tracer`]) and the end-of-run
+//! System-level trace collection (`Tracer`) and the end-of-run
 //! [`TraceReport`]: Perfetto export plus the latency-waterfall
 //! decomposition.
 //!

@@ -71,8 +71,8 @@ pub struct VerifyReport {
     pub core_span_cycles: u64,
     /// Total violations detected (may exceed `violations.len()`).
     pub total_violations: u64,
-    /// Up to [`MAX_STORED_VIOLATIONS`] detailed violations, in detection
-    /// order.
+    /// Up to 1000 detailed violations (`MAX_STORED_VIOLATIONS`), in
+    /// detection order.
     pub violations: Vec<OracleViolation>,
 }
 
