@@ -186,16 +186,6 @@ impl HierStats {
         }
     }
 
-    /// Fraction of demand critical words served by the fast DIMM.
-    #[must_use]
-    pub fn cw_fast_fraction(&self) -> f64 {
-        if self.demand_fills == 0 {
-            0.0
-        } else {
-            self.cw_served_fast as f64 / self.demand_fills as f64
-        }
-    }
-
     /// Fraction of DRAM-level critical words that are word 0 (Figure 4).
     #[must_use]
     pub fn word0_fraction(&self) -> f64 {

@@ -340,13 +340,6 @@ impl Core {
         }
     }
 
-    /// Batch-account `cycles` skipped memory-stall cycles (the per-cycle
-    /// kernel's head-`Load` increment, applied in one step). Only valid
-    /// while [`Core::next_activity`] reports [`CoreActivity::WaitLoad`].
-    pub fn add_stall_cycles(&mut self, cycles: u64) {
-        self.mem_stall_cycles += cycles;
-    }
-
     /// Deliver data for a pending load (match by `load_id`).
     pub fn complete_load(&mut self, load_id: u64, at: u64) {
         self.cruise_mark = None;

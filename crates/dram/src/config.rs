@@ -236,12 +236,6 @@ pub struct DeviceTimings {
 }
 
 impl DeviceTimings {
-    /// Round-trip read latency in device cycles: command to last data beat.
-    #[must_use]
-    pub fn read_latency_total(&self) -> u32 {
-        self.t_rl + self.t_burst
-    }
-
     /// Convert a cycle count of this device's clock into nanoseconds.
     #[must_use]
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {

@@ -219,17 +219,6 @@ impl LatencyHist {
         self.count = self.count.saturating_sub(earlier.count);
         self.sum = self.sum.saturating_sub(earlier.sum);
     }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs (JSON export).
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::bucket_high(i), n))
-            .collect()
-    }
 }
 
 impl Default for LatencyHist {

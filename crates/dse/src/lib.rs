@@ -7,8 +7,8 @@
 //! * [`pool`] — a work-stealing worker pool executing whole-simulation
 //!   cells with panic isolation;
 //! * [`CellKey`] — stable `(config-digest, seed, variant)` cell
-//!   identities ([`sim_harness::sweep`]'s, which `cwfmem figures` and
-//!   `compare` dedupe on too), canonicalized through the
+//!   identities ([`sim_harness::sweep::Cell::key`], which `cwfmem sweep`,
+//!   `figures` and `compare` dedupe on too), canonicalized through the
 //!   `cwfmem.ckpt.v1` encoding;
 //! * [`cache`] — a result cache that memoizes finished cells *and*
 //!   batches duplicate submissions onto in-flight computations
@@ -36,4 +36,4 @@ pub use cache::{CellOutput, ResultCache, Submission};
 pub use cwf_tracelog::json::Value as Json;
 pub use pool::Pool;
 pub use server::Server;
-pub use sim_harness::sweep::{cell_key, config_digest, CellKey};
+pub use sim_harness::sweep::{config_digest, CellKey};

@@ -31,10 +31,9 @@ use std::time::Duration;
 use cwf_tracelog::json::quote;
 use sim_harness::config::MemKind;
 use sim_harness::sweep::{grid, Cell, CellResult};
-use sim_harness::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
+use sim_harness::{Kernel, RunConfig, RunOutcome};
 
 use crate::cache::{CellOutput, ResultCache, Submission};
-use crate::cell_key;
 use crate::http::{self, Chunked};
 use crate::pool::Pool;
 use crate::Json;
@@ -126,7 +125,7 @@ impl SweepJob {
             if i > 0 {
                 out.push_str(", ");
             }
-            let key = cell_key(cell);
+            let key = cell.key();
             let _ = write!(
                 out,
                 "{{\"bench\": {}, \"mem\": {}, \"seed\": \"{}\", \"digest\": \"{:#018x}\", ",
@@ -197,9 +196,9 @@ impl State {
 /// memoized (see [`ResultCache::complete`]): a later sweep retries
 /// instead of being served a possibly-transient error doc forever.
 fn run_cell(cell: &Cell) -> CellOutput {
-    let result = CellResult::catch(cell, || run_benchmark_outcome(&cell.cfg, &cell.bench, None));
+    let result = cell.run();
     let json = match &result {
-        CellResult::Done(o) => o.to_json(),
+        CellResult::Done { outcome, .. } => outcome.to_json(),
         CellResult::Failed { error, .. } => format!(
             "{{\"error\": {}, \"bench\": {}, \"mem\": {}}}\n",
             quote(error),
@@ -223,7 +222,7 @@ fn submit_sweep(state: &Arc<State>, cells: Vec<Cell>) -> Arc<SweepJob> {
     let job = Arc::new(SweepJob::new(id, cells));
     state.sweeps.lock().expect("sweeps poisoned").insert(id, Arc::clone(&job));
     for (i, cell) in job.cells.iter().enumerate() {
-        let key = cell_key(cell);
+        let key = cell.key();
         let subscriber = {
             let job = Arc::clone(&job);
             Box::new(move |out: Arc<CellOutput>| job.deliver(i, &out))
@@ -365,7 +364,7 @@ fn handle(state: &Arc<State>, stream: &mut TcpStream) {
         }
         ("POST", ["sweep"]) => match parse_sweep_request(&req.body) {
             Ok(cells) => {
-                let unique: std::collections::BTreeSet<_> = cells.iter().map(cell_key).collect();
+                let unique: std::collections::BTreeSet<_> = cells.iter().map(Cell::key).collect();
                 let n_unique = unique.len();
                 let job = submit_sweep(state, cells);
                 let body = format!(
@@ -464,14 +463,16 @@ fn cell_trace(job: &Arc<SweepJob>, n: &str, stream: &mut TcpStream) -> std::io::
         Ok(x) => x,
         Err((status, msg)) => return http::respond_error(stream, status, &msg),
     };
-    let mut cfg = cell.cfg;
-    cfg.trace = true;
-    cfg.verify = false; // the sweep already verified; the trace rerun just records
-    match CellResult::catch(cell, || run_benchmark_outcome(&cfg, &cell.bench, None)) {
-        CellResult::Done(RunOutcome { trace: Some(t), .. }) => {
+    let mut rerun = cell.clone();
+    rerun.cfg.trace = true;
+    rerun.cfg.verify = false; // the sweep already verified; the trace rerun just records
+    match rerun.run() {
+        CellResult::Done { outcome: RunOutcome { trace: Some(t), .. }, .. } => {
             http::respond_json(stream, &t.perfetto_json())
         }
-        CellResult::Done(_) => http::respond_error(stream, 500, "trace rerun produced no trace"),
+        CellResult::Done { .. } => {
+            http::respond_error(stream, 500, "trace rerun produced no trace")
+        }
         CellResult::Failed { error, .. } => http::respond_error(stream, 500, &error),
     }
 }
@@ -560,6 +561,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
 mod tests {
     use super::*;
     use crate::http::client_request;
+    use sim_harness::sweep::Variant;
 
     fn post_sweep(addr: SocketAddr, body: &str) -> Json {
         let (status, text) = client_request(addr, "POST", "/sweep", Some(body)).unwrap();
@@ -716,8 +718,8 @@ mod tests {
         let state = Arc::new(State::new(2));
         let cfg = RunConfig::quick(MemKind::Rl, 50);
         let cells = vec![
-            Cell { bench: "no-such-bench".into(), cfg },
-            Cell { bench: "no-such-bench".into(), cfg },
+            Cell::new("no-such-bench", cfg, Variant::Preset),
+            Cell::new("no-such-bench", cfg, Variant::Preset),
         ];
         let job = submit_sweep(&state, cells);
         while !job.is_done() {
@@ -735,7 +737,7 @@ mod tests {
         // The error doc must not poison the key: the same cell submitted
         // again is a fresh claim, not a cache hit on the stale failure.
         assert_eq!(state.cache.len(), 0, "failures must not occupy the cache");
-        let retry = submit_sweep(&state, vec![Cell { bench: "no-such-bench".into(), cfg }]);
+        let retry = submit_sweep(&state, vec![Cell::new("no-such-bench", cfg, Variant::Preset)]);
         while !retry.is_done() {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -750,8 +752,7 @@ mod tests {
     #[test]
     fn failed_then_fixed_cell_recomputes_to_success() {
         let cache = ResultCache::new();
-        let k =
-            crate::CellKey { digest: 77, seed: 1, variant: sim_harness::sweep::Variant::Preset };
+        let k = crate::CellKey { digest: 77, seed: 1, variant: Variant::Preset };
         let noop = || Box::new(|_out: Arc<CellOutput>| {}) as crate::cache::Subscriber;
         assert!(matches!(cache.submit(k, noop()), Submission::Claimed));
         cache.complete(

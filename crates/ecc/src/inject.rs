@@ -1,7 +1,6 @@
 //! Deterministic fault injection for exercising the parity/SECDED paths.
 //!
-//! The simulator's failure-handling tests and the `fault_injection` example
-//! use this module to flip bits in stored words with a seeded RNG, then
+//! The crate's failure-handling tests use this module to flip bits in stored words with a seeded RNG, then
 //! verify that the CWF early-wake protocol degrades exactly as the paper
 //! describes: parity-visible errors defer the wake to the SECDED check,
 //! parity-invisible multi-bit errors commit and are fail-stopped by SECDED

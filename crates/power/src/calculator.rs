@@ -43,12 +43,6 @@ impl PowerBreakdown {
         self.refresh_w += other.refresh_w;
         self.termination_w += other.termination_w;
     }
-
-    /// Energy over `seconds` of simulated time, in joules.
-    #[must_use]
-    pub fn energy_j(&self, seconds: f64) -> f64 {
-        self.total_w() * seconds
-    }
 }
 
 /// Pick the preset IDD table for a controller's device type.

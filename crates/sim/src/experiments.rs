@@ -20,8 +20,9 @@ use workloads::{by_name, suite, TraceGen};
 use crate::config::{MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, pct_delta, Table};
+use crate::runner::RunOutcome;
 pub use crate::sweep::profile_hot_pages;
-use crate::sweep::{jobs, parallel_map, CellRun, Plan, PlanCell, PlanResults, Variant};
+use crate::sweep::{jobs, parallel_map, Cell, Plan, PlanResults, Variant};
 
 /// The full 27-program suite.
 #[must_use]
@@ -74,15 +75,16 @@ pub struct Figure {
     fixed: Option<(&'static [&'static str], u64)>,
 }
 
-/// One bench's results in a [`Figure`], in the order of its cells.
+/// One bench's results in a [`Figure`], in the order of its cells: each
+/// cell's outcome and hot-page share ([`PlanResults::get`]).
 struct Row<'a> {
     bench: &'a str,
-    cells: Vec<&'a CellRun>,
+    cells: Vec<(&'a RunOutcome, Option<f64>)>,
 }
 
 impl Row<'_> {
     fn m(&self, i: usize) -> &RunMetrics {
-        &self.cells[i].outcome.metrics
+        &self.cells[i].0.metrics
     }
 
     /// Throughput of cell `i` normalized to cell `base`.
@@ -103,13 +105,13 @@ impl Figure {
 
     /// `bench`'s cells at `reads` (the caller's benches and reads, unless
     /// the figure fixes them).
-    fn grid<'a>(&self, benches: &[&'a str], reads: u64) -> Vec<(&'a str, Vec<PlanCell>)> {
+    fn grid<'a>(&self, benches: &[&'a str], reads: u64) -> Vec<(&'a str, Vec<Cell>)> {
         let (benches, reads) = match self.fixed {
             Some((fixed, floor)) => (fixed.to_vec(), reads.max(floor)),
             None => (benches.to_vec(), reads),
         };
         let cell = |bench, &(mem, prefetch, variant): &Spec| {
-            PlanCell::new(bench, RunConfig { prefetch, ..RunConfig::paper(mem, reads) }, variant)
+            Cell::new(bench, RunConfig { prefetch, ..RunConfig::paper(mem, reads) }, variant)
         };
         benches.into_iter().map(|b| (b, self.cells.iter().map(|s| cell(b, s)).collect())).collect()
     }
@@ -540,7 +542,7 @@ fn ablation_render(rows: &[Row<'_>]) -> Vec<Table> {
 
 /// §7.1 page placement and §7.2 unterminated-LPDDR alternatives.
 fn alternative_render(rows: &[Row<'_>]) -> Vec<Table> {
-    let hot_share = |r: &Row<'_>| r.cells[1].hot_share.expect("page-placed cells report it");
+    let hot_share = |r: &Row<'_>| r.cells[1].1.expect("page-placed cells report it");
     let mut t71 = Table::new(
         "§7.1 page placement: top 7.6% of pages in RLDRAM3 (paper: -9.3%..+11.2%, avg ~+8%)",
         &["bench", "normalized throughput", "accesses to hot pages"],
@@ -601,7 +603,7 @@ fn dramcache_render(rows: &[Row<'_>]) -> Vec<Table> {
         &["bench", "CWF (RL)", "DRAM cache (RLDRAM3+NVM)", "page placement", "DC read hit rate"],
     );
     for r in rows {
-        let hit = r.cells[2].outcome.dramcache.map_or_else(String::new, |s| pct(s.read_hit_rate()));
+        let hit = r.cells[2].0.dramcache.map_or_else(String::new, |s| pct(s.read_hit_rate()));
         let mut cells = vec![r.bench.to_owned()];
         cells.extend((1..4).map(|i| format!("{:.3}", r.norm(i, 0))));
         cells.push(hit);

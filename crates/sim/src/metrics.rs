@@ -3,7 +3,6 @@
 use cache_hier::HierStats;
 use cwf_core::CwfStats;
 use dram_power::{channel_power, LpddrIo, PowerBreakdown};
-use dram_timing::DeviceKind;
 use mem_ctrl::MemSystemStats;
 
 use crate::config::MemKind;
@@ -44,15 +43,6 @@ impl RunMetrics {
         self.insts_per_core.iter().sum::<u64>() as f64 / self.cycles as f64
     }
 
-    /// Per-core IPC values.
-    #[must_use]
-    pub fn ipc_per_core(&self) -> Vec<f64> {
-        self.insts_per_core
-            .iter()
-            .map(|&i| if self.cycles == 0 { 0.0 } else { i as f64 / self.cycles as f64 })
-            .collect()
-    }
-
     /// Measured wall-clock seconds of simulated execution.
     #[must_use]
     pub fn seconds(&self) -> f64 {
@@ -79,13 +69,6 @@ impl RunMetrics {
     #[must_use]
     pub fn cw_latency_ns_quantile(&self, q: f64) -> f64 {
         self.hier.cw_lat_hist.quantile(q) as f64 / CPU_HZ * 1e9
-    }
-
-    /// End-to-end DRAM read latency (enqueue to last data beat) at
-    /// quantile `q`, in nanoseconds, merged over all channels.
-    #[must_use]
-    pub fn read_latency_ns_quantile(&self, q: f64) -> f64 {
-        self.mem_stats.read_lat_hist().quantile(q) as f64
     }
 
     /// Combined data-bus utilization across the bulk (slow) channels.
@@ -132,23 +115,6 @@ impl RunMetrics {
         }
         total
     }
-
-    /// DRAM power of one device kind only (energy analyses).
-    #[must_use]
-    pub fn dram_power_of_kind_w(&self, kind: DeviceKind, lpddr_io: LpddrIo) -> f64 {
-        self.mem_stats
-            .controllers
-            .iter()
-            .filter(|c| c.kind == kind)
-            .map(|c| channel_power(c, lpddr_io).total_w())
-            .sum()
-    }
-
-    /// DRAM energy in joules over the measured window.
-    #[must_use]
-    pub fn dram_energy_j(&self, lpddr_io: LpddrIo) -> f64 {
-        self.dram_power_w(lpddr_io) * self.seconds()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +139,6 @@ mod tests {
     fn ipc_math() {
         let m = metrics(1_000, vec![2_000, 1_000]);
         assert!((m.ipc_total() - 3.0).abs() < 1e-12);
-        assert_eq!(m.ipc_per_core(), vec![2.0, 1.0]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Benchmark runners and the paper's throughput metric.
+//! Benchmark runners: whole runs and checkpoint-bounded segments.
 
 use workloads::by_name;
 
@@ -56,17 +56,6 @@ impl RunOutcome {
             self.trace.as_ref(),
         )
     }
-}
-
-/// Run one benchmark under `cfg`.
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark(cfg: &RunConfig, bench: &str) -> RunMetrics {
-    run_benchmark_outcome(cfg, bench, None).metrics
 }
 
 /// Run one benchmark under `cfg` and collect everything it reports. The
@@ -164,43 +153,14 @@ fn segment_outcome(metrics: Option<RunMetrics>, mut sys: System) -> cwf_ckpt::Re
     }
 }
 
-/// The paper's system-throughput metric: `Σᵢ IPCᵢ_shared / IPCᵢ_alone`
-/// (§5), where `IPC_alone` is measured on a single-core system with the
-/// same memory organization.
-#[must_use]
-pub fn weighted_speedup(cfg: &RunConfig, bench: &str) -> f64 {
-    let shared = run_benchmark(cfg, bench);
-    let alone_cfg = RunConfig {
-        cores: 1,
-        // One core generates roughly 1/8th of the traffic; keep the run
-        // length proportional so both runs see steady state.
-        target_dram_reads: (cfg.target_dram_reads / u64::from(cfg.cores)).max(500),
-        warmup_dram_reads: (cfg.warmup_dram_reads / u64::from(cfg.cores)).min(2_000),
-        ..*cfg
-    };
-    let alone = run_benchmark(&alone_cfg, bench);
-    let ipc_alone = alone.ipc_total().max(1e-9);
-    shared.ipc_per_core().iter().map(|ipc| ipc / ipc_alone).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MemKind;
 
     #[test]
-    fn weighted_speedup_is_near_core_count_for_light_sharing() {
-        // A compute-heavy benchmark: each core barely interferes, so the
-        // weighted speedup approaches the core count (needs a warmed run;
-        // cold-start windows under-estimate IPC_shared).
-        let cfg = RunConfig { cores: 2, ..RunConfig::paper(MemKind::Ddr3, 2_000) };
-        let ws = weighted_speedup(&cfg, "gobmk");
-        assert!(ws > 1.4 && ws <= f64::from(cfg.cores) * 1.2, "ws = {ws}");
-    }
-
-    #[test]
     #[should_panic(expected = "unknown benchmark")]
     fn unknown_benchmark_panics() {
-        let _ = run_benchmark(&RunConfig::quick(MemKind::Ddr3, 10), "doom");
+        let _ = run_benchmark_outcome(&RunConfig::quick(MemKind::Ddr3, 10), "doom", None);
     }
 }

@@ -1,9 +1,10 @@
 //! Parallel, deterministic experiment sweeps.
 //!
-//! A sweep is a grid of independent simulation *cells* — one `(workload,
-//! [`RunConfig`])` pair each — executed across a pool of worker threads.
-//! Three properties define the harness (DESIGN.md has the full
-//! contract):
+//! A sweep is a grid of independent simulation [`Cell`]s — a workload, a
+//! [`RunConfig`] and a memory [`Variant`] each — executed across a pool of
+//! worker threads. [`Cell::run`] is the one function that simulates a cell
+//! and [`CellResult`] the one verdict. Three properties define the harness
+//! (DESIGN.md has the full contract):
 //!
 //! * **Determinism.** Every cell's seed is a pure function of the base
 //!   seed and the cell's identity ([`cell_seed`]), fixed *before* any
@@ -19,12 +20,13 @@
 //!
 //! A [`Plan`] is a sweep that several consumers share: each requests the
 //! cells it needs, identical requests collapse onto one [`CellKey`], and
-//! every distinct cell simulates once. `cwfmem figures` and `cwfmem
-//! compare` run through one; `cwfmem serve` dedupes on the same key.
+//! every distinct cell simulates once. `cwfmem sweep`, `figures` and
+//! `compare` run through one; `cwfmem serve` dedupes on the same key and
+//! runs each claimed cell through [`Cell::run`].
 //!
 //! The worker count comes from the `CWF_JOBS` environment variable
-//! (default: all available cores); [`run_cells_with`] takes it
-//! explicitly for tests that must not race on process-global state.
+//! (default: all available cores); [`Plan::run`] takes it explicitly, so
+//! tests need not race on process-global state.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,11 +40,11 @@ use mem_ctrl::{CtrlParams, HomogeneousMemory, MappingScheme, SchedPolicy};
 use workloads::{by_name, BenchmarkProfile};
 
 use crate::config::{MemBackend, MemKind, RunConfig};
-use crate::metrics::RunMetrics;
 use crate::runner::{run_benchmark_outcome, RunOutcome};
 use crate::system::System;
 
-/// One unit of sweep work: a benchmark under a configuration.
+/// One unit of sweep work: a benchmark under a configuration, on the
+/// memory its variant builds.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Benchmark name (must resolve via `workloads::by_name`: the 27
@@ -50,6 +52,43 @@ pub struct Cell {
     pub bench: String,
     /// Full run configuration, including the per-cell seed.
     pub cfg: RunConfig,
+    /// How the cell's memory is built.
+    pub variant: Variant,
+}
+
+impl Cell {
+    /// `bench` under `cfg`, with the memory `variant` builds.
+    #[must_use]
+    pub fn new(bench: &str, cfg: RunConfig, variant: Variant) -> Self {
+        Cell { bench: bench.to_owned(), cfg, variant }
+    }
+
+    /// The cell's identity: equal keys simulate to equal results, so the
+    /// plan and the dse result cache run each key once.
+    #[must_use]
+    pub fn key(&self) -> CellKey {
+        CellKey {
+            digest: config_digest(&self.bench, &self.cfg),
+            seed: self.cfg.seed,
+            variant: self.variant,
+        }
+    }
+
+    /// Simulate the cell. A panic becomes [`CellResult::Failed`]; a
+    /// completed run is [`CellResult::Done`], clean or not.
+    #[must_use]
+    pub fn run(&self) -> CellResult {
+        let mut hot_share = None;
+        let result = CellResult::catch(self, || {
+            let (backend, share) = self.variant.backend(&self.cfg, &self.bench);
+            hot_share = share;
+            run_benchmark_outcome(&self.cfg, &self.bench, backend)
+        });
+        match result {
+            CellResult::Done { outcome, .. } => CellResult::Done { outcome, hot_share },
+            failed => failed,
+        }
+    }
 }
 
 /// Outcome of one cell.
@@ -60,8 +99,14 @@ pub struct Cell {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum CellResult {
-    /// The cell ran to completion: everything the run reports.
-    Done(RunOutcome),
+    /// The cell ran to completion, clean or not.
+    Done {
+        /// Everything the run reports.
+        outcome: RunOutcome,
+        /// [`Variant::PagePlaced`] only: the share of the profiling
+        /// pass's accesses that went to the pages placed in RLDRAM3.
+        hot_share: Option<f64>,
+    },
     /// The cell panicked; the sweep continued without it.
     Failed {
         /// Benchmark of the failed cell.
@@ -75,14 +120,15 @@ pub enum CellResult {
 
 impl CellResult {
     /// Run `cell` through `run`, turning a panic into
-    /// [`CellResult::Failed`]. Every sweep front end (`cwfmem sweep`, the
-    /// figure drivers, `cwfmem serve`) executes its cells through here.
+    /// [`CellResult::Failed`]. This is the workspace's one `catch_unwind`;
+    /// [`Cell::run`], which every front end (`cwfmem sweep`, `figures`,
+    /// `compare`, `serve`) runs its cells through, calls it.
     pub fn catch(cell: &Cell, run: impl FnOnce() -> RunOutcome) -> CellResult {
         // AssertUnwindSafe: `run` only touches the cell (read-only) and
         // its own fresh System; a panic cannot leave shared state
         // half-mutated.
         match catch_unwind(AssertUnwindSafe(run)) {
-            Ok(o) => CellResult::Done(o),
+            Ok(outcome) => CellResult::Done { outcome, hot_share: None },
             Err(payload) => CellResult::Failed {
                 bench: cell.bench.clone(),
                 mem: cell.cfg.mem,
@@ -93,11 +139,11 @@ impl CellResult {
         }
     }
 
-    /// The metrics, if the cell completed (clean or not).
+    /// The outcome, if the cell completed (clean or not).
     #[must_use]
-    pub fn metrics(&self) -> Option<&RunMetrics> {
+    pub fn outcome(&self) -> Option<&RunOutcome> {
         match self {
-            CellResult::Done(o) => Some(&o.metrics),
+            CellResult::Done { outcome, .. } => Some(outcome),
             CellResult::Failed { .. } => None,
         }
     }
@@ -108,8 +154,8 @@ impl CellResult {
     #[must_use]
     pub fn failure(&self) -> Option<String> {
         match self {
-            CellResult::Done(o) if o.is_clean() => None,
-            CellResult::Done(o) => Some(format!(
+            CellResult::Done { outcome: o, .. } if o.is_clean() => None,
+            CellResult::Done { outcome: o, .. } => Some(format!(
                 "UNCLEAN {}/{}: {} violation(s)",
                 o.metrics.bench,
                 o.metrics.mem.label(),
@@ -270,8 +316,7 @@ pub fn profile_hot_pages(cfg: &RunConfig, profile: &BenchmarkProfile) -> (f64, B
     (hot_count as f64 / counts.values().sum::<u64>().max(1) as f64, hot)
 }
 
-/// Identity of one cell: equal keys simulate to equal results, so the
-/// plan and the dse result cache run each key once.
+/// Identity of one cell ([`Cell::key`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellKey {
     /// [`config_digest`] of the cell's benchmark + seedless config.
@@ -282,18 +327,8 @@ pub struct CellKey {
     pub variant: Variant,
 }
 
-/// The key of a preset cell (every `cwfmem sweep` and `serve` cell).
-#[must_use]
-pub fn cell_key(cell: &Cell) -> CellKey {
-    CellKey {
-        digest: config_digest(&cell.bench, &cell.cfg),
-        seed: cell.cfg.seed,
-        variant: Variant::Preset,
-    }
-}
-
-/// Build the (benchmark × kind) grid of cells, benchmark-major: each cell
-/// is `template` with its kind and a [`cell_seed`] derived from
+/// Build the (benchmark × kind) grid of preset cells, benchmark-major:
+/// each cell is `template` with its kind and a [`cell_seed`] derived from
 /// `template.seed`. `cwfmem sweep` and `cwfmem serve` both build their
 /// grids here.
 #[must_use]
@@ -301,29 +336,19 @@ pub fn grid(benches: &[&str], kinds: &[MemKind], template: &RunConfig) -> Vec<Ce
     benches
         .iter()
         .flat_map(|b| {
-            kinds.iter().map(move |&mem| Cell {
-                bench: (*b).to_owned(),
-                cfg: RunConfig { mem, seed: cell_seed(template.seed, b, mem), ..*template },
+            kinds.iter().map(move |&mem| {
+                let cfg = RunConfig { mem, seed: cell_seed(template.seed, b, mem), ..*template };
+                Cell::new(b, cfg, Variant::Preset)
             })
         })
         .collect()
 }
 
-/// Run every cell across exactly `workers` threads; results in input
-/// order. The worker count affects wall-clock time only, never the
-/// results (see the module docs).
-#[must_use]
-pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
-    parallel_map(cells, workers, |cell| {
-        CellResult::catch(cell, || run_benchmark_outcome(&cell.cfg, &cell.bench, None))
-    })
-}
-
 /// Apply `f` to every item across `workers` threads (at least one, at
 /// most one per item) and return the results in input order. This is the
-/// workspace's one simulation worker pool: sweeps and every figure driver
-/// run on it. A panic in `f` propagates; [`run_cells_with`] catches its
-/// own.
+/// workspace's one simulation worker pool: plans and the fig4 replay run
+/// on it. The worker count affects wall-clock time only, never the
+/// results. A panic in `f` propagates; [`Cell::run`] catches its own.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -351,78 +376,18 @@ where
         .collect()
 }
 
-/// One cell of a [`Plan`]: a [`Cell`] and how its memory is built.
-#[derive(Debug, Clone)]
-pub struct PlanCell {
-    /// The benchmark and its configuration.
-    pub cell: Cell,
-    /// The memory variant.
-    pub variant: Variant,
-}
-
-impl PlanCell {
-    /// `bench` under `cfg`, with the memory `variant` builds.
-    #[must_use]
-    pub fn new(bench: &str, cfg: RunConfig, variant: Variant) -> Self {
-        PlanCell { cell: Cell { bench: bench.to_owned(), cfg }, variant }
-    }
-
-    /// The cell's identity: equal keys simulate once.
-    #[must_use]
-    pub fn key(&self) -> CellKey {
-        CellKey { variant: self.variant, ..cell_key(&self.cell) }
-    }
-
-    /// Simulate the cell: its outcome if it completed clean, else the
-    /// [`CellResult::failure`] line, tagged with the variant unless it
-    /// is the preset.
-    ///
-    /// # Errors
-    ///
-    /// A panic or an unclean oracle report, as text.
-    pub fn run(&self) -> Result<CellRun, String> {
-        let Cell { bench, cfg } = &self.cell;
-        let mut hot_share = None;
-        let result = CellResult::catch(&self.cell, || {
-            let (backend, share) = self.variant.backend(cfg, bench);
-            hot_share = share;
-            run_benchmark_outcome(cfg, bench, backend)
-        });
-        match result {
-            CellResult::Done(outcome) if outcome.is_clean() => Ok(CellRun { outcome, hot_share }),
-            failed => {
-                let line = failed.failure().expect("an unclean or failed cell has a verdict line");
-                Err(match self.variant {
-                    Variant::Preset => line,
-                    v => format!("{line} [{v:?}]"),
-                })
-            }
-        }
-    }
-}
-
-/// A clean cell's results.
-#[derive(Debug)]
-pub struct CellRun {
-    /// Everything the run reports.
-    pub outcome: RunOutcome,
-    /// [`Variant::PagePlaced`] only: the share of the profiling pass's
-    /// accesses that went to the pages placed in RLDRAM3.
-    pub hot_share: Option<f64>,
-}
-
 /// Cells requested by any number of consumers, deduplicated by
 /// [`CellKey`]: each distinct cell simulates once, however often it was
 /// requested.
 #[derive(Debug, Default)]
 pub struct Plan {
-    cells: BTreeMap<CellKey, PlanCell>,
+    cells: BTreeMap<CellKey, Cell>,
     requested: usize,
 }
 
 impl Plan {
     /// Request `cell`; a cell whose key is already planned adds nothing.
-    pub fn add(&mut self, cell: PlanCell) {
+    pub fn add(&mut self, cell: Cell) {
         self.requested += cell.variant.simulations();
         self.cells.entry(cell.key()).or_insert(cell);
     }
@@ -435,14 +400,14 @@ impl Plan {
     }
 
     /// Run every distinct cell through `run` on `workers` threads
-    /// ([`parallel_map`]). `run` is [`PlanCell::run`] but for tests that
+    /// ([`parallel_map`]). `run` is [`Cell::run`] but for tests that
     /// inject failures.
     #[must_use]
     pub fn run<F>(self, workers: usize, run: F) -> PlanResults
     where
-        F: Fn(&PlanCell) -> Result<CellRun, String> + Sync,
+        F: Fn(&Cell) -> CellResult + Sync,
     {
-        let cells: Vec<(CellKey, PlanCell)> = self.cells.into_iter().collect();
+        let cells: Vec<(CellKey, Cell)> = self.cells.into_iter().collect();
         let results = parallel_map(&cells, workers, |(_, cell)| run(cell));
         PlanResults(cells.into_iter().map(|(key, _)| key).zip(results).collect())
     }
@@ -450,19 +415,38 @@ impl Plan {
 
 /// A run [`Plan`]'s results, looked up by cell.
 #[derive(Debug)]
-pub struct PlanResults(BTreeMap<CellKey, Result<CellRun, String>>);
+pub struct PlanResults(BTreeMap<CellKey, CellResult>);
 
 impl PlanResults {
-    /// `cell`'s results if it was planned and completed clean.
+    /// `cell`'s result if it was planned, clean or not.
     #[must_use]
-    pub fn get(&self, cell: &PlanCell) -> Option<&CellRun> {
-        self.0.get(&cell.key()).and_then(|r| r.as_ref().ok())
+    pub fn result(&self, cell: &Cell) -> Option<&CellResult> {
+        self.0.get(&cell.key())
     }
 
-    /// The failure line of every cell that did not complete clean, in
-    /// key order.
-    pub fn failures(&self) -> impl Iterator<Item = &str> {
-        self.0.values().filter_map(|r| r.as_ref().err().map(String::as_str))
+    /// `cell`'s outcome and hot-page share if it was planned and
+    /// completed clean.
+    #[must_use]
+    pub fn get(&self, cell: &Cell) -> Option<(&RunOutcome, Option<f64>)> {
+        match self.result(cell)? {
+            CellResult::Done { outcome, hot_share } if outcome.is_clean() => {
+                Some((outcome, *hot_share))
+            }
+            _ => None,
+        }
+    }
+
+    /// The [`CellResult::failure`] line of every cell that did not
+    /// complete clean, in key order, tagged with the variant unless it is
+    /// the preset.
+    pub fn failures(&self) -> impl Iterator<Item = String> + '_ {
+        self.0.iter().filter_map(|(key, r)| {
+            let line = r.failure()?;
+            Some(match key.variant {
+                Variant::Preset => line,
+                v => format!("{line} [{v:?}]"),
+            })
+        })
     }
 }
 
@@ -525,15 +509,14 @@ mod tests {
         let cfg = RunConfig::quick(MemKind::Ddr3, 100);
         let mut cfg2 = cfg;
         cfg2.seed += 1;
-        let a = cell_key(&Cell { bench: "mcf".into(), cfg });
-        let b = cell_key(&Cell { bench: "mcf".into(), cfg: cfg2 });
+        let a = Cell::new("mcf", cfg, Variant::Preset).key();
+        let b = Cell::new("mcf", cfg2, Variant::Preset).key();
         assert_eq!(a.digest, b.digest);
         assert_ne!(a.seed, b.seed);
         assert_ne!(a, b);
-        let fcfs = PlanCell::new("mcf", cfg, Variant::Fcfs).key();
+        let fcfs = Cell::new("mcf", cfg, Variant::Fcfs).key();
         assert_eq!((fcfs.digest, fcfs.seed), (a.digest, a.seed));
         assert_ne!(fcfs, a);
-        assert_eq!(PlanCell::new("mcf", cfg, Variant::Preset).key(), a);
     }
 
     #[test]
@@ -542,18 +525,18 @@ mod tests {
         let mut plan = Plan::default();
         for variant in [Variant::Preset, Variant::PagePlaced, Variant::Preset, Variant::PagePlaced]
         {
-            plan.add(PlanCell::new("stream", cfg, variant));
+            plan.add(Cell::new("stream", cfg, variant));
         }
-        plan.add(PlanCell::new("no-such-bench", cfg, Variant::Preset));
+        plan.add(Cell::new("no-such-bench", cfg, Variant::Preset));
         assert_eq!(plan.simulations(), (4, 7));
-        let results = plan.run(2, PlanCell::run);
-        let placed = results.get(&PlanCell::new("stream", cfg, Variant::PagePlaced)).expect("ran");
-        assert!(placed.hot_share.is_some_and(|s| s > 0.0 && s <= 1.0));
-        let preset = results.get(&PlanCell::new("stream", cfg, Variant::Preset)).expect("ran");
-        assert!(preset.hot_share.is_none());
-        assert!(results.get(&PlanCell::new("mcf", cfg, Variant::Preset)).is_none(), "not planned");
-        assert!(results.get(&PlanCell::new("no-such-bench", cfg, Variant::Preset)).is_none());
-        let failures: Vec<&str> = results.failures().collect();
+        let results = plan.run(2, Cell::run);
+        let (_, placed) = results.get(&Cell::new("stream", cfg, Variant::PagePlaced)).expect("ran");
+        assert!(placed.is_some_and(|s| s > 0.0 && s <= 1.0));
+        let (_, preset) = results.get(&Cell::new("stream", cfg, Variant::Preset)).expect("ran");
+        assert!(preset.is_none());
+        assert!(results.get(&Cell::new("mcf", cfg, Variant::Preset)).is_none(), "not planned");
+        assert!(results.get(&Cell::new("no-such-bench", cfg, Variant::Preset)).is_none());
+        let failures: Vec<String> = results.failures().collect();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].starts_with("FAILED no-such-bench/DDR3: unknown benchmark"));
     }
@@ -562,35 +545,58 @@ mod tests {
     fn results_come_back_in_input_order() {
         let cells =
             grid(&["stream", "mcf"], &[MemKind::Ddr3], &RunConfig::quick(MemKind::Ddr3, 120));
-        let out = run_cells_with(&cells, 2);
-        assert_eq!(out.len(), 2);
-        for (cell, r) in cells.iter().zip(&out) {
-            let m = r.metrics().expect("cell completed");
-            assert_eq!(m.bench, cell.bench);
+        let mut plan = Plan::default();
+        cells.iter().cloned().for_each(|c| plan.add(c));
+        let results = plan.run(2, Cell::run);
+        for cell in &cells {
+            let (outcome, _) = results.get(cell).expect("cell completed");
+            assert_eq!(outcome.metrics.bench, cell.bench);
         }
     }
 
     #[test]
     fn a_panicking_cell_does_not_kill_the_sweep() {
-        let good = Cell { bench: "libquantum".into(), cfg: RunConfig::quick(MemKind::Ddr3, 100) };
-        let bad = Cell { bench: "no-such-bench".into(), cfg: RunConfig::quick(MemKind::Rl, 100) };
-        let out = run_cells_with(&[bad, good], 2);
-        match &out[0] {
+        let good = Cell::new("libquantum", RunConfig::quick(MemKind::Ddr3, 100), Variant::Preset);
+        let bad = Cell::new("no-such-bench", RunConfig::quick(MemKind::Rl, 100), Variant::Preset);
+        let mut plan = Plan::default();
+        plan.add(bad.clone());
+        plan.add(good.clone());
+        let results = plan.run(2, Cell::run);
+        match results.result(&bad).expect("planned") {
             CellResult::Failed { bench, mem, error } => {
                 assert_eq!(bench, "no-such-bench");
                 assert_eq!(*mem, MemKind::Rl);
                 assert!(error.contains("unknown benchmark"), "error = {error}");
             }
-            CellResult::Done(..) => panic!("bad cell should fail"),
+            CellResult::Done { .. } => panic!("bad cell should fail"),
         }
-        assert!(out[1].metrics().is_some());
+        assert!(results.get(&good).is_some());
+    }
+
+    #[test]
+    fn a_repeated_bench_simulates_once_but_answers_every_cell() {
+        let template = RunConfig::quick(MemKind::Ddr3, 100);
+        let cells = grid(&["mcf", "stream", "mcf"], &[MemKind::Ddr3, MemKind::Ddr3], &template);
+        let runs = AtomicUsize::new(0);
+        let mut plan = Plan::default();
+        cells.iter().cloned().for_each(|c| plan.add(c));
+        assert_eq!(plan.simulations(), (2, 6));
+        let results = plan.run(2, |c: &Cell| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            c.run()
+        });
+        assert_eq!(runs.into_inner(), 2);
+        for cell in &cells {
+            let (outcome, _) = results.get(cell).expect("every grid cell has a result");
+            assert_eq!(outcome.metrics.bench, cell.bench);
+        }
     }
 
     #[test]
     fn parallel_map_preserves_order() {
         let cfg = RunConfig::quick(MemKind::Ddr3, 150);
         let items = ["stream", "mcf", "gobmk"];
-        let out = parallel_map(&items, 2, |b| crate::run_benchmark(&cfg, b));
+        let out = parallel_map(&items, 2, |b| run_benchmark_outcome(&cfg, b, None).metrics);
         for (name, m) in items.iter().zip(&out) {
             assert_eq!(*name, m.bench);
         }

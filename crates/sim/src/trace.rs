@@ -153,12 +153,6 @@ impl TraceReport {
         cwf_tracelog::perfetto::export(&self.events, &self.meta)
     }
 
-    /// The `n` slowest decomposed reads.
-    #[must_use]
-    pub fn top_slowest(&self, n: usize) -> Vec<ReadWaterfall> {
-        waterfall::top_slowest(&self.waterfalls, n)
-    }
-
     /// Render the additive `"trace"` object for the run-JSON document
     /// (`indent` is the leading whitespace of the object's lines).
     #[must_use]

@@ -11,7 +11,7 @@
 
 use sim_harness::config::MemKind;
 use sim_harness::experiments::figure;
-use sim_harness::sweep::{Plan, PlanCell};
+use sim_harness::sweep::{Cell, Plan};
 use sim_harness::CellResult;
 
 const BENCHES: [&str; 2] = ["mcf", "stream"];
@@ -45,7 +45,7 @@ fn shared_plan_renders_the_per_figure_tables() {
         ("alternatives", 0x3f6e_9992_2669_664f),
         ("alternatives", 0x20b2_b493_df77_5ae0),
     ];
-    let results = plan_of(&SIX).run(2, PlanCell::run);
+    let results = plan_of(&SIX).run(2, Cell::run);
     assert_eq!(results.failures().count(), 0);
     let got: Vec<(&str, u64)> = SIX
         .iter()
@@ -78,19 +78,14 @@ fn each_distinct_cell_is_planned_once() {
 #[test]
 fn a_failed_cell_drops_its_bench_from_the_figure() {
     let fig1 = figure("fig1").expect("simulated figure");
-    let results = plan_of(&["fig1"]).run(2, |pc: &PlanCell| {
-        if pc.cell.bench == "stream" && pc.cell.cfg.mem == MemKind::Rldram3 {
-            let failed = CellResult::Failed {
-                bench: pc.cell.bench.clone(),
-                mem: pc.cell.cfg.mem,
-                error: "injected".into(),
-            };
-            Err(failed.failure().expect("a failed cell has a verdict line"))
+    let results = plan_of(&["fig1"]).run(2, |c: &Cell| {
+        if c.bench == "stream" && c.cfg.mem == MemKind::Rldram3 {
+            CellResult::Failed { bench: c.bench.clone(), mem: c.cfg.mem, error: "injected".into() }
         } else {
-            pc.run()
+            c.run()
         }
     });
-    let failures: Vec<&str> = results.failures().collect();
+    let failures: Vec<String> = results.failures().collect();
     assert_eq!(failures, ["FAILED stream/RLDRAM3: injected"]);
     let tables = fig1.render(&BENCHES, READS, &results);
     let benches = |i: usize| tables[i].rows.iter().map(|r| r[0].as_str()).collect::<Vec<_>>();

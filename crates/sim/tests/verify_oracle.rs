@@ -8,6 +8,7 @@ use dram_timing::DeviceKind;
 use sim_harness::config::{MemBackend, MemKind};
 use sim_harness::experiments::profile_hot_pages;
 use sim_harness::report::to_json;
+use sim_harness::sweep::Variant;
 use sim_harness::{run_benchmark_outcome, Cell, CellResult, Kernel, RunConfig, RunOutcome, System};
 
 /// Three benches x six organizations (the legacy trio plus spec-layer
@@ -109,13 +110,14 @@ fn optimistic_wake_bound_is_caught_by_the_skip_monitor() {
 /// The sweep verdict on the same fault: a cell whose oracle report is
 /// unclean completes but counts as failed, exactly like a panicked one.
 /// `cwfmem sweep`, the figure drivers and `cwfmem serve` all run their
-/// cells through `CellResult::catch` and judge them by `failure`.
+/// cells through `Cell::run`, which catches with `CellResult::catch`, and
+/// judge them by `failure`.
 #[test]
 fn sweep_counts_an_unclean_cell_as_failed() {
     let mut cfg = RunConfig::quick(MemKind::Rl, 300);
     cfg.verify = true;
     cfg.kernel = Kernel::Event;
-    let cell = Cell { bench: "mcf".into(), cfg };
+    let cell = Cell::new("mcf", cfg, Variant::Preset);
     let run = |slack| {
         CellResult::catch(&cell, || {
             let profile = workloads::by_name(&cell.bench).expect("known bench");
@@ -126,7 +128,7 @@ fn sweep_counts_an_unclean_cell_as_failed() {
         })
     };
     let faulty = run(64);
-    assert!(matches!(faulty, CellResult::Done(_)), "the faulty cell still completes");
+    assert!(matches!(faulty, CellResult::Done { .. }), "the faulty cell still completes");
     let failure = faulty.failure().expect("an unclean cell must count as failed");
     assert!(failure.starts_with("UNCLEAN mcf/RL: "), "{failure}");
     assert_eq!(run(0).failure(), None, "the sound cell must pass");

@@ -205,16 +205,6 @@ fn decompose(token: RequestToken, p: &Pending) -> Option<ReadWaterfall> {
     })
 }
 
-/// The `n` slowest decomposed reads, slowest first (ties broken by
-/// token for determinism).
-#[must_use]
-pub fn top_slowest(reads: &[ReadWaterfall], n: usize) -> Vec<ReadWaterfall> {
-    let mut sorted: Vec<ReadWaterfall> = reads.to_vec();
-    sorted.sort_by(|a, b| b.total.cmp(&a.total).then(a.token.cmp(&b.token)));
-    sorted.truncate(n);
-    sorted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,22 +285,5 @@ mod tests {
         let (reads, summary) = build(&ev);
         assert!(reads.is_empty());
         assert_eq!(summary.incomplete, 0);
-    }
-
-    #[test]
-    fn top_slowest_orders_and_truncates() {
-        let mk = |tok: u64, total: u64| ReadWaterfall {
-            token: RequestToken(tok),
-            core: 0,
-            critical_word: 0,
-            demand: true,
-            alloc_at: 0,
-            total,
-            stages: [total, 0, 0, 0, 0, 0],
-        };
-        let reads = vec![mk(1, 50), mk(2, 80), mk(3, 80), mk(4, 10)];
-        let top = top_slowest(&reads, 2);
-        assert_eq!(top[0].token, RequestToken(2));
-        assert_eq!(top[1].token, RequestToken(3));
     }
 }

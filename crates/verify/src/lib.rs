@@ -129,12 +129,6 @@ impl Oracle {
         }
     }
 
-    /// Number of audited channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     fn push(&mut self, v: OracleViolation) {
         self.total_violations += 1;
         if self.violations.len() < MAX_STORED_VIOLATIONS {

@@ -9,7 +9,7 @@
 
 use cwfmem::dram::DeviceKind;
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 
 fn main() {
     for (kind, bench) in [
@@ -19,7 +19,7 @@ fn main() {
         (MemKind::Spec(DeviceKind::Ddr5), "leslie3d"),
         (MemKind::SpecCwf(DeviceKind::Rldram3, DeviceKind::Ddr5), "mcf"),
     ] {
-        let m = run_benchmark(&RunConfig::quick(kind, 1_500), bench);
+        let m = run_benchmark_outcome(&RunConfig::quick(kind, 1_500), bench, None).metrics;
         println!(
             "({:?}, \"{}\"): cycles={} insts={} reads={} writes={} hist={:?}",
             kind,

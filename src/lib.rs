@@ -14,7 +14,6 @@
 //! * [`cpu`] — a USIMM-style ROB core model.
 //! * [`workloads`] — 27 synthetic benchmark profiles (SPEC2k6 / NPB / STREAM).
 //! * [`power`] — Micron-calculator-style DRAM power and system-energy model.
-//! * [`ecc`] — SECDED Hamming(72,64) and byte parity with fault injection.
 //! * [`cwf`] — the paper's contribution: CWF heterogeneous memory systems.
 //! * [`tracelog`] — cross-layer ring-buffer event tracing with Perfetto
 //!   export and per-read latency waterfalls.
@@ -28,13 +27,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use cwfmem::sim::{run_benchmark, RunConfig};
+//! use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 //! use cwfmem::sim::config::MemKind;
 //!
 //! # fn main() {
-//! let cfg = RunConfig::quick(MemKind::Rl, 2_000);
-//! let metrics = run_benchmark(&cfg, "leslie3d");
-//! assert!(metrics.ipc_total() > 0.0);
+//! let cfg = RunConfig { verify: true, ..RunConfig::quick(MemKind::Rl, 2_000) };
+//! let outcome = run_benchmark_outcome(&cfg, "leslie3d", None);
+//! assert!(outcome.is_clean());
+//! assert!(outcome.metrics.ipc_total() > 0.0);
 //! # }
 //! ```
 
@@ -46,7 +46,6 @@ pub use cwf_speclint as speclint;
 pub use cwf_tracelog as tracelog;
 pub use dram_power as power;
 pub use dram_timing as dram;
-pub use ecc;
 pub use mem_ctrl as memctrl;
 pub use sim_harness as sim;
 pub use workloads;

@@ -18,7 +18,7 @@ use cwfmem::sim::experiments::{
     all_benches, default_benches, fig2_power_utilization, fig3_line_profiles,
     fig4_critical_word_distribution, figure,
 };
-use cwfmem::sim::sweep::{self, Plan, PlanCell, PlanResults, Variant};
+use cwfmem::sim::sweep::{self, Cell, Plan, PlanResults, Variant};
 use cwfmem::sim::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 use cwfmem::speclint::{lint_specs, scorecard_json, Diagnostic, SpecLintReport};
 use cwfmem::workloads::suite;
@@ -396,6 +396,12 @@ fn emit_run_outcome(json: bool, o: &RunOutcome) {
         println!("  bus utilization        {:.1}%", m.bus_utilization() * 100.0);
         println!("  row-buffer hit rate    {:.1}%", m.row_hit_rate() * 100.0);
         println!("  DRAM power             {:.2} W", m.dram_power_w(LpddrIo::ServerAdapted));
+        let p = m.dram_power_breakdown(LpddrIo::ServerAdapted);
+        println!(
+            "  DRAM power split       background {:.2} | activate {:.2} | read {:.2} | \
+             write {:.2} | refresh {:.2} | termination {:.2} W",
+            p.background_w, p.activate_w, p.read_w, p.write_w, p.refresh_w, p.termination_w
+        );
         if let Some(c) = m.cwf {
             println!("  critical served fast   {:.1}%", c.served_fast_fraction() * 100.0);
             println!("  fast-part head start   {:.0} CPU cycles", c.avg_head_start());
@@ -683,7 +689,7 @@ fn cmd_trace_check(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    use cwfmem::sim::{CellResult, Table};
+    use cwfmem::sim::Table;
     let f = Flags::parse(
         args,
         &["--benches", "--kinds", "--reads", "--jobs", "--json"],
@@ -714,7 +720,9 @@ fn cmd_sweep(args: &[String]) {
         benches.len(),
         kinds.len()
     );
-    let results = sweep::run_cells_with(&cells, jobs);
+    let mut plan = Plan::default();
+    cells.iter().cloned().for_each(|c| plan.add(c));
+    let results = plan.run(jobs, Cell::run);
 
     let mut cols = vec!["bench".to_owned()];
     for k in &kinds {
@@ -726,20 +734,21 @@ fn cmd_sweep(args: &[String]) {
         &cols.iter().map(String::as_str).collect::<Vec<_>>(),
     );
     let (mut failures, mut written) = (0usize, 0usize);
-    for (bench, row) in benches.iter().zip(results.chunks(kinds.len())) {
+    for (bench, row) in benches.iter().zip(cells.chunks(kinds.len())) {
         let mut cells_out = vec![(*bench).to_owned()];
-        for r in row {
+        for cell in row {
+            let r = results.result(cell).expect("every grid cell is planned");
             if let Some(e) = r.failure() {
                 failures += 1;
                 eprintln!("{e}");
                 cells_out.extend(["failed".to_owned(), "-".to_owned()]);
-            } else if let Some(m) = r.metrics() {
-                cells_out.push(format!("{:.3}", m.ipc_total()));
-                cells_out.push(format!("{:.1}", m.cw_latency_ns_quantile(0.99)));
+            } else if let Some(o) = r.outcome() {
+                cells_out.push(format!("{:.3}", o.metrics.ipc_total()));
+                cells_out.push(format!("{:.1}", o.metrics.cw_latency_ns_quantile(0.99)));
             }
             // An unclean cell's document is written too: it carries the
             // violations.
-            if let (CellResult::Done(o), Some(dir)) = (r, &json_dir) {
+            if let (Some(o), Some(dir)) = (r.outcome(), &json_dir) {
                 let m = &o.metrics;
                 let path = dir.join(format!("{}__{}.json", m.bench, m.mem.slug()));
                 if let Err(e) =
@@ -764,21 +773,21 @@ fn cmd_compare(args: &[String]) {
     let f = Flags::parse(args, &["--bench", "--reads"], &[], 0);
     let bench = f.get("--bench").unwrap_or("leslie3d");
     let template = build_config(&f, MemKind::Ddr3, 8_000);
-    let cells = MemKind::PAPER
-        .map(|mem| PlanCell::new(bench, RunConfig { mem, ..template }, Variant::Preset));
+    let cells =
+        MemKind::PAPER.map(|mem| Cell::new(bench, RunConfig { mem, ..template }, Variant::Preset));
     let mut plan = Plan::default();
     cells.iter().cloned().for_each(|c| plan.add(c));
-    let results = plan.run(sweep::jobs(), PlanCell::run);
+    let results = plan.run(sweep::jobs(), Cell::run);
     let failures = report_failures(&results);
     println!(
         "{:<10} {:>8} {:>9} {:>12} {:>9} {:>8}",
         "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W", "cw-fast"
     );
     // `MemKind::PAPER` starts with the DDR3 baseline.
-    let base = results.get(&cells[0]).map(|r| r.outcome.metrics.ipc_total());
+    let base = results.get(&cells[0]).map(|(o, _)| o.metrics.ipc_total());
     for cell in &cells {
-        let Some(run) = results.get(cell) else { continue };
-        let m = &run.outcome.metrics;
+        let Some((outcome, _)) = results.get(cell) else { continue };
+        let m = &outcome.metrics;
         let ipc = m.ipc_total();
         println!(
             "{:<10} {:>8.2} {:>9} {:>12.1} {:>9.2} {:>8}",
@@ -858,7 +867,7 @@ fn cmd_figures(args: &[String]) {
         fig.plan(&mut plan, &benches, reads);
     }
     let (ran, requested) = plan.simulations();
-    let results = plan.run(sweep::jobs(), PlanCell::run);
+    let results = plan.run(sweep::jobs(), Cell::run);
     eprintln!("figures: ran {ran} simulations of {requested} requested");
     let failures = report_failures(&results);
 

@@ -6,12 +6,26 @@
 
 use cwfmem::power::LpddrIo;
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, RunConfig, RunMetrics};
 
 const READS: u64 = 4_000;
 
+/// Run `bench` under `cfg` and require a clean oracle verdict (verify
+/// defaults on in debug builds, where these tests run).
+fn clean_run(cfg: &RunConfig, bench: &str) -> RunMetrics {
+    let o = run_benchmark_outcome(cfg, bench, None);
+    assert!(
+        o.is_clean(),
+        "{bench}/{}: {} violation(s), first: {:?}",
+        cfg.mem.label(),
+        o.verify.as_ref().map_or(0, |v| v.total_violations),
+        o.verify.as_ref().and_then(|v| v.violations.first().map(ToString::to_string))
+    );
+    o.metrics
+}
+
 fn ipc(kind: MemKind, bench: &str) -> f64 {
-    run_benchmark(&RunConfig::paper(kind, READS), bench).ipc_total()
+    clean_run(&RunConfig::paper(kind, READS), bench).ipc_total()
 }
 
 #[test]
@@ -70,8 +84,8 @@ fn random_mapping_forfeits_the_gains() {
 fn critical_word_latency_improves_under_rl() {
     // Figure 7: the requested word arrives earlier under RL.
     let bench = "libquantum";
-    let base = run_benchmark(&RunConfig::paper(MemKind::Ddr3, READS), bench);
-    let rl = run_benchmark(&RunConfig::paper(MemKind::Rl, READS), bench);
+    let base = clean_run(&RunConfig::paper(MemKind::Ddr3, READS), bench);
+    let rl = clean_run(&RunConfig::paper(MemKind::Rl, READS), bench);
     assert!(
         rl.avg_cw_latency_ns() < base.avg_cw_latency_ns(),
         "RL cw {:.1}ns vs DDR3 {:.1}ns",
@@ -84,7 +98,7 @@ fn critical_word_latency_improves_under_rl() {
 fn served_fast_tracks_word0_fraction() {
     // Figure 8 ≈ Figure 4: under Static0, the fast-DIMM hit rate equals
     // the word-0 critical fraction.
-    let m = run_benchmark(&RunConfig::paper(MemKind::Rl, READS), "leslie3d");
+    let m = clean_run(&RunConfig::paper(MemKind::Rl, READS), "leslie3d");
     let cwf = m.cwf.expect("RL is CWF");
     let diff = (cwf.served_fast_fraction() - m.hier.word0_fraction()).abs();
     assert!(
@@ -99,7 +113,7 @@ fn served_fast_tracks_word0_fraction() {
 #[test]
 fn fast_part_head_start_is_tens_of_cycles() {
     // §1/§4.2.2: "the critical word arrives tens of cycles earlier".
-    let m = run_benchmark(&RunConfig::paper(MemKind::Rl, READS), "libquantum");
+    let m = clean_run(&RunConfig::paper(MemKind::Rl, READS), "libquantum");
     let head = m.cwf.expect("RL").avg_head_start();
     assert!((20.0..=800.0).contains(&head), "head start {head:.0} CPU cycles");
 }
@@ -108,8 +122,8 @@ fn fast_part_head_start_is_tens_of_cycles() {
 fn dl_saves_memory_power_but_loses_performance() {
     // Figure 6 + Figure 10: DL is the power-optimized point.
     let bench = "zeusmp";
-    let base = run_benchmark(&RunConfig::paper(MemKind::Ddr3, READS), bench);
-    let dl = run_benchmark(&RunConfig::paper(MemKind::Dl, READS), bench);
+    let base = clean_run(&RunConfig::paper(MemKind::Ddr3, READS), bench);
+    let dl = clean_run(&RunConfig::paper(MemKind::Dl, READS), bench);
     assert!(dl.ipc_total() < base.ipc_total(), "DL is slower");
     assert!(
         dl.dram_power_w(LpddrIo::ServerAdapted) < base.dram_power_w(LpddrIo::ServerAdapted),
@@ -126,8 +140,8 @@ fn parity_errors_defer_wakes_end_to_end() {
     let mut faulty = clean;
     faulty.parity_error_rate = 1.0;
     let bench = "stream";
-    let m_clean = run_benchmark(&clean, bench);
-    let m_faulty = run_benchmark(&faulty, bench);
+    let m_clean = clean_run(&clean, bench);
+    let m_faulty = clean_run(&faulty, bench);
     let c_clean = m_clean.cwf.expect("RL");
     let c_faulty = m_faulty.cwf.expect("RL");
     assert!(c_clean.served_fast_fraction() > 0.5);
@@ -139,8 +153,8 @@ fn parity_errors_defer_wakes_end_to_end() {
 #[test]
 fn determinism_across_identical_configs() {
     let cfg = RunConfig::paper(MemKind::RlAdaptive, 2_000);
-    let a = run_benchmark(&cfg, "mcf");
-    let b = run_benchmark(&cfg, "mcf");
+    let a = clean_run(&cfg, "mcf");
+    let b = clean_run(&cfg, "mcf");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.insts_per_core, b.insts_per_core);
     assert_eq!(a.hier.critical_word_hist, b.hier.critical_word_hist);
@@ -148,7 +162,7 @@ fn determinism_across_identical_configs() {
 
 #[test]
 fn run_reaches_its_read_target() {
-    let m = run_benchmark(&RunConfig::paper(MemKind::Rl, 3_000), "milc");
+    let m = clean_run(&RunConfig::paper(MemKind::Rl, 3_000), "milc");
     assert!(m.dram_reads >= 3_000);
     assert!(m.dram_writes > 0, "warmed L2 produces writebacks");
 }

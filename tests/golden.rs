@@ -4,11 +4,12 @@
 //! model or CWF logic shifts these numbers. That is intentional — a
 //! failing golden test means "the simulation changed; re-validate the
 //! figure shapes in EXPERIMENTS.md and update the pins deliberately"
-//! (regenerate with `cargo run --release --example golden_gen`).
+//! (regenerate with `cargo run --release --example golden_gen`). Every pinned
+//! run must also be oracle-clean; verify defaults on in debug builds.
 
 use cwfmem::dram::DeviceKind;
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::{run_benchmark, RunConfig};
+use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 
 struct Golden {
     kind: MemKind,
@@ -72,7 +73,15 @@ const GOLDEN: [Golden; 5] = [
 #[test]
 fn golden_metrics_are_stable() {
     for g in &GOLDEN {
-        let m = run_benchmark(&RunConfig::quick(g.kind, 1_500), g.bench);
+        let o = run_benchmark_outcome(&RunConfig::quick(g.kind, 1_500), g.bench, None);
+        assert!(
+            o.is_clean(),
+            "{:?}/{}: {} violation(s)",
+            g.kind,
+            g.bench,
+            o.verify.as_ref().map_or(0, |v| v.total_violations)
+        );
+        let m = o.metrics;
         assert_eq!(m.cycles, g.cycles, "{:?}/{}: cycles", g.kind, g.bench);
         assert_eq!(
             m.insts_per_core.iter().sum::<u64>(),

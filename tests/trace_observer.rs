@@ -9,13 +9,13 @@
 
 use cwfmem::sim::config::MemKind;
 use cwfmem::sim::report::to_json;
-use cwfmem::sim::{run_benchmark, run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
+use cwfmem::sim::{run_benchmark_outcome, Kernel, RunConfig, RunOutcome};
 
 /// Run `bench` with tracing off and on (verify pinned off so only the
 /// trace flag varies) and assert the metrics JSON is byte-identical.
 fn assert_trace_is_pure(mem: MemKind, kernel: Kernel, bench: &str) {
     let base = RunConfig { kernel, verify: false, trace: false, ..RunConfig::quick(mem, 400) };
-    let plain = run_benchmark(&base, bench);
+    let plain = run_benchmark_outcome(&base, bench, None).metrics;
 
     let traced_cfg = RunConfig { trace: true, ..base };
     let RunOutcome { metrics: traced, verify, trace, .. } =
@@ -63,7 +63,7 @@ fn trace_coexists_with_verify_oracle() {
     // Tracing alongside the verify oracle: both observers share one
     // audit drain, and neither perturbs the metrics.
     let base = RunConfig { verify: true, trace: false, ..RunConfig::quick(MemKind::Rl, 400) };
-    let plain = run_benchmark(&base, "mcf");
+    let plain = run_benchmark_outcome(&base, "mcf", None).metrics;
 
     let both = RunConfig { trace: true, ..base };
     let RunOutcome { metrics: traced, verify, trace, .. } =
