@@ -504,57 +504,39 @@ impl Channel {
         }
     }
 
-    /// Idle-state management: if a rank has been idle long enough, drop it
-    /// into power-down or self-refresh per the device's sleep policy.
-    /// Returns `true` if a state change happened for `rank`.
-    pub fn maybe_sleep(&mut self, rank: u8, now: u64, queue_empty: bool) -> bool {
-        let cfg_pd = self.cfg.powerdown_idle_cycles;
-        let cfg_sr = self.cfg.self_refresh_idle_cycles;
-        if cfg_pd == 0 || !queue_empty {
+    /// Idle-state management: if an idle rank has been idle long enough,
+    /// drop it into power-down or self-refresh per the device's sleep
+    /// policy ([`Rank::sleep_at`]). Returns `true` if a state change
+    /// happened for `rank`.
+    pub fn maybe_sleep(&mut self, rank: u8, now: u64) -> bool {
+        let r = &mut self.ranks[usize::from(rank)];
+        if r.sleep_at(&self.cfg).is_none_or(|at| now < at) {
             return false;
         }
-        let r = &mut self.ranks[usize::from(rank)];
-        let idle = now.saturating_sub(r.last_activity);
-        let changed = match r.power_state() {
-            PowerState::Up => {
-                if idle >= u64::from(cfg_pd) {
-                    r.enter_powerdown(now);
-                    true
-                } else {
-                    false
-                }
-            }
-            PowerState::PowerDown => {
-                if cfg_sr > 0 && idle >= u64::from(cfg_sr) && r.open_banks() == 0 {
-                    // Escalate: wake (instantaneous model for the CKE toggle)
-                    // then drop to self-refresh.
-                    r.wake(now, &self.cfg);
-                    r.enter_self_refresh(now);
-                    true
-                } else {
-                    false
-                }
-            }
-            PowerState::SelfRefresh => false,
-        };
-        if changed {
-            // The PD→SR escalation path goes through `Rank::wake`, which can
-            // move `next_cmd_ok` — invalidate the memoized bounds.
-            self.bump_rank_gen(rank);
-            let state = self.ranks[usize::from(rank)].power_state();
-            if let Some(log) = &mut self.power_log {
-                log.push((now, rank, state));
-            }
+        if r.power_state() == PowerState::PowerDown {
+            // Escalate: wake (instantaneous model for the CKE toggle) then
+            // drop to self-refresh.
+            r.wake(now, &self.cfg);
+            r.enter_self_refresh(now);
+        } else {
+            r.enter_powerdown(now);
         }
-        changed
+        let state = r.power_state();
+        // The PD→SR escalation path goes through `Rank::wake`, which can
+        // move `next_cmd_ok` — invalidate the memoized bounds.
+        self.bump_rank_gen(rank);
+        if let Some(log) = &mut self.power_log {
+            log.push((now, rank, state));
+        }
+        true
     }
 
     /// Wake `rank` so commands become legal; returns the ready cycle.
     pub fn wake_rank(&mut self, rank: u8, now: u64) -> u64 {
-        let cfg = self.cfg.clone();
         self.bump_rank_gen(rank);
-        let was = self.ranks[usize::from(rank)].power_state();
-        let ready = self.ranks[usize::from(rank)].wake(now, &cfg);
+        let r = &mut self.ranks[usize::from(rank)];
+        let was = r.power_state();
+        let ready = r.wake(now, &self.cfg);
         if was != PowerState::Up {
             if let Some(log) = &mut self.power_log {
                 log.push((now, rank, PowerState::Up));
@@ -766,10 +748,10 @@ mod tests {
     #[test]
     fn sleep_policy_escalates_to_self_refresh() {
         let mut ch = Channel::new(DeviceConfig::lpddr2_800(), 1);
-        assert!(!ch.maybe_sleep(0, 5, true));
-        assert!(ch.maybe_sleep(0, 12, true)); // fast PD after 12 idle cycles
+        assert!(!ch.maybe_sleep(0, 5));
+        assert!(ch.maybe_sleep(0, 12)); // fast PD after 12 idle cycles
         assert_eq!(ch.ranks()[0].power_state(), PowerState::PowerDown);
-        assert!(ch.maybe_sleep(0, 650, true)); // deep sleep
+        assert!(ch.maybe_sleep(0, 650)); // deep sleep
         assert_eq!(ch.ranks()[0].power_state(), PowerState::SelfRefresh);
     }
 

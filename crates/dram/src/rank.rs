@@ -236,6 +236,23 @@ impl Rank {
         self.power = PowerState::SelfRefresh;
     }
 
+    /// The cycle at which this rank, left idle, drops into its next sleep
+    /// state under `cfg`'s policy: power-down, then self-refresh once
+    /// every bank is closed. `None` when it never does.
+    #[must_use]
+    pub fn sleep_at(&self, cfg: &DeviceConfig) -> Option<u64> {
+        if cfg.powerdown_idle_cycles == 0 {
+            return None;
+        }
+        match self.power {
+            PowerState::Up => Some(self.last_activity + u64::from(cfg.powerdown_idle_cycles)),
+            PowerState::PowerDown if cfg.self_refresh_idle_cycles > 0 && self.open_banks() == 0 => {
+                Some(self.last_activity + u64::from(cfg.self_refresh_idle_cycles))
+            }
+            _ => None,
+        }
+    }
+
     /// Wake the rank at `now`; commands become legal after the exit latency.
     ///
     /// Returns the cycle at which the rank is usable.

@@ -62,7 +62,7 @@ fn apply(ch: &mut Channel, cfg: &DeviceConfig, s: Step, mut now: u64) -> u64 {
         Step::Sleep => {
             if ch.ranks()[0].power_state() == PowerState::Up {
                 now += u64::from(cfg.powerdown_idle_cycles) + 1;
-                ch.maybe_sleep(0, now, true);
+                ch.maybe_sleep(0, now);
             }
         }
         Step::Wake => now = now.max(ch.wake_rank(0, now)),
@@ -115,7 +115,7 @@ proptest! {
                 // A batched skip: jump the clock, then act at the landing
                 // cycle exactly as the controller's wake-up would.
                 now += jumps.next().expect("cycle() never ends");
-                ch.maybe_sleep(0, now, true);
+                ch.maybe_sleep(0, now);
             }
         }
         let end = now + 100;

@@ -1,84 +1,22 @@
-//! A per-channel FR-FCFS transaction scheduler (USIMM-style).
+//! One memory channel's controller (paper §5, Table 1).
 //!
-//! Each controller owns one [`Channel`] and two transaction queues. Per
-//! device cycle it issues at most one DRAM command, chosen by
-//! First-Ready-First-Come-First-Served order:
-//!
-//! 1. oldest transaction whose **column** command is ready (row-buffer hit),
-//! 2. oldest whose **activate** is ready,
-//! 3. oldest needing a **precharge** (row conflict), provided no older
-//!    queued transaction still wants the currently open row.
-//!
-//! Demand reads outrank prefetch reads until a prefetch exceeds the age
-//! threshold, at which point it is promoted (paper §5). Writes are
-//! scheduled in drain mode, entered above the high watermark and left at
-//! the low watermark (Table 1: 48-entry queues, watermarks 32/16), or
-//! opportunistically when the read queue is empty.
+//! A [`Controller`] composes three decisions over one [`Channel`]: the
+//! FR-FCFS transaction scheduler (`sched.rs`), the refresh unit
+//! (`refresh.rs`) and the power-down glue, whose state lives in the
+//! channel's ranks. Each decision is written once and read twice: by
+//! [`Controller::tick_mem`], and by [`Controller::next_activity_mem`],
+//! the event kernel's wake bound, which is the minimum of the scheduler,
+//! refresh and power bounds.
 
-use std::cell::Cell;
-
-use dram_timing::{
-    AddressingStyle, BankState, Channel, Command, DeviceConfig, DeviceKind, PagePolicy, PowerState,
-};
+use dram_timing::{Channel, Command, DeviceConfig, DeviceKind, PagePolicy, PowerState};
 
 use cwf_tracelog::TraceEvent;
 
 use crate::mapping::Loc;
+use crate::refresh::RefreshUnit;
 use crate::request::Token;
-use crate::txnq::{Txn, TxnQueue};
-
-/// Command kinds of a scheduler decision, and their index within a
-/// class's three [`Controller::scan`] slots: column, activate, precharge.
-const COL: usize = 0;
-const ACT: usize = 1;
-const PRE: usize = 2;
-/// Offset of the prefetch class's slots (demand's start at 0).
-const PREFETCH: usize = 3;
-
-/// A scheduler decision: the queue (`true` for reads), the command kind
-/// ([`COL`], [`ACT`] or [`PRE`]) and the transaction's queue slot.
-type Pick = (bool, usize, u32);
-
-/// Transaction scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// First-Ready-FCFS: row hits jump ahead (the paper's policy, §5).
-    FrFcfs,
-    /// Strict in-order FCFS: only the oldest transaction's next command
-    /// may issue (ablation baseline).
-    Fcfs,
-}
-
-/// Tunable controller parameters (defaults follow the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtrlParams {
-    /// Read queue capacity.
-    pub read_q_capacity: usize,
-    /// Write queue capacity.
-    pub write_q_capacity: usize,
-    /// Enter write-drain mode at this write-queue occupancy.
-    pub wq_high: usize,
-    /// Leave write-drain mode at this occupancy.
-    pub wq_low: usize,
-    /// Prefetch age (device cycles) after which a prefetch read is promoted
-    /// to demand priority.
-    pub prefetch_promote_age: u64,
-    /// Scheduling policy.
-    pub policy: SchedPolicy,
-}
-
-impl Default for CtrlParams {
-    fn default() -> Self {
-        CtrlParams {
-            read_q_capacity: 48,
-            write_q_capacity: 48,
-            wq_high: 32,
-            wq_low: 16,
-            prefetch_promote_age: 400,
-            policy: SchedPolicy::FrFcfs,
-        }
-    }
-}
+pub use crate::sched::{CtrlParams, SchedPolicy};
+use crate::sched::{Issued, Scheduler};
 
 /// A completed read, in device-cycle units (the owner converts to CPU
 /// cycles using the channel's clock ratio).
@@ -153,31 +91,16 @@ impl ControllerStats {
     }
 }
 
-/// One memory channel's transaction scheduler.
+/// One memory channel's controller: the channel, its scheduler and
+/// refresh unit, the power glue, completions, statistics and the trace
+/// sink.
 #[derive(Debug)]
 pub struct Controller {
-    cfg: DeviceConfig,
-    params: CtrlParams,
     label: String,
     chips_per_access: u32,
     channel: Channel,
-    read_q: TxnQueue,
-    write_q: TxnQueue,
-    drain: bool,
-    /// Cached "no scheduler action before this cycle" bound: while `now`
-    /// is strictly below it, `tick_mem` skips the drain-hysteresis check
-    /// and every FR-FCFS selection pass outright. Derived from
-    /// [`Self::sched_bound`] after a fruitless schedule round; reset to 0
-    /// (unknown) by anything that can create or accelerate a candidate —
-    /// an enqueue, any command issue, or a rank wake.
-    sched_idle_until: u64,
-    /// The scheduler bound [`Self::next_activity_mem`] last folded while
-    /// `sched_idle_until` had lapsed, kept for [`Self::settle_idle_tick`]
-    /// to store instead of folding again. Every `&mut` entry that can
-    /// change a folded input clears it. Not checkpointed.
-    sched_fold: Cell<Option<u64>>,
-    refresh_deadline: Vec<u64>,
-    refresh_bank_rr: Vec<u8>,
+    sched: Scheduler,
+    refresh: RefreshUnit,
     completions: Vec<ReadCompletion>,
     mem_cycles: u64,
     reads_done: u64,
@@ -185,17 +108,6 @@ pub struct Controller {
     sum_queue_mem: u64,
     sum_service_mem: u64,
     read_lat_hist: dram_timing::stats::LatencyHist,
-    next_token: u64,
-    /// Fault injection: number of upcoming refresh obligations to skip
-    /// silently (deadline re-armed, no command issued). Only the verify
-    /// oracle's seeded-fault tests set this.
-    fault_drop_refreshes: u32,
-    /// Fault injection: number of upcoming refresh obligations to re-arm
-    /// as if the device were in self-refresh (silent `now + tREFI` reset,
-    /// no command, rank awake) — the exact behavior of the old
-    /// `tick_refresh` self-refresh branch when it fired on a woken rank.
-    /// Only the verify oracle's seeded-fault tests set this.
-    fault_phantom_self_refresh: u32,
     /// Request-linked trace sink (None ⇒ tracing off, zero work).
     trace: Option<TraceSink>,
 }
@@ -228,22 +140,12 @@ impl Controller {
         label: &str,
         params: CtrlParams,
     ) -> Self {
-        let t_refi = u64::from(cfg.timings.t_refi);
-        let banks = cfg.geometry.banks;
-        let channel = Channel::new(cfg.clone(), ranks);
         Controller {
-            cfg,
-            params,
             label: label.to_owned(),
             chips_per_access,
-            channel,
-            read_q: TxnQueue::new(ranks, banks),
-            write_q: TxnQueue::new(ranks, banks),
-            drain: false,
-            sched_idle_until: 0,
-            sched_fold: Cell::new(None),
-            refresh_deadline: (0..ranks).map(|r| t_refi.max(1) + u64::from(r) * 7).collect(),
-            refresh_bank_rr: vec![0; ranks as usize],
+            sched: Scheduler::new(params, ranks, cfg.geometry.banks),
+            refresh: RefreshUnit::new(&cfg, ranks),
+            channel: Channel::new(cfg, ranks),
             completions: Vec::new(),
             mem_cycles: 0,
             reads_done: 0,
@@ -251,9 +153,6 @@ impl Controller {
             sum_queue_mem: 0,
             sum_service_mem: 0,
             read_lat_hist: dram_timing::stats::LatencyHist::default(),
-            next_token: 0,
-            fault_drop_refreshes: 0,
-            fault_phantom_self_refresh: 0,
             trace: None,
         }
     }
@@ -264,7 +163,7 @@ impl Controller {
     pub fn enable_trace(&mut self, channel: u16) {
         self.trace = Some(TraceSink {
             channel,
-            ratio: u64::from(self.cfg.cpu_cycles_per_mem_cycle).max(1),
+            ratio: u64::from(self.config().cpu_cycles_per_mem_cycle).max(1),
             events: Vec::new(),
         });
     }
@@ -283,7 +182,7 @@ impl Controller {
     /// command goes to the devices. Exists solely so the verify oracle's
     /// seeded-fault tests can prove the refresh ledger is not vacuous.
     pub fn inject_drop_refresh(&mut self, n: u32) {
-        self.fault_drop_refreshes = n;
+        self.refresh.fault_drop_refreshes = n;
     }
 
     /// Fault injection: make the next `n` refresh obligations behave like
@@ -292,13 +191,13 @@ impl Controller {
     /// solely so the seeded-fault tests can prove the refresh ledger
     /// catches that (since-fixed) behavior.
     pub fn inject_phantom_self_refresh(&mut self, n: u32) {
-        self.fault_phantom_self_refresh = n;
+        self.refresh.fault_phantom_self_refresh = n;
     }
 
     /// Device configuration behind this channel.
     #[must_use]
     pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
+        self.channel.config()
     }
 
     /// Reporting label given at construction (e.g. `"ddr3-ch0"`).
@@ -310,25 +209,25 @@ impl Controller {
     /// True if a read can currently be accepted.
     #[must_use]
     pub fn read_space(&self) -> bool {
-        self.read_q.len() < self.params.read_q_capacity
+        self.sched.read_space()
     }
 
     /// True if a write can currently be accepted.
     #[must_use]
     pub fn write_space(&self) -> bool {
-        self.write_q.len() < self.params.write_q_capacity
+        self.sched.write_space()
     }
 
     /// Current read-queue occupancy.
     #[must_use]
     pub fn read_q_len(&self) -> usize {
-        self.read_q.len()
+        self.sched.read_q.len()
     }
 
     /// Current write-queue occupancy.
     #[must_use]
     pub fn write_q_len(&self) -> usize {
-        self.write_q.len()
+        self.sched.write_q.len()
     }
 
     /// Enqueue a read transaction; returns `false` when the read queue is
@@ -340,12 +239,9 @@ impl Controller {
         prefetch: bool,
         enqueue_mem: u64,
     ) -> bool {
-        if !self.read_space() {
+        if !self.sched.enqueue_read(token, loc, prefetch, enqueue_mem) {
             return false;
         }
-        self.read_q.push(token, loc, prefetch, enqueue_mem);
-        self.sched_idle_until = 0;
-        self.sched_fold.set(None);
         if let Some(t) = self.trace.as_mut() {
             t.events.push(TraceEvent::McEnqueue {
                 token,
@@ -358,25 +254,17 @@ impl Controller {
 
     /// Enqueue a writeback; returns `false` when the write queue is full.
     pub fn enqueue_write(&mut self, loc: Loc, enqueue_mem: u64) -> bool {
-        if !self.write_space() {
-            return false;
-        }
-        let token = Token(u64::MAX - self.next_token);
-        self.next_token += 1;
-        self.write_q.push(token, loc, false, enqueue_mem);
-        self.sched_idle_until = 0;
-        self.sched_fold.set(None);
-        true
+        self.sched.enqueue_write(loc, enqueue_mem)
     }
 
-    /// Take the read completions produced since the last call.
+    /// Take the read completions produced since the last call (the
+    /// allocating form of [`Controller::drain_completions`]).
     pub fn take_completions(&mut self) -> Vec<ReadCompletion> {
         std::mem::take(&mut self.completions)
     }
 
     /// Drain the read completions produced since the last call, keeping
-    /// the buffer for reuse (the allocation-free form of
-    /// [`Controller::take_completions`]).
+    /// the buffer for reuse.
     pub fn drain_completions(&mut self) -> std::vec::Drain<'_, ReadCompletion> {
         self.completions.drain(..)
     }
@@ -407,644 +295,164 @@ impl Controller {
     /// address/command bus gave this cycle's slot to a sibling sub-channel
     /// (§4.2.4). Returns `true` iff a command was issued.
     pub fn tick_mem(&mut self, now: u64, cmd_allowed: bool) -> bool {
-        self.sched_fold.set(None);
+        self.sched.forget_fold();
         self.mem_cycles = self.mem_cycles.max(now + 1);
         self.manage_power(now);
         if !cmd_allowed {
             return false;
         }
-        if self.tick_refresh(now) {
-            self.sched_idle_until = 0;
-            return true;
+        if let Some(issued) = self.refresh.tick(&mut self.channel, now) {
+            self.sched.invalidate();
+            if issued {
+                return true;
+            }
         }
-        // The memoized ready-cycles prove no scheduler candidate (and no
-        // pending drain flip) before this bound — skip the whole round.
-        if now < self.sched_idle_until {
-            return false;
-        }
-        let issued = self.schedule_round(now);
-        self.sched_idle_until = if issued { 0 } else { self.sched_bound(now) };
-        issued
-    }
-
-    /// Leave the controller exactly as a `tick_mem(now, true)` that finds
-    /// nothing to do would: the device-cycle counter advances and a lapsed
-    /// scheduler bound is re-derived. Both are checkpointed, so a caller
-    /// that skips a tick [`Self::next_activity_mem`] proves idle must call
-    /// this in its place to keep checkpoints byte-identical.
-    ///
-    /// A lapsed bound is re-derived from the scheduler fold that proof
-    /// kept, when it kept one, instead of folding again. The fold ran at
-    /// some t0 < `now` and nothing has changed the controller since; the
-    /// wake bound, which does not exceed the fold, is above `now`. So
-    /// every folded candidate's ready cycle is above `now` and reads the
-    /// same at `now` as at t0, and no busy rank's refresh deadline (folded
-    /// into the wake bound too) has passed: a fresh fold returns the same
-    /// value.
-    pub(crate) fn settle_idle_tick(&mut self, now: u64) {
-        self.mem_cycles = self.mem_cycles.max(now + 1);
-        if now >= self.sched_idle_until {
-            self.sched_idle_until = match self.sched_fold.take() {
-                Some(bound) => {
-                    debug_assert_eq!(bound, self.sched_bound(now), "{}: stale fold", self.label);
-                    bound
-                }
-                None => self.sched_bound(now),
-            };
-        }
-    }
-
-    /// Forget the scheduler fold kept for [`Self::settle_idle_tick`], for
-    /// a caller about to change the controller through a path that does
-    /// not clear it itself.
-    pub(crate) fn forget_sched_fold(&mut self) {
-        self.sched_fold.set(None);
-    }
-
-    /// One scheduler round: apply the write-drain hysteresis, then issue
-    /// [`Self::round_pick`]'s decision. Returns `true` iff a command issued.
-    fn schedule_round(&mut self, now: u64) -> bool {
-        // Write-drain hysteresis.
-        let was_draining = self.drain;
-        if self.write_q.len() >= self.params.wq_high {
-            self.drain = true;
-        } else if self.write_q.len() <= self.params.wq_low {
-            self.drain = false;
-        }
-        if self.drain != was_draining {
+        let draining = self.sched.drain;
+        let issued = self.sched.tick(&mut self.channel, &self.refresh, now);
+        if self.sched.drain != draining {
             if let Some(t) = self.trace.as_mut() {
                 let at = now * t.ratio;
-                t.events.push(if self.drain {
+                t.events.push(if self.sched.drain {
                     TraceEvent::McDrainEnter { channel: t.channel, at }
                 } else {
                     TraceEvent::McDrainExit { channel: t.channel, at }
                 });
             }
         }
-        let Some((reads, kind, slot)) = self.round_pick(now) else {
+        let Some(issued) = issued else {
             return false;
         };
-        match kind {
-            COL => self.issue_column(now, reads, slot),
-            ACT => self.issue_activate(now, reads, slot),
-            _ => self.issue_precharge(now, reads, slot),
-        }
+        self.record(now, issued);
         true
     }
 
-    /// The command a scheduler round issues under the current drain mode.
-    ///
-    /// Outside drain mode the read queue goes first, or the write queue
-    /// when no read waits. In drain mode the write queue goes first, then
-    /// the read queue — except that a read whose row is already open (a
-    /// row-buffer hit) may bypass the drain: it costs the write stream
-    /// almost nothing and avoids multi-hundred-cycle read blackouts. When
-    /// the write queue is nearly overflowing, writes go unconditionally
-    /// first.
-    fn round_pick(&self, now: u64) -> Option<Pick> {
-        if !self.drain {
-            return self.pick(now, !self.read_q.is_empty());
-        }
-        let urgent = self.write_q.len() + 2 >= self.params.write_q_capacity;
-        if !urgent {
-            let reads = self.scan(now, true);
-            if let Some(slot) = reads[COL].or(reads[PREFETCH + COL]) {
-                return Some((true, COL, slot));
-            }
-        }
-        self.pick(now, false).or_else(|| self.pick(now, true))
+    /// Leave the controller exactly as a `tick_mem(now, true)` that finds
+    /// nothing to do would: the device-cycle counter advances and a lapsed
+    /// scheduler idle bound is re-derived, from the bound the last
+    /// [`Self::next_activity_mem`] kept when it kept one. Both are
+    /// checkpointed, so a caller that skips a tick `next_activity_mem`
+    /// proves idle must call this in its place to keep checkpoints
+    /// byte-identical.
+    pub(crate) fn settle_idle_tick(&mut self, now: u64) {
+        self.mem_cycles = self.mem_cycles.max(now + 1);
+        self.sched.settle(&self.channel, &self.refresh, now);
     }
 
-    /// How far ahead of a refresh deadline the power manager must wake a
-    /// powered-down rank (and stop putting ranks to sleep), derived from
-    /// the device timing parameters:
-    ///
-    /// ```text
-    /// lead = tXP + (open > 0 ? tRP + open - 1 : 0)
-    /// ```
-    ///
-    /// `manage_power` runs before `tick_refresh` within the same device
-    /// cycle, so a rank woken at `deadline - tXP` has
-    /// `next_cmd_ok = deadline` and its REF becomes legal exactly at the
-    /// deadline. When the rank powered down with `open` rows still open,
-    /// the REF must additionally wait for the serialized precharges that
-    /// close them: the last of `open` precharges issues `open - 1` cycles
-    /// after the first legal command slot, and its bank is idle `tRP`
-    /// later. A powered-down rank's open-bank mask is frozen (no command
-    /// can issue), so the lead is stable for the whole sleep.
-    fn refresh_wake_ahead(&self, rank: usize) -> u64 {
-        let t = &self.cfg.timings;
-        let open = u64::from(self.channel.ranks()[rank].open_mask().count_ones());
-        let pre_lead = if open > 0 { u64::from(t.t_rp) + open - 1 } else { 0 };
-        u64::from(t.t_xp) + pre_lead
+    /// Forget the scheduler fold kept for [`Self::settle_idle_tick`], for
+    /// a caller about to change the controller through a path that does
+    /// not clear it itself.
+    pub(crate) fn forget_sched_fold(&mut self) {
+        self.sched.forget_fold();
     }
 
-    /// Wake ranks that have pending work; sleep ranks that do not.
+    /// Wake ranks that have pending work or a refresh coming due; sleep
+    /// ranks that have neither.
     fn manage_power(&mut self, now: u64) {
-        let ranks = self.channel.ranks().len();
-        for r in 0..ranks {
-            let r8 = r as u8;
-            let busy = self.read_q.rank_busy(r) || self.write_q.rank_busy(r);
-            let refresh_due = self.cfg.timings.t_refi != 0
-                && now + self.refresh_wake_ahead(r) >= self.refresh_deadline[r];
+        for r in 0..self.channel.ranks().len() {
+            let busy = self.sched.rank_busy(r);
+            let refresh_due = self.refresh.due(&self.channel, r, now);
             let state = self.channel.ranks()[r].power_state();
             if busy || (refresh_due && state == PowerState::PowerDown) {
                 if state != PowerState::Up {
-                    self.channel.wake_rank(r8, now);
-                    if state == PowerState::SelfRefresh && self.cfg.timings.t_refi != 0 {
-                        // Self-refresh maintained the array internally; the
-                        // external refresh cadence restarts one full
-                        // interval after wake-up (the verify ledger's
-                        // suspension semantics).
-                        self.refresh_deadline[r] = now + u64::from(self.cfg.timings.t_refi);
+                    self.channel.wake_rank(r as u8, now);
+                    if state == PowerState::SelfRefresh {
+                        self.refresh.restart(r, now);
                     }
                     // A wake can pull scheduler candidates earlier.
-                    self.sched_idle_until = 0;
+                    self.sched.invalidate();
                 }
-            } else if !busy && !refresh_due && state != PowerState::SelfRefresh {
-                self.channel.maybe_sleep(r8, now, true);
+            } else if !refresh_due && state != PowerState::SelfRefresh {
+                self.channel.maybe_sleep(r as u8, now);
             }
         }
     }
 
-    /// Handle refresh obligations. Returns `true` if a command was issued.
-    fn tick_refresh(&mut self, now: u64) -> bool {
-        if self.cfg.timings.t_refi == 0 {
-            return false;
-        }
-        let t_refi = u64::from(self.cfg.timings.t_refi);
-        for r in 0..self.channel.ranks().len() {
-            if now < self.refresh_deadline[r] {
-                continue;
-            }
-            let r8 = r as u8;
-            if self.channel.ranks()[r].power_state() == PowerState::SelfRefresh {
-                // The device refreshes itself in self-refresh: the external
-                // obligation is suspended — no silent deadline reset here —
-                // and the cadence restarts a full tREFI after wake-up (see
-                // `manage_power`), mirroring the verify ledger.
-                continue;
-            }
-            if self.fault_phantom_self_refresh > 0 {
-                self.fault_phantom_self_refresh -= 1;
-                // Replays the pre-fix self-refresh branch on an awake rank:
-                // deadline reset, no REF issued.
-                self.refresh_deadline[r] = now + t_refi;
-                self.sched_idle_until = 0;
-                continue;
-            }
-            if self.fault_drop_refreshes > 0 {
-                self.fault_drop_refreshes -= 1;
-                self.refresh_deadline[r] += t_refi;
-                // Unblocking the rank without an issue re-opens candidates.
-                self.sched_idle_until = 0;
-                continue;
-            }
-            // Same-bank refresh (RLDRAM3, DDR5 REFsb) rotates one bank per
-            // tREFI slot; all-bank refresh drains the rank first.
-            if self.cfg.refresh_per_bank {
-                let bank = self.refresh_bank_rr[r];
-                let cmd = Command::RefreshBank { rank: r8, bank };
-                if self.channel.can_issue(&cmd, now) {
-                    self.channel.issue(&cmd, now);
-                    self.refresh_bank_rr[r] = (bank + 1) % self.cfg.geometry.banks as u8;
-                    // Re-arm from the stored deadline, not the issue
-                    // cycle: a late REF must not drift the cadence.
-                    self.refresh_deadline[r] += t_refi;
-                    return true;
-                }
-                // On an open-page device the target bank may hold an open
-                // row (REFsb is only legal on an idle bank): close it.
-                // Single-command devices never open rows, so this branch
-                // is unreachable there.
-                if self.channel.ranks()[r].open_mask() & (1u64 << bank) != 0 {
-                    let pre = Command::precharge(r8, bank);
-                    if self.channel.can_issue(&pre, now) {
-                        self.channel.issue(&pre, now);
-                        return true;
-                    }
-                }
-                continue;
-            }
-            match self.cfg.addressing {
-                AddressingStyle::SingleCommand => {
-                    // Unreachable in practice: the spec layer requires
-                    // per-bank refresh on single-command devices.
-                    continue;
-                }
-                AddressingStyle::RasCas => {
-                    // Close any open bank, then refresh the whole rank. The
-                    // open-bank bitmask makes this allocation-free.
-                    let mut open = self.channel.ranks()[r].open_mask();
-                    if open == 0 {
-                        let cmd = Command::Refresh { rank: r8 };
-                        if self.channel.can_issue(&cmd, now) {
-                            self.channel.issue(&cmd, now);
-                            // Re-arm from the stored deadline, not the
-                            // issue cycle: a late REF must not drift the
-                            // cadence (each slipped cycle would otherwise
-                            // compound forever).
-                            self.refresh_deadline[r] += t_refi;
-                            return true;
-                        }
-                    } else {
-                        while open != 0 {
-                            let bank = open.trailing_zeros() as u8;
-                            open &= open - 1;
-                            let cmd = Command::precharge(r8, bank);
-                            if self.channel.can_issue(&cmd, now) {
-                                self.channel.issue(&cmd, now);
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// A rank is blocked for normal traffic while its refresh is overdue.
-    fn refresh_blocked(&self, rank: u8, now: u64) -> bool {
-        self.cfg.timings.t_refi != 0 && now >= self.refresh_deadline[usize::from(rank)]
-    }
-
-    /// True when `txn` currently counts as demand priority.
-    fn is_demand(&self, txn: &Txn, now: u64) -> bool {
-        !txn.prefetch || now.saturating_sub(txn.enqueue_mem) >= self.params.prefetch_promote_age
-    }
-
-    /// FR-FCFS (or strict FCFS) decision over one queue: the first
-    /// non-empty [`Self::scan`] slot.
-    fn pick(&self, now: u64, reads: bool) -> Option<Pick> {
-        if self.queue(reads).is_empty() {
-            return None;
-        }
-        if self.params.policy == SchedPolicy::Fcfs {
-            return self.pick_fcfs(now, reads);
-        }
-        let slots = self.scan(now, reads);
-        slots.iter().enumerate().find_map(|(i, s)| s.map(|slot| (reads, i % PREFETCH, slot)))
-    }
-
-    /// Strict FCFS: only the oldest transaction may make progress.
-    fn pick_fcfs(&self, now: u64, reads: bool) -> Option<Pick> {
-        let (slot, t) = self.queue(reads).oldest().expect("non-empty queue");
-        let loc = t.loc;
-        if self.refresh_blocked(loc.rank, now) {
-            return None;
-        }
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        if self.channel.can_issue(&self.column_cmd(t, reads, auto_pre), now) {
-            return Some((reads, COL, slot));
-        }
-        if self.cfg.addressing == AddressingStyle::RasCas {
-            match self.channel.bank_state(loc.rank, loc.bank) {
-                BankState::Idle => {
-                    let act = Command::activate(loc.rank, loc.bank, loc.row);
-                    if self.channel.can_issue(&act, now) {
-                        return Some((reads, ACT, slot));
-                    }
-                }
-                BankState::Active { row } if row != loc.row => {
-                    let pre = Command::precharge(loc.rank, loc.bank);
-                    if self.channel.can_issue(&pre, now) {
-                        return Some((reads, PRE, slot));
-                    }
-                }
-                BankState::Active { .. } => {}
-            }
-        }
-        None
-    }
-
-    fn queue(&self, reads: bool) -> &TxnQueue {
-        if reads {
-            &self.read_q
-        } else {
-            &self.write_q
-        }
-    }
-
-    /// One walk over a queue's busy buckets that finds every FR-FCFS
-    /// candidate at once. Slot `class + kind` (class 0 for demand,
-    /// [`PREFETCH`] for prefetch; kind [`COL`], [`ACT`] or [`PRE`]) holds
-    /// the lowest-seq transaction whose command of that kind can issue
-    /// now, so the first non-empty slot is the pass order's pick: demand
-    /// column, activate, precharge, then the same for prefetch.
-    ///
-    /// A bucket offers one kind, and per class its first entry that
-    /// qualifies:
-    ///
-    /// - column: an entry targeting the open row, or any entry on a
-    ///   single-command device (whose banks are always idle);
-    /// - activate: any entry of an idle bank;
-    /// - precharge: any entry of an open bank, provided no entry of
-    ///   either class targets the open row. Only the queue being scanned
-    ///   may veto, so a parked write cannot block read-side precharges.
-    ///
-    /// Both of a bucket's candidates issue the same command up to the
-    /// row, and neither legality nor the timing bound of a command depends
-    /// on the row, so one `can_issue` probe decides the bucket, and only
-    /// when a candidate would beat its slot's incumbent. A bucket's walk
-    /// stops once every class has its candidate.
-    fn scan(&self, now: u64, reads: bool) -> [Option<u32>; 6] {
-        let q = self.queue(reads);
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let single = self.cfg.addressing == AddressingStyle::SingleCommand;
-        // Writes have one class.
-        let classes = if reads { 2 } else { 1 };
-        // Per slot, the incumbent's seq (`u64::MAX` while empty) and queue
-        // slot.
-        let mut seqs = [u64::MAX; 6];
-        let mut picks = [None; 6];
-        for r in 0..self.channel.ranks().len() {
-            let r8 = r as u8;
-            if !q.rank_busy(r) || self.refresh_blocked(r8, now) {
-                continue;
-            }
-            let mut mask = q.busy_banks(r);
-            while mask != 0 {
-                let b = mask.trailing_zeros() as u8;
-                mask &= mask - 1;
-                let open = match self.channel.bank_state(r8, b) {
-                    BankState::Active { row } if !single => Some(row),
-                    _ => None,
-                };
-                // Per class: the first entry, and (open bank) the first
-                // entry targeting the open row.
-                let mut first: [Option<(u32, &Txn)>; 2] = [None; 2];
-                let mut hit: [Option<(u32, &Txn)>; 2] = [None; 2];
-                for (slot, t) in q.bucket(r8, b) {
-                    let c = usize::from(!self.is_demand(t, now));
-                    first[c].get_or_insert((slot, t));
-                    let done = match open {
-                        Some(row) => {
-                            if t.loc.row == row {
-                                hit[c].get_or_insert((slot, t));
-                            }
-                            hit[..classes].iter().all(Option::is_some)
-                        }
-                        None => first[..classes].iter().all(Option::is_some),
-                    };
-                    if done {
-                        break;
-                    }
-                }
-                let (kind, cands) = match open {
-                    Some(_) if hit.iter().any(Option::is_some) => (COL, hit),
-                    Some(_) => (PRE, first),
-                    None if single => (COL, first),
-                    None => (ACT, first),
-                };
-                let wins: [bool; 2] = std::array::from_fn(|c| {
-                    cands[c].is_some_and(|(_, t)| t.seq < seqs[c * PREFETCH + kind])
-                });
-                let Some((_, t)) = (0..2).filter(|&c| wins[c]).find_map(|c| cands[c]) else {
-                    continue;
-                };
-                let cmd = match kind {
-                    COL => self.column_cmd(t, reads, auto_pre),
-                    ACT => Command::activate(r8, b, t.loc.row),
-                    _ => Command::precharge(r8, b),
-                };
-                if !self.channel.can_issue(&cmd, now) {
-                    continue;
-                }
-                for c in (0..2).filter(|&c| wins[c]) {
-                    let (slot, t) = cands[c].expect("a winning class has a candidate");
-                    seqs[c * PREFETCH + kind] = t.seq;
-                    picks[c * PREFETCH + kind] = Some(slot);
-                }
-            }
-        }
-        picks
-    }
-
-    /// Reference for [`Controller::scan`]'s column slots: the pre-index
-    /// linear scan in global FCFS order, for one class. Kept as the oracle
-    /// for the pick-equivalence property tests — the bucket scan must
-    /// select exactly the transaction this scan selects.
-    #[cfg(test)]
-    fn find_column_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let q = self.queue(reads);
-        for (slot, t) in q.ordered() {
-            if self.refresh_blocked(t.loc.rank, now) || self.is_demand(&t, now) != demand {
-                continue;
-            }
-            if self.cfg.addressing == AddressingStyle::RasCas {
-                match self.channel.bank_state(t.loc.rank, t.loc.bank) {
-                    BankState::Active { row } if row == t.loc.row => {}
-                    _ => continue,
-                }
-            }
-            let cmd = self.column_cmd(&t, reads, auto_pre);
-            if self.channel.can_issue(&cmd, now) {
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    /// Reference for [`Controller::scan`]'s activate slots (linear FCFS
-    /// scan); see [`Controller::find_column_linear`].
-    #[cfg(test)]
-    fn find_activate_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
-        let q = self.queue(reads);
-        for (slot, t) in q.ordered() {
-            if self.refresh_blocked(t.loc.rank, now) || self.is_demand(&t, now) != demand {
-                continue;
-            }
-            if self.channel.bank_state(t.loc.rank, t.loc.bank) != BankState::Idle {
-                continue;
-            }
-            let cmd = Command::activate(t.loc.rank, t.loc.bank, t.loc.row);
-            if self.channel.can_issue(&cmd, now) {
-                return Some(slot);
-            }
-        }
-        None
-    }
-
-    /// Reference for [`Controller::scan`]'s precharge slots (linear FCFS
-    /// scan): an entry blocked by a conflicting open row; see
-    /// [`Controller::find_column_linear`].
-    #[cfg(test)]
-    fn find_conflict_precharge_linear(&self, now: u64, reads: bool, demand: bool) -> Option<u32> {
-        let q = self.queue(reads);
-        for (slot, t) in q.ordered() {
-            if self.refresh_blocked(t.loc.rank, now) || self.is_demand(&t, now) != demand {
-                continue;
-            }
-            let open = match self.channel.bank_state(t.loc.rank, t.loc.bank) {
-                BankState::Active { row } if row != t.loc.row => row,
-                _ => continue,
+    /// Earliest device cycle after `now` at which [`Self::manage_power`]
+    /// acts: the next tick for a sleeping rank with queued work, or an
+    /// idle rank's next sleep transition ([`dram_timing::Rank::sleep_at`])
+    /// unless it falls in the refresh-due window, where the power manager
+    /// sleeps no rank and the refresh bound covers the wake.
+    fn power_bound(&self, now: u64) -> u64 {
+        let mut next = u64::MAX;
+        for (r, rank) in self.channel.ranks().iter().enumerate() {
+            let at = if self.sched.rank_busy(r) {
+                (rank.power_state() != PowerState::Up).then_some(now + 1)
+            } else {
+                rank.sleep_at(self.config()).filter(|&at| !self.refresh.due(&self.channel, r, at))
             };
-            // Same row-hit veto as the bucket scan: any same-queue entry
-            // still targeting the open row protects it from precharge.
-            let protected = q.ordered().iter().any(|(_, o)| {
-                o.loc.rank == t.loc.rank && o.loc.bank == t.loc.bank && o.loc.row == open
-            });
-            if protected {
-                continue;
-            }
-            let cmd = Command::precharge(t.loc.rank, t.loc.bank);
-            if self.channel.can_issue(&cmd, now) {
-                return Some(slot);
+            if let Some(at) = at {
+                next = next.min(at.max(now + 1));
             }
         }
-        None
+        next
     }
 
-    /// Reference for [`Controller::round_pick`] under FR-FCFS: the linear
-    /// finders in the retired pass order — drain bypass (demand, then
-    /// prefetch row hits), then per queue and class column, activate,
-    /// precharge.
-    #[cfg(test)]
-    fn round_pick_linear(&self, now: u64) -> Option<Pick> {
-        let pick = |reads: bool| {
-            for demand in [true, false] {
-                if !reads && !demand {
-                    break; // writes have a single class
-                }
-                if let Some(i) = self.find_column_linear(now, reads, demand) {
-                    return Some((reads, COL, i));
-                }
-                if self.cfg.addressing == AddressingStyle::RasCas {
-                    if let Some(i) = self.find_activate_linear(now, reads, demand) {
-                        return Some((reads, ACT, i));
-                    }
-                    if let Some(i) = self.find_conflict_precharge_linear(now, reads, demand) {
-                        return Some((reads, PRE, i));
-                    }
-                }
-            }
-            None
-        };
-        if !self.drain {
-            return pick(!self.read_q.is_empty());
-        }
-        if self.write_q.len() + 2 < self.params.write_q_capacity {
-            for demand in [true, false] {
-                if let Some(i) = self.find_column_linear(now, true, demand) {
-                    return Some((true, COL, i));
-                }
-            }
-        }
-        pick(false).or_else(|| pick(true))
-    }
-
-    fn column_cmd(&self, t: &Txn, reads: bool, auto_pre: bool) -> Command {
-        if reads {
-            Command::read(t.loc.rank, t.loc.bank, t.loc.row, auto_pre)
-        } else {
-            Command::write(t.loc.rank, t.loc.bank, t.loc.row, auto_pre)
-        }
-    }
-
-    fn issue_column(&mut self, now: u64, reads: bool, slot: u32) {
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let txn = if reads { self.read_q.remove(slot) } else { self.write_q.remove(slot) };
-        let cmd = self.column_cmd(&txn, reads, auto_pre);
-        let out = self.channel.issue(&cmd, now);
-        if let Some(t) = self.trace.as_mut() {
-            t.events.push(TraceEvent::McCas {
-                token: txn.token,
-                channel: t.channel,
-                at: now * t.ratio,
-                rank: txn.loc.rank,
-                bank: txn.loc.bank,
-                write: !reads,
-            });
-        }
+    /// Account for a command the scheduler issued: its row-buffer class,
+    /// its trace events and, for a read, the completion and latency.
+    fn record(&mut self, now: u64, Issued { cmd, txn, data_end }: Issued) {
         if !txn.classified {
-            // A direct column command on an open-page device is a row hit;
-            // on a close-page device every access pays the full activate.
-            match self.cfg.page_policy {
-                PagePolicy::Open => self.channel.stats_mut().row_hits += 1,
-                PagePolicy::Closed => self.channel.stats_mut().row_misses += 1,
+            let open_page = self.config().page_policy == PagePolicy::Open;
+            let stats = self.channel.stats_mut();
+            match cmd {
+                Command::Activate { .. } => stats.row_misses += 1,
+                Command::Precharge { .. } => stats.row_conflicts += 1,
+                // A direct column command on an open-page device is a row
+                // hit; on a close-page device every access pays the full
+                // activate.
+                _ if open_page => stats.row_hits += 1,
+                _ => stats.row_misses += 1,
             }
         }
-        if reads {
-            let data_end = out.data_end.expect("read produces data");
-            self.reads_done += 1;
-            let queue = now.saturating_sub(txn.enqueue_mem);
-            let service = data_end - now;
-            self.sum_queue_mem += queue;
-            self.sum_service_mem += service;
-            // Integer-ns bucketing keeps the histogram identical across
-            // platforms (no float rounding in the hot path).
-            self.read_lat_hist
-                .record((queue + service) * u64::from(self.cfg.timings.t_ck_ps) / 1000);
-            self.completions.push(ReadCompletion {
-                token: txn.token,
-                data_end_mem: data_end,
-                queue_mem: queue,
-                service_mem: service,
+        let Loc { rank, bank, .. } = txn.loc;
+        let token = txn.token;
+        if let Some(t) = self.trace.as_mut() {
+            let (channel, at) = (t.channel, now * t.ratio);
+            t.events.push(match cmd {
+                Command::Activate { .. } => {
+                    TraceEvent::McActivate { token, channel, at, rank, bank }
+                }
+                Command::Precharge { .. } => {
+                    TraceEvent::McPrecharge { token, channel, at, rank, bank }
+                }
+                _ => TraceEvent::McCas {
+                    token,
+                    channel,
+                    at,
+                    rank,
+                    bank,
+                    write: matches!(cmd, Command::Write { .. }),
+                },
             });
-            if let Some(t) = self.trace.as_mut() {
-                t.events.push(TraceEvent::McDataEnd {
-                    token: txn.token,
-                    channel: t.channel,
-                    at: data_end * t.ratio,
-                    burst_cycles: (u64::from(self.cfg.timings.t_burst) * t.ratio) as u32,
+        }
+        match cmd {
+            Command::Read { .. } => {
+                let data_end = data_end.expect("read produces data");
+                let timings = &self.channel.config().timings;
+                self.reads_done += 1;
+                let queue = now.saturating_sub(txn.enqueue_mem);
+                let service = data_end - now;
+                self.sum_queue_mem += queue;
+                self.sum_service_mem += service;
+                // Integer-ns bucketing keeps the histogram identical across
+                // platforms (no float rounding in the hot path).
+                self.read_lat_hist.record((queue + service) * u64::from(timings.t_ck_ps) / 1000);
+                self.completions.push(ReadCompletion {
+                    token,
+                    data_end_mem: data_end,
+                    queue_mem: queue,
+                    service_mem: service,
                 });
+                if let Some(t) = self.trace.as_mut() {
+                    t.events.push(TraceEvent::McDataEnd {
+                        token,
+                        channel: t.channel,
+                        at: data_end * t.ratio,
+                        burst_cycles: (u64::from(timings.t_burst) * t.ratio) as u32,
+                    });
+                }
             }
-        } else {
-            self.writes_done += 1;
-        }
-    }
-
-    fn issue_activate(&mut self, now: u64, reads: bool, slot: u32) {
-        let (loc, classified, token) = {
-            let t = self.queue(reads).get(slot);
-            (t.loc, t.classified, t.token)
-        };
-        let cmd = Command::activate(loc.rank, loc.bank, loc.row);
-        self.channel.issue(&cmd, now);
-        if !classified {
-            self.channel.stats_mut().row_misses += 1;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.events.push(TraceEvent::McActivate {
-                token,
-                channel: t.channel,
-                at: now * t.ratio,
-                rank: loc.rank,
-                bank: loc.bank,
-            });
-        }
-        if reads {
-            self.read_q.get_mut(slot).classified = true;
-        } else {
-            self.write_q.get_mut(slot).classified = true;
-        }
-    }
-
-    fn issue_precharge(&mut self, now: u64, reads: bool, slot: u32) {
-        let (loc, classified, token) = {
-            let t = self.queue(reads).get(slot);
-            (t.loc, t.classified, t.token)
-        };
-        let cmd = Command::precharge(loc.rank, loc.bank);
-        self.channel.issue(&cmd, now);
-        if !classified {
-            self.channel.stats_mut().row_conflicts += 1;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.events.push(TraceEvent::McPrecharge {
-                token,
-                channel: t.channel,
-                at: now * t.ratio,
-                rank: loc.rank,
-                bank: loc.bank,
-            });
-        }
-        if reads {
-            self.read_q.get_mut(slot).classified = true;
-        } else {
-            self.write_q.get_mut(slot).classified = true;
+            Command::Write { .. } => self.writes_done += 1,
+            _ => {}
         }
     }
 
@@ -1052,23 +460,15 @@ impl Controller {
     /// could do anything observable, or `None` when the controller is
     /// idle forever absent new transactions.
     ///
-    /// The bound is derived directly from the channel's memoized
-    /// ready-cycles: for every candidate command the scheduler could pick
-    /// (per-bank column / activate / conflict-precharge, plus the refresh
-    /// action for an overdue rank), fold in its `earliest_issue` bound.
-    /// Autonomous power management contributes:
-    ///
-    /// - `now + 1` for a non-`Up` rank with queued work (the power
-    ///   manager wakes it on the very next tick) and for a pending
-    ///   write-drain hysteresis flip (the flip edge is traced);
-    /// - `deadline - refresh_wake_ahead()`: a powered-down rank is woken
-    ///   ahead of its refresh deadline;
-    /// - `deadline` / the refresh action's ready cycle once overdue;
-    /// - `last_activity + powerdown_idle_cycles` for an idle `Up` rank
-    ///   (suppressed inside the refresh-due window, where
-    ///   `manage_power` refuses to sleep), and
-    ///   `last_activity + self_refresh_idle_cycles` for the PD→SR
-    ///   escalation.
+    /// The bound is the minimum of three, each read from the code its
+    /// unit's tick runs: the scheduler's (the ready cycle of the command
+    /// its next round would issue, or `now + 1` for a pending write-drain
+    /// flip), the refresh unit's (a deadline, the wake of a powered-down
+    /// rank ahead of it, or an overdue rank's refresh action) and the
+    /// power glue's (a sleeping rank with queued work wakes next tick; an
+    /// idle one sleeps at [`dram_timing::Rank::sleep_at`] unless that
+    /// falls inside its refresh-due window). Pending completions give
+    /// `now + 1`.
     ///
     /// Every candidate is clamped to `now + 1`. Waking *early* is always
     /// safe — `tick_mem` with nothing ready is a deterministic no-op —
@@ -1077,257 +477,30 @@ impl Controller {
     /// [`tick_mem`]: Self::tick_mem
     #[must_use]
     pub fn next_activity_mem(&self, now: u64) -> Option<u64> {
-        let t = &self.cfg.timings;
-        let t_refi = u64::from(t.t_refi);
-        // Every candidate below is clamped to `now + 1`, so the fold can
-        // stop the moment it reaches that floor — nothing can beat it.
-        // Such an early return keeps no scheduler fold.
-        self.sched_fold.set(None);
+        // An early return keeps no scheduler fold.
+        self.sched.forget_fold();
         if !self.completions.is_empty() {
             return Some(now + 1);
         }
-        let mut next = u64::MAX;
-        for (r, rank) in self.channel.ranks().iter().enumerate() {
-            let busy = self.read_q.rank_busy(r) || self.write_q.rank_busy(r);
-            let state = rank.power_state();
-            let wake_ahead = self.refresh_wake_ahead(r);
-            if busy && state != PowerState::Up {
-                next = next.min(now + 1);
-            }
-            // A self-refreshing rank has no external refresh obligation;
-            // its cadence restarts on wake (which `busy` above covers).
-            if t_refi != 0 && state != PowerState::SelfRefresh {
-                let deadline = self.refresh_deadline[r];
-                if now < deadline {
-                    next = next.min(deadline.max(now + 1));
-                    if state == PowerState::PowerDown {
-                        next = next.min(deadline.saturating_sub(wake_ahead).max(now + 1));
-                    }
-                } else if state != PowerState::Up
-                    || self.fault_drop_refreshes > 0
-                    || self.fault_phantom_self_refresh > 0
-                {
-                    // Fault drop/phantom or a wake in flight: the next
-                    // tick acts.
-                    next = next.min(now + 1);
-                } else {
-                    next = next.min(self.refresh_action_bound(r, now).max(now + 1));
-                }
-            }
-            if !busy && self.cfg.powerdown_idle_cycles > 0 {
-                // Sleep candidates only fire outside the refresh-due
-                // window; inside it manage_power neither sleeps nor wakes
-                // an Up rank, and the deadline fold above covers the rest.
-                match state {
-                    PowerState::Up => {
-                        let at = rank.last_activity + u64::from(self.cfg.powerdown_idle_cycles);
-                        if t_refi == 0 || at.saturating_add(wake_ahead) < self.refresh_deadline[r] {
-                            next = next.min(at.max(now + 1));
-                        }
-                    }
-                    PowerState::PowerDown => {
-                        if self.cfg.self_refresh_idle_cycles > 0 && rank.open_banks() == 0 {
-                            let at =
-                                rank.last_activity + u64::from(self.cfg.self_refresh_idle_cycles);
-                            if t_refi == 0
-                                || at.saturating_add(wake_ahead) < self.refresh_deadline[r]
-                            {
-                                next = next.min(at.max(now + 1));
-                            }
-                        }
-                    }
-                    PowerState::SelfRefresh => {}
-                }
-            }
-            if next <= now + 1 {
-                return Some(now + 1);
-            }
+        let mut next = self.power_bound(now).min(self.refresh.next_activity(&self.channel, now));
+        // Nothing beats the `now + 1` floor.
+        if next > now + 1 {
+            next = next.min(self.sched.next_activity(&self.channel, &self.refresh, now));
         }
-        let sched = self.sched_bound(now);
-        self.sched_fold.set((now >= self.sched_idle_until).then_some(sched));
-        next = next.min(sched);
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
-        }
-    }
-
-    /// Ready cycle of the refresh action an overdue `Up` rank would take:
-    /// the REF itself (or the round-robin bank refresh), or the earliest
-    /// precharge closing an open bank ahead of it.
-    fn refresh_action_bound(&self, r: usize, now: u64) -> u64 {
-        let r8 = r as u8;
-        if self.cfg.refresh_per_bank {
-            let bank = self.refresh_bank_rr[r];
-            let cmd = Command::RefreshBank { rank: r8, bank };
-            if let Some(at) = self.channel.earliest_issue(&cmd, now) {
-                return at;
-            }
-            // REFB blocked structurally: the target bank holds an open row
-            // (open-page devices only); the precharge closing it is next.
-            return self
-                .channel
-                .earliest_issue(&Command::precharge(r8, bank), now)
-                .unwrap_or(now + 1);
-        }
-        match self.cfg.addressing {
-            AddressingStyle::SingleCommand => {
-                let cmd = Command::RefreshBank { rank: r8, bank: self.refresh_bank_rr[r] };
-                self.channel.earliest_issue(&cmd, now).unwrap_or(now + 1)
-            }
-            AddressingStyle::RasCas => {
-                let mut open = self.channel.ranks()[r].open_mask();
-                if open == 0 {
-                    let cmd = Command::Refresh { rank: r8 };
-                    return self.channel.earliest_issue(&cmd, now).unwrap_or(now + 1);
-                }
-                let mut best = u64::MAX;
-                while open != 0 {
-                    let bank = open.trailing_zeros() as u8;
-                    open &= open - 1;
-                    if let Some(at) =
-                        self.channel.earliest_issue(&Command::precharge(r8, bank), now)
-                    {
-                        best = best.min(at);
-                    }
-                }
-                if best == u64::MAX {
-                    now + 1
-                } else {
-                    best
-                }
-            }
-        }
-    }
-
-    /// Lower bound on the next cycle the transaction scheduler could issue
-    /// any command, folded over every per-bank candidate the FR-FCFS passes
-    /// consider. Demand-class boundaries are ignored (a superset of
-    /// candidates only wakes the kernel early, never late).
-    fn sched_bound(&self, now: u64) -> u64 {
-        // A still-valid cached bound is exact: every folded candidate is an
-        // absolute cycle, and invalidation resets the cache to 0.
-        if now < self.sched_idle_until {
-            return self.sched_idle_until;
-        }
-        if self.read_q.is_empty() && self.write_q.is_empty() {
-            // Unreachable with `drain` still set (writes only leave by
-            // issuing, which clears the cache), but keep the flip honest.
-            return if self.drain { now + 1 } else { u64::MAX };
-        }
-        let mut next = u64::MAX;
-        // A pending write-drain hysteresis flip is applied (and traced) on
-        // the next command-slot tick.
-        let wq = self.write_q.len();
-        let drain_next = if wq >= self.params.wq_high {
-            true
-        } else if wq <= self.params.wq_low {
-            false
-        } else {
-            self.drain
-        };
-        if drain_next != self.drain {
-            return now + 1;
-        }
-        if self.params.policy == SchedPolicy::Fcfs {
-            // The strict-FCFS ablation gains little from exact bounds;
-            // tick every cycle while work is queued.
-            return now + 1;
-        }
-        if drain_next {
-            next = next.min(self.queue_sched_bound(now, false));
-            if next <= now + 1 {
-                return next.max(now + 1);
-            }
-            next = next.min(self.queue_sched_bound(now, true));
-        } else if !self.read_q.is_empty() {
-            next = next.min(self.queue_sched_bound(now, true));
-        } else {
-            next = next.min(self.queue_sched_bound(now, false));
-        }
-        next.max(now + 1)
-    }
-
-    /// Candidate fold for one queue: per non-empty bank bucket, the column
-    /// bound (an entry targeting the open row, or any entry on a
-    /// close-page device), the activate bound (bank idle), or the
-    /// conflict-precharge bound (no entry wants the open row).
-    fn queue_sched_bound(&self, now: u64, reads: bool) -> u64 {
-        let q = self.queue(reads);
-        if q.is_empty() {
-            return u64::MAX;
-        }
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed;
-        let mut next = u64::MAX;
-        for r in 0..self.channel.ranks().len() {
-            let r8 = r as u8;
-            if !q.rank_busy(r) || self.refresh_blocked(r8, now) {
-                continue;
-            }
-            // A non-Up busy rank is woken next tick (folded by the caller
-            // via the busy rule); its commands stay illegal until then.
-            let mut mask = q.busy_banks(r);
-            while mask != 0 {
-                if next <= now + 1 {
-                    // Clamped to `now + 1` by the caller — already minimal.
-                    return next;
-                }
-                let b = mask.trailing_zeros() as u8;
-                mask &= mask - 1;
-                match self.cfg.addressing {
-                    AddressingStyle::SingleCommand => {
-                        let t = q.bucket_front(r8, b).expect("checked non-empty");
-                        let cmd = self.column_cmd(t, reads, auto_pre);
-                        if let Some(at) = self.channel.earliest_issue(&cmd, now) {
-                            next = next.min(at);
-                        }
-                    }
-                    AddressingStyle::RasCas => match self.channel.bank_state(r8, b) {
-                        BankState::Active { row: open } => {
-                            // The bucket is non-empty, so "no entry wants the
-                            // open row" already implies a conflict; stop at
-                            // the first open-row hit.
-                            let wants_open = q.bucket(r8, b).any(|(_, t)| t.loc.row == open);
-                            if wants_open {
-                                let cmd = if reads {
-                                    Command::read(r8, b, open, auto_pre)
-                                } else {
-                                    Command::write(r8, b, open, auto_pre)
-                                };
-                                if let Some(at) = self.channel.earliest_issue(&cmd, now) {
-                                    next = next.min(at);
-                                }
-                            } else {
-                                let cmd = Command::precharge(r8, b);
-                                if let Some(at) = self.channel.earliest_issue(&cmd, now) {
-                                    next = next.min(at);
-                                }
-                            }
-                        }
-                        BankState::Idle => {
-                            let t = q.bucket_front(r8, b).expect("checked non-empty");
-                            let cmd = Command::activate(r8, b, t.loc.row);
-                            if let Some(at) = self.channel.earliest_issue(&cmd, now) {
-                                next = next.min(at);
-                            }
-                        }
-                    },
-                }
-            }
-        }
-        next
+        (next != u64::MAX).then_some(next)
     }
 
     /// Snapshot statistics, settling residency up to `now` device cycles.
     pub fn stats(&mut self, now: u64) -> ControllerStats {
-        let ns_per_cycle = f64::from(self.cfg.timings.t_ck_ps) / 1000.0;
+        let cfg = self.channel.config();
+        let (kind, t_ck_ps) = (cfg.kind, cfg.timings.t_ck_ps);
+        let ns_per_cycle = f64::from(t_ck_ps) / 1000.0;
         ControllerStats {
-            kind: self.cfg.kind,
+            kind,
             label: self.label.clone(),
             chips_per_access: self.chips_per_access,
             mem_cycles: now.max(self.mem_cycles),
-            t_ck_ps: self.cfg.timings.t_ck_ps,
+            t_ck_ps,
             channel: *self.channel.stats(),
             residency: self.channel.residency(now.max(self.mem_cycles)),
             ranks: self.channel.ranks().len() as u32,
@@ -1344,6 +517,7 @@ impl Controller {
 mod tests {
     use super::*;
     use dram_timing::DeviceConfig;
+    use proptest::prelude::*;
 
     fn ddr3_ctrl() -> Controller {
         Controller::new(DeviceConfig::ddr3_1600(), 1, 9, "test")
@@ -1353,7 +527,7 @@ mod tests {
         let mut done = Vec::new();
         for now in 0..max {
             ctrl.tick_mem(now, true);
-            done.extend(ctrl.take_completions());
+            done.extend(ctrl.drain_completions());
         }
         done
     }
@@ -1414,7 +588,7 @@ mod tests {
         let mut done = Vec::new();
         for t in now..now + 300 {
             c.tick_mem(t, true);
-            done.extend(c.take_completions());
+            done.extend(c.drain_completions());
         }
         assert_eq!(done[0].token, Token(1), "aged prefetch keeps FCFS order");
     }
@@ -1432,7 +606,7 @@ mod tests {
         let mut read_done_at = None;
         for now in 0..5_000 {
             c.tick_mem(now, true);
-            for d in c.take_completions() {
+            for d in c.drain_completions() {
                 read_done_at = Some((now, d));
             }
             if read_done_at.is_some() {
@@ -1502,77 +676,53 @@ mod tests {
         let mut done = Vec::new();
         for now in 100..400 {
             c.tick_mem(now, true);
-            done.extend(c.take_completions());
+            done.extend(c.drain_completions());
         }
         assert_eq!(done.len(), 1);
     }
 
+    #[derive(Debug, Clone, Copy)]
+    struct Item {
+        rank: u8,
+        bank: u8,
+        row: u32,
+        col: u32,
+        write: bool,
+        prefetch: bool,
+        gap: u8,
+    }
+
+    /// Few rows and banks so buckets collect row hits, row conflicts
+    /// and multi-entry FCFS chains instead of degenerating to one
+    /// transaction per bank. Half the gaps are zero, so bursts fill
+    /// the write queue past its high watermark and drain mode (with
+    /// its row-hit read bypass) is probed too.
+    fn item(ranks: u8, banks: u8) -> impl Strategy<Value = Item> {
+        (0..ranks, 0..banks, 0u32..5, 0u32..64, prop::bool::ANY, prop::bool::ANY, 0u8..40).prop_map(
+            |(rank, bank, row, col, write, prefetch, gap)| Item {
+                rank,
+                bank,
+                row,
+                col,
+                write,
+                prefetch,
+                gap: gap.saturating_sub(20),
+            },
+        )
+    }
+
     mod pick_equivalence {
         use super::*;
-        use proptest::prelude::*;
 
-        #[derive(Debug, Clone, Copy)]
-        struct Item {
-            rank: u8,
-            bank: u8,
-            row: u32,
-            col: u32,
-            write: bool,
-            prefetch: bool,
-            gap: u8,
-        }
-
-        /// Few rows and banks so buckets collect row hits, row conflicts
-        /// and multi-entry FCFS chains instead of degenerating to one
-        /// transaction per bank. Half the gaps are zero, so bursts fill
-        /// the write queue past its high watermark and drain mode (with
-        /// its row-hit read bypass) is probed too.
-        fn item(ranks: u8, banks: u8) -> impl Strategy<Value = Item> {
-            (0..ranks, 0..banks, 0u32..5, 0u32..64, prop::bool::ANY, prop::bool::ANY, 0u8..40)
-                .prop_map(|(rank, bank, row, col, write, prefetch, gap)| Item {
-                    rank,
-                    bank,
-                    row,
-                    col,
-                    write,
-                    prefetch,
-                    gap: gap.saturating_sub(20),
-                })
-        }
-
-        /// At every cycle of a randomized run, each of the bucket scan's
-        /// six slots must hold exactly the slot the retired linear scan
-        /// picks, for both queues, and the round's decision must be the
-        /// one the linear finders reach in the retired pass order.
+        /// At every cycle of a randomized run, the bucket scan's slots and
+        /// the round's decision must match the retired linear scans
+        /// (`Scheduler::assert_picks_match_linear`).
         fn assert_picks_match(cfg: DeviceConfig, ranks: u32, items: &[Item]) {
             let mut c = Controller::new(cfg, ranks, 8, "pick-eq");
             let mut now = 0u64;
             let mut tok = 0u64;
             let probe = |c: &Controller, now: u64| {
-                for reads in [true, false] {
-                    let slots = c.scan(now, reads);
-                    for (class, demand) in [(0, true), (PREFETCH, false)] {
-                        let linear = [
-                            c.find_column_linear(now, reads, demand),
-                            c.find_activate_linear(now, reads, demand),
-                            c.find_conflict_precharge_linear(now, reads, demand),
-                        ];
-                        for (kind, want) in linear.into_iter().enumerate() {
-                            assert_eq!(
-                                slots[class + kind],
-                                want,
-                                "slot {} diverged at {now} (reads={reads})",
-                                class + kind
-                            );
-                        }
-                    }
-                }
-                assert_eq!(
-                    c.round_pick(now),
-                    c.round_pick_linear(now),
-                    "round decision diverged at {now} (drain={})",
-                    c.drain
-                );
+                c.sched.assert_picks_match_linear(&c.channel, &c.refresh, now)
             };
             for it in items {
                 for _ in 0..it.gap {
@@ -1592,7 +742,7 @@ mod tests {
             for _ in 0..7_000 {
                 probe(&c, now);
                 c.tick_mem(now, true);
-                c.take_completions();
+                c.drain_completions();
                 now += 1;
             }
         }
@@ -1630,6 +780,106 @@ mod tests {
         }
     }
 
+    mod wake_bound {
+        use super::*;
+
+        fn bytes(c: &Controller) -> Vec<u8> {
+            let mut w = cwf_ckpt::Writer::new();
+            c.save_state(&mut w).expect("tracing is off");
+            w.into_vec()
+        }
+
+        /// Tick `cycle` at `now`; tick `event` only once its wake bound is
+        /// due and settle it otherwise. A tick below the bound must leave
+        /// the same checkpoint bytes as the settle. Returns `event`'s next
+        /// wake bound.
+        fn step(now: u64, cycle: &mut Controller, event: &mut Controller, wake: u64) -> u64 {
+            cycle.tick_mem(now, true);
+            if now >= wake {
+                event.tick_mem(now, true);
+            } else {
+                event.settle_idle_tick(now);
+            }
+            assert!(bytes(cycle) == bytes(event), "woke late: cycle {now} is below bound {wake}");
+            cycle.drain_completions();
+            event.drain_completions();
+            event.next_activity_mem(now).unwrap_or(u64::MAX)
+        }
+
+        /// Drive one controller at every cycle and a second only at its
+        /// wake bounds, with power-down and self-refresh on, through the
+        /// stream and then idle across refresh deadlines and sleep
+        /// transitions.
+        fn assert_never_late(mut cfg: DeviceConfig, ranks: u32, items: &[Item]) {
+            cfg.powerdown_idle_cycles = cfg.powerdown_idle_cycles.max(12);
+            cfg.self_refresh_idle_cycles = cfg.self_refresh_idle_cycles.max(600);
+            let tail = u64::from(cfg.timings.t_refi) * 3 / 2 + 700;
+            let mut cycle = Controller::new(cfg.clone(), ranks, 8, "cycle");
+            let mut event = Controller::new(cfg, ranks, 8, "event");
+            let mut now = 0u64;
+            let mut wake = step(now, &mut cycle, &mut event, 0);
+            let mut tok = 0u64;
+            for it in items {
+                // Enqueue after the cycle's tick, as the channel set does.
+                let loc = Loc { rank: it.rank, bank: it.bank, row: it.row, col: it.col };
+                if it.write {
+                    assert_eq!(cycle.enqueue_write(loc, now), event.enqueue_write(loc, now));
+                } else {
+                    let accepted = cycle.enqueue_read(Token(tok), loc, it.prefetch, now);
+                    assert_eq!(accepted, event.enqueue_read(Token(tok), loc, it.prefetch, now));
+                    tok += u64::from(accepted);
+                }
+                wake = event.next_activity_mem(now).unwrap_or(u64::MAX);
+                for _ in 0..=it.gap {
+                    now += 1;
+                    wake = step(now, &mut cycle, &mut event, wake);
+                }
+            }
+            for _ in 0..tail {
+                now += 1;
+                wake = step(now, &mut cycle, &mut event, wake);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn wake_bound_is_never_late_ddr3(items in prop::collection::vec(item(2, 8), 1..96)) {
+                assert_never_late(DeviceConfig::ddr3_1600(), 2, &items);
+            }
+
+            #[test]
+            fn wake_bound_is_never_late_lpddr2(items in prop::collection::vec(item(2, 8), 1..96)) {
+                assert_never_late(DeviceConfig::lpddr2_800(), 2, &items);
+            }
+
+            #[test]
+            fn wake_bound_is_never_late_rldram3(
+                items in prop::collection::vec(item(1, 16), 1..96)
+            ) {
+                assert_never_late(DeviceConfig::rldram3(), 1, &items);
+            }
+
+            #[test]
+            fn wake_bound_is_never_late_ddr4(items in prop::collection::vec(item(1, 16), 1..96)) {
+                assert_never_late(DeviceConfig::ddr4_2400(), 1, &items);
+            }
+
+            #[test]
+            fn wake_bound_is_never_late_ddr5(items in prop::collection::vec(item(1, 32), 1..96)) {
+                assert_never_late(DeviceConfig::ddr5_4800(), 1, &items);
+            }
+
+            #[test]
+            fn wake_bound_is_never_late_lpddr4(
+                items in prop::collection::vec(item(1, 8), 1..96)
+            ) {
+                assert_never_late(DeviceConfig::lpddr4_3200(), 1, &items);
+            }
+        }
+    }
+
     /// A settle that stores the fold [`Controller::next_activity_mem`]
     /// kept leaves the controller byte for byte as one that folds again.
     #[test]
@@ -1654,8 +904,8 @@ mod tests {
         let wake = kept.next_activity_mem(now).expect("work is queued");
         assert_eq!(refolded.next_activity_mem(now), Some(wake));
         assert!(wake > now + 1, "the settle cycle must not be due (wake {wake}, now {now})");
-        assert!(now >= kept.sched_idle_until, "the scheduler bound has lapsed");
-        assert!(kept.sched_fold.get().is_some(), "the wake kept its scheduler fold");
+        assert!(now >= kept.sched.idle_until, "the scheduler bound has lapsed");
+        assert!(kept.sched.fold.get().is_some(), "the wake kept its scheduler fold");
         refolded.forget_sched_fold();
         kept.settle_idle_tick(wake - 1);
         refolded.settle_idle_tick(wake - 1);
@@ -1665,7 +915,7 @@ mod tests {
             w.into_vec()
         };
         assert_eq!(bytes(&kept), bytes(&refolded));
-        assert_eq!(kept.sched_fold.get(), None, "the settle consumed the fold");
+        assert_eq!(kept.sched.fold.get(), None, "the settle consumed the fold");
     }
 
     #[test]
@@ -1713,18 +963,11 @@ impl Controller {
     /// silently lost).
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         let Controller {
-            cfg: _,
-            params: _,
             label: _,
             chips_per_access: _,
             channel,
-            read_q,
-            write_q,
-            drain,
-            sched_idle_until,
-            sched_fold: _,
-            refresh_deadline,
-            refresh_bank_rr,
+            sched,
+            refresh,
             completions,
             mem_cycles,
             reads_done,
@@ -1732,11 +975,17 @@ impl Controller {
             sum_queue_mem,
             sum_service_mem,
             read_lat_hist,
-            next_token,
-            fault_drop_refreshes,
-            fault_phantom_self_refresh,
             trace,
         } = self;
+        let Scheduler { params: _, read_q, write_q, drain, idle_until, fold: _, next_token } =
+            sched;
+        let RefreshUnit {
+            t_refi: _,
+            deadline,
+            bank_rr,
+            fault_drop_refreshes,
+            fault_phantom_self_refresh,
+        } = refresh;
         if trace.as_ref().is_some_and(|t| !t.events.is_empty()) {
             return Err(cwf_ckpt::CkptError::new(
                 "cannot checkpoint a controller with undrained trace events",
@@ -1747,9 +996,9 @@ impl Controller {
         cwf_ckpt::Ckpt::save(read_q, w);
         cwf_ckpt::Ckpt::save(write_q, w);
         cwf_ckpt::Ckpt::save(drain, w);
-        cwf_ckpt::Ckpt::save(sched_idle_until, w);
-        cwf_ckpt::Ckpt::save(refresh_deadline, w);
-        cwf_ckpt::Ckpt::save(refresh_bank_rr, w);
+        cwf_ckpt::Ckpt::save(idle_until, w);
+        cwf_ckpt::Ckpt::save(deadline, w);
+        cwf_ckpt::Ckpt::save(bank_rr, w);
         cwf_ckpt::Ckpt::save(completions, w);
         cwf_ckpt::Ckpt::save(mem_cycles, w);
         cwf_ckpt::Ckpt::save(reads_done, w);
@@ -1771,18 +1020,18 @@ impl Controller {
     /// Fails on malformed input or a refresh-deadline count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"CTRL")?;
-        self.sched_fold.set(None);
+        self.sched.forget_fold();
         self.channel.load_state(r)?;
-        self.read_q = cwf_ckpt::Ckpt::load(r)?;
-        self.write_q = cwf_ckpt::Ckpt::load(r)?;
-        self.drain = cwf_ckpt::Ckpt::load(r)?;
-        self.sched_idle_until = cwf_ckpt::Ckpt::load(r)?;
-        let refresh_deadline: Vec<u64> = cwf_ckpt::Ckpt::load(r)?;
-        if refresh_deadline.len() != self.refresh_deadline.len() {
+        self.sched.read_q = cwf_ckpt::Ckpt::load(r)?;
+        self.sched.write_q = cwf_ckpt::Ckpt::load(r)?;
+        self.sched.drain = cwf_ckpt::Ckpt::load(r)?;
+        self.sched.idle_until = cwf_ckpt::Ckpt::load(r)?;
+        let deadline: Vec<u64> = cwf_ckpt::Ckpt::load(r)?;
+        if deadline.len() != self.refresh.deadline.len() {
             return Err(cwf_ckpt::CkptError::new("refresh-deadline count mismatch"));
         }
-        self.refresh_deadline = refresh_deadline;
-        self.refresh_bank_rr = cwf_ckpt::Ckpt::load(r)?;
+        self.refresh.deadline = deadline;
+        self.refresh.bank_rr = cwf_ckpt::Ckpt::load(r)?;
         self.completions = cwf_ckpt::Ckpt::load(r)?;
         self.mem_cycles = cwf_ckpt::Ckpt::load(r)?;
         self.reads_done = cwf_ckpt::Ckpt::load(r)?;
@@ -1790,9 +1039,9 @@ impl Controller {
         self.sum_queue_mem = cwf_ckpt::Ckpt::load(r)?;
         self.sum_service_mem = cwf_ckpt::Ckpt::load(r)?;
         self.read_lat_hist = cwf_ckpt::Ckpt::load(r)?;
-        self.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.fault_drop_refreshes = cwf_ckpt::Ckpt::load(r)?;
-        self.fault_phantom_self_refresh = cwf_ckpt::Ckpt::load(r)?;
+        self.sched.next_token = cwf_ckpt::Ckpt::load(r)?;
+        self.refresh.fault_drop_refreshes = cwf_ckpt::Ckpt::load(r)?;
+        self.refresh.fault_phantom_self_refresh = cwf_ckpt::Ckpt::load(r)?;
         Ok(())
     }
 }

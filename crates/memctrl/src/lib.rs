@@ -12,10 +12,10 @@
 //! * [`mapping`] — physical address interleaving schemes (the open-page
 //!   row-locality mapping of the baseline, and close-page bank interleaving
 //!   for RLDRAM3);
-//! * [`controller`] — a per-channel FR-FCFS transaction scheduler with
-//!   48-entry read/write queues, write-drain watermarks (32/16), refresh
-//!   scheduling, demand-over-prefetch priority with age promotion, and
-//!   power-state management (Table 1 of the paper);
+//! * [`controller`] — the per-channel controller of Table 1 of the paper:
+//!   an FR-FCFS transaction scheduler with 48-entry read/write queues,
+//!   write-drain watermarks (32/16) and demand-over-prefetch priority with
+//!   age promotion, a refresh unit, and power-state management;
 //! * [`aggregate`] — the arbiter of §4.2.4's sub-ranked organization:
 //!   several skinny data channels sharing one double-data-rate
 //!   address/command bus (one command per device cycle across all
@@ -51,7 +51,9 @@ pub mod channelset;
 pub mod controller;
 pub mod homogeneous;
 pub mod mapping;
+mod refresh;
 pub mod request;
+mod sched;
 mod txnq;
 
 pub use aggregate::AggregatedController;

@@ -149,12 +149,6 @@ impl TxnQueue {
             .map(move |&s| (s, self.slots[s as usize].as_ref().expect("vacant txn slot")))
     }
 
-    /// Oldest transaction in one bank's bucket, if any.
-    pub fn bucket_front(&self, rank: u8, bank: u8) -> Option<&Txn> {
-        let b = usize::from(rank) * self.banks + usize::from(bank);
-        self.buckets[b].front().map(|&s| self.slots[s as usize].as_ref().expect("vacant txn slot"))
-    }
-
     /// Globally oldest transaction (min seq over all bucket fronts).
     pub fn oldest(&self) -> Option<(u32, &Txn)> {
         let mut best: Option<(u32, &Txn)> = None;
@@ -205,11 +199,11 @@ mod tests {
         assert_eq!(seqs, vec![0, 2]);
         let removed = q.remove(a);
         assert_eq!(removed.token, Token(1));
-        assert_eq!(q.bucket_front(0, 3).unwrap().seq, 2);
+        assert_eq!(q.bucket(0, 3).next().unwrap().1.seq, 2);
         let (_, oldest) = q.oldest().unwrap();
         assert_eq!(oldest.token, Token(2));
         q.remove(c);
-        assert!(q.bucket_front(0, 3).is_none());
+        assert!(q.bucket(0, 3).next().is_none());
     }
 
     #[test]

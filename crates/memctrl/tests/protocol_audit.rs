@@ -203,7 +203,7 @@ proptest! {
         let mut done = Vec::new();
         for _ in 0..60_000 {
             ctrl.tick_mem(now, true);
-            done.extend(ctrl.take_completions());
+            done.extend(ctrl.drain_completions());
             now += 1;
         }
         let mut done_tokens: Vec<u64> = done.iter().map(|c| c.token.0).collect();

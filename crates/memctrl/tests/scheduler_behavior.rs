@@ -40,7 +40,7 @@ fn fcfs_preserves_arrival_order_where_frfcfs_reorders() {
         let mut order = Vec::new();
         for now in 0..600 {
             c.tick_mem(now, true);
-            order.extend(c.take_completions().into_iter().map(|d| d.token.0));
+            order.extend(c.drain_completions().map(|d| d.token.0));
         }
         order
     };
@@ -61,7 +61,7 @@ fn fcfs_is_slower_than_frfcfs_on_conflicting_streams() {
         let mut done = 0;
         for now in 0..100_000u64 {
             c.tick_mem(now, true);
-            done += c.take_completions().len();
+            done += c.drain_completions().len();
             if done == 24 {
                 return now;
             }

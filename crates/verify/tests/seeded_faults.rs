@@ -43,7 +43,7 @@ fn shaved_trcd_is_caught_by_the_protocol_checker() {
             token += 1;
         }
         ctrl.tick_mem(now, true);
-        ctrl.take_completions();
+        ctrl.drain_completions();
     }
 
     let mut oracle = Oracle::new(vec![ChannelDesc {
