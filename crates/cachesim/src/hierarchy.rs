@@ -1036,9 +1036,9 @@ cwf_ckpt::ckpt_struct!(HierStats {
 });
 
 impl<M> Hierarchy<M> {
-    /// Serialize the hierarchy's mutable state. The memory backend is
-    /// delegated to `save_mem` because its concrete type is only known
-    /// to the caller. Reusable scratch buffers (`ev_buf`, `wake_buf`,
+    /// Serialize the hierarchy's mutable state. The memory backend is not
+    /// included: its owner, which knows its concrete type, saves it
+    /// through [`Hierarchy::memory`]. Reusable scratch buffers (`ev_buf`, `wake_buf`,
     /// `pf_buf`) are cleared at the start of every use, so they carry
     /// no state across steps and are not encoded. The trace buffer is
     /// re-armed by `enable_trace` on restore and holds nothing once
@@ -1046,20 +1046,15 @@ impl<M> Hierarchy<M> {
     ///
     /// # Errors
     ///
-    /// Fails when the trace buffer holds undrained events or `save_mem`
-    /// fails.
-    pub fn save_state(
-        &self,
-        w: &mut cwf_ckpt::Writer,
-        save_mem: impl FnOnce(&M, &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()>,
-    ) -> cwf_ckpt::Result<()> {
+    /// Fails when the trace buffer holds undrained events.
+    pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         let Hierarchy {
             params: _,
             l1s,
             l2,
             mshr,
             prefetchers,
-            mem,
+            mem: _,
             backend_touched,
             writeback_buf,
             next_load_id,
@@ -1093,23 +1088,17 @@ impl<M> Hierarchy<M> {
         cwf_ckpt::Ckpt::save(l1_streak, w);
         cwf_ckpt::Ckpt::save(stats, w);
         cwf_ckpt::Ckpt::save(audit, w);
-        w.section(b"HMEM");
-        save_mem(mem, w)
+        Ok(())
     }
 
     /// Restore state saved by [`Hierarchy::save_state`] into a freshly
-    /// constructed hierarchy with the same parameters; the backend is
-    /// restored by `load_mem`.
+    /// constructed hierarchy with the same parameters (the backend is its
+    /// owner's to restore).
     ///
     /// # Errors
     ///
-    /// Fails on malformed input, a core-count mismatch, or when
-    /// `load_mem` fails.
-    pub fn load_state(
-        &mut self,
-        r: &mut cwf_ckpt::Reader<'_>,
-        load_mem: impl FnOnce(&mut M, &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()>,
-    ) -> cwf_ckpt::Result<()> {
+    /// Fails on malformed input or a core-count mismatch.
+    pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"HIER")?;
         let n_l1 = r.get_u64()?;
         if n_l1 != self.l1s.len() as u64 {
@@ -1136,7 +1125,6 @@ impl<M> Hierarchy<M> {
         self.ev_buf.clear();
         self.wake_buf.clear();
         self.pf_buf.clear();
-        r.expect_section(b"HMEM")?;
-        load_mem(&mut self.mem, r)
+        Ok(())
     }
 }

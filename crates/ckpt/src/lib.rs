@@ -1,14 +1,16 @@
 //! Binary checkpoint encoding for `cwfmem.ckpt.v1`.
 //!
 //! A checkpoint is a flat little-endian byte stream produced by a
-//! [`Writer`] and consumed by a [`Reader`]. The stream has no
-//! self-description beyond 4-byte *section tags* sprinkled at component
-//! boundaries: both sides must agree on the exact field order, which is
-//! enforced in the simulator crates by exhaustively destructuring every
-//! serialized struct (adding a field without updating its `Ckpt` impl
-//! is a compile error) and at runtime by the section tags (a reader
-//! that drifts out of alignment fails fast on the next tag instead of
-//! silently misinterpreting bytes).
+//! [`Writer`] and consumed by a [`Reader`], sealed by an 8-byte
+//! [`checksum`] trailer ([`Writer::into_sealed`], [`Reader::unseal`]) so
+//! a flipped or truncated byte fails before any field is parsed. The
+//! stream has no self-description beyond 4-byte *section tags*
+//! sprinkled at component boundaries: both sides must agree on the
+//! exact field order, which is enforced in the simulator crates by
+//! exhaustively destructuring every serialized struct (adding a field
+//! without updating its `Ckpt` impl is a compile error) and at runtime
+//! by the section tags (a reader that drifts out of alignment fails fast
+//! on the next tag instead of silently misinterpreting bytes).
 //!
 //! Design rules, shared with the impls in the simulator crates:
 //!
@@ -19,9 +21,12 @@
 //! * **`f64` as raw bits.** Floats round-trip via [`f64::to_bits`] so a
 //!   resumed run is bit-identical, not just approximately equal.
 //! * **Unordered maps as sorted pairs.** Hash containers are encoded in
-//!   key order so the byte stream is deterministic.
+//!   key order so the byte stream is deterministic: a `HashMap` writes
+//!   exactly the bytes of the `BTreeMap` holding the same pairs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+// cwf-lint: allow(hash-container) -- encoded in sorted key order, never iterated unordered
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
 /// Error produced when a checkpoint cannot be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +53,27 @@ impl std::error::Error for CkptError {}
 /// Shorthand result type used throughout the checkpoint layer.
 pub type Result<T> = std::result::Result<T, CkptError>;
 
+/// The trailer checksum of `bytes`: FNV-1a's offset basis and prime
+/// folded over little-endian 64-bit words, then over the byte tail one
+/// byte at a time. Each fold step is a bijection of the running hash, so
+/// any single changed word — every single-bit flip included — changes
+/// the result.
+#[must_use]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
 /// Append-only encoder for the checkpoint byte stream.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -64,6 +90,15 @@ impl Writer {
     /// Consume the writer, returning the encoded bytes.
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Consume the writer, returning the encoded bytes followed by the
+    /// little-endian [`checksum`] of all of them.
+    #[must_use]
+    pub fn into_sealed(mut self) -> Vec<u8> {
+        let sum = checksum(&self.buf);
+        self.put_u64(sum);
         self.buf
     }
 
@@ -128,6 +163,30 @@ impl<'a> Reader<'a> {
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Check the trailer [`Writer::into_sealed`] appended against the
+    /// checksum of every byte before it, then stop the stream short of
+    /// it, so [`Reader::finish`] expects the payload to end there.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the unread stream is shorter than the trailer or the
+    /// checksum does not match.
+    pub fn unseal(&mut self) -> Result<()> {
+        let Some(end) = self.buf.len().checked_sub(8).filter(|&end| end >= self.pos) else {
+            return Err(CkptError::new("truncated checkpoint: no checksum trailer"));
+        };
+        let (body, trailer) = self.buf.split_at(end);
+        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        let actual = checksum(body);
+        if stored != actual {
+            return Err(CkptError::new(format!(
+                "checksum mismatch: trailer {stored:#018x}, payload {actual:#018x}"
+            )));
+        }
+        self.buf = body;
+        Ok(())
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -429,6 +488,23 @@ impl<K: Ckpt + Ord, V: Ckpt> Ckpt for BTreeMap<K, V> {
     }
 }
 
+// cwf-lint: allow(hash-container) -- saved in sorted key order, loaded by keyed insert
+impl<K: Ckpt + Ord + Hash, V: Ckpt, S: BuildHasher + Default> Ckpt for HashMap<K, V, S> {
+    fn save(&self, w: &mut Writer) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_u64(pairs.len() as u64);
+        for (k, v) in pairs {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self> {
+        let pairs: Vec<(K, V)> = Ckpt::load(r)?;
+        Ok(pairs.into_iter().collect())
+    }
+}
+
 impl<K: Ckpt + Ord> Ckpt for BTreeSet<K> {
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.len() as u64);
@@ -575,6 +651,42 @@ mod tests {
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
         assert!(Vec::<u8>::load(&mut r).is_err());
+    }
+
+    #[test]
+    fn hash_map_encodes_as_the_sorted_btree_map() {
+        let pairs = [(9u64, 1u8), (2, 7), (40, 3), (0, 0)];
+        let bytes = |m: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            m(&mut w);
+            w.into_vec()
+        };
+        let hashed: HashMap<u64, u8> = pairs.into_iter().collect();
+        let sorted: BTreeMap<u64, u8> = pairs.into_iter().collect();
+        assert_eq!(bytes(&|w| hashed.save(w)), bytes(&|w| sorted.save(w)));
+        roundtrip(&hashed);
+    }
+
+    #[test]
+    fn sealed_stream_checks_its_trailer() {
+        let mut w = Writer::new();
+        w.put_u64(0x0123_4567_89AB_CDEF);
+        w.put_u8(5);
+        let sealed = w.into_sealed();
+        assert_eq!(sealed.len(), 9 + 8);
+        let mut r = Reader::new(&sealed);
+        r.unseal().unwrap();
+        assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
+        assert_eq!(r.get_u8().unwrap(), 5);
+        r.finish().unwrap();
+        for bit in 0..sealed.len() * 8 {
+            let mut bad = sealed.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(Reader::new(&bad).unseal().is_err(), "flip of bit {bit} went unnoticed");
+        }
+        for len in 0..sealed.len() {
+            assert!(Reader::new(&sealed[..len]).unseal().is_err(), "truncation to {len}");
+        }
     }
 
     #[test]

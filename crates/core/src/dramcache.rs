@@ -680,10 +680,9 @@ impl cwf_ckpt::Ckpt for FastOp {
 }
 
 impl DramCacheMemory {
-    /// Serialize mutable state: both channel groups' controllers, the
-    /// shadow tag array, in-flight transactions (sorted by id for a
-    /// deterministic byte stream), deferred work, scheduled events and
-    /// statistics. Mappers, ratios, geometry and the fill policy are pure
+    /// Serialize mutable state: the channels, then the shadow tag array,
+    /// in-flight transactions, the id counter, statistics and the
+    /// seeded-fault flags. Mappers, geometry and the fill policy are pure
     /// config, rebuilt on restore. Audit/trace buffers must be drained
     /// before saving (the observers own their contents).
     ///
@@ -709,29 +708,13 @@ impl DramCacheMemory {
             fault_drop_writeback,
         } = self;
         w.section(b"DCCH");
-        chans.save_domain(FAST, w)?;
-        chans.save_domain(SLOW, w)?;
+        chans.save_state(w)?;
         cwf_ckpt::Ckpt::save(tags, w);
         cwf_ckpt::Ckpt::save(lru_clock, w);
-        let mut ids: Vec<u64> = pending.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_u64(ids.len() as u64);
-        for id in ids {
-            w.put_u64(id);
-            cwf_ckpt::Ckpt::save(&pending[&id], w);
-        }
-        let mut ops: Vec<u64> = fast_ops.keys().copied().collect();
-        ops.sort_unstable();
-        w.put_u64(ops.len() as u64);
-        for id in ops {
-            w.put_u64(id);
-            cwf_ckpt::Ckpt::save(&fast_ops[&id], w);
-        }
-        chans.save_deferred(w);
-        chans.save_scheduled(w);
+        cwf_ckpt::Ckpt::save(pending, w);
+        cwf_ckpt::Ckpt::save(fast_ops, w);
         cwf_ckpt::Ckpt::save(next_id, w);
         cwf_ckpt::Ckpt::save(stats, w);
-        chans.save_audit_flag(w);
         cwf_ckpt::Ckpt::save(fault_fake_hit, w);
         cwf_ckpt::Ckpt::save(fault_double_fill, w);
         cwf_ckpt::Ckpt::save(fault_drop_writeback, w);
@@ -745,33 +728,17 @@ impl DramCacheMemory {
     /// Fails on malformed input or a channel-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"DCCH")?;
-        self.chans.load_domain(FAST, r)?;
-        self.chans.load_domain(SLOW, r)?;
+        self.chans.load_state(r)?;
         let tags: Vec<TagEntry> = cwf_ckpt::Ckpt::load(r)?;
         if tags.len() != self.tags.len() {
             return Err(cwf_ckpt::CkptError::new("tag-array size mismatch"));
         }
         self.tags = tags;
         self.lru_clock = cwf_ckpt::Ckpt::load(r)?;
-        let n_pending = r.get_u64()?;
-        self.pending.clear();
-        for _ in 0..n_pending {
-            let id = r.get_u64()?;
-            let p: ReqState = cwf_ckpt::Ckpt::load(r)?;
-            self.pending.insert(id, p);
-        }
-        let n_ops = r.get_u64()?;
-        self.fast_ops.clear();
-        for _ in 0..n_ops {
-            let id = r.get_u64()?;
-            let op: FastOp = cwf_ckpt::Ckpt::load(r)?;
-            self.fast_ops.insert(id, op);
-        }
-        self.chans.load_deferred(r)?;
-        self.chans.load_events(r)?;
+        self.pending = cwf_ckpt::Ckpt::load(r)?;
+        self.fast_ops = cwf_ckpt::Ckpt::load(r)?;
         self.next_id = cwf_ckpt::Ckpt::load(r)?;
         self.stats = cwf_ckpt::Ckpt::load(r)?;
-        self.chans.load_audit_flag(r)?;
         self.fault_fake_hit = cwf_ckpt::Ckpt::load(r)?;
         self.fault_double_fill = cwf_ckpt::Ckpt::load(r)?;
         self.fault_drop_writeback = cwf_ckpt::Ckpt::load(r)?;

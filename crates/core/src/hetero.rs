@@ -571,11 +571,10 @@ cwf_ckpt::ckpt_struct!(CwfStats {
 cwf_ckpt::ckpt_struct!(Pending { fast_done, slow_done, fast_word, critical, parity_defer, demand });
 
 impl HeteroCwfMemory {
-    /// Serialize mutable state: both DIMM groups' controllers, the
-    /// placement tags, the parity RNG stream, in-flight transactions
-    /// (sorted by id for a deterministic byte stream), scheduled events
-    /// and statistics. Mappers, ratios and the parity rate are pure
-    /// config, rebuilt on restore.
+    /// Serialize mutable state: the channels, then the placement tags,
+    /// the parity RNG stream, in-flight transactions, the id counter and
+    /// statistics. Mappers and the parity rate are pure config, rebuilt
+    /// on restore.
     ///
     /// # Errors
     ///
@@ -593,21 +592,12 @@ impl HeteroCwfMemory {
             stats,
         } = self;
         w.section(b"HCWF");
-        chans.save_domain(FAST, w)?;
-        chans.save_domain(SLOW, w)?;
+        chans.save_state(w)?;
         placement.save_state(w);
         cwf_ckpt::Ckpt::save(&rng.state(), w);
-        let mut ids: Vec<u64> = pending.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_u64(ids.len() as u64);
-        for id in ids {
-            w.put_u64(id);
-            cwf_ckpt::Ckpt::save(&pending[&id], w);
-        }
-        chans.save_scheduled(w);
+        cwf_ckpt::Ckpt::save(pending, w);
         cwf_ckpt::Ckpt::save(next_id, w);
         cwf_ckpt::Ckpt::save(stats, w);
-        chans.save_audit_flag(w);
         Ok(())
     }
 
@@ -618,21 +608,12 @@ impl HeteroCwfMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"HCWF")?;
-        self.chans.load_domain(FAST, r)?;
-        self.chans.load_domain(SLOW, r)?;
+        self.chans.load_state(r)?;
         self.placement.load_state(r)?;
         self.rng = StdRng::from_state(cwf_ckpt::Ckpt::load(r)?);
-        let n_pending = r.get_u64()?;
-        self.pending.clear();
-        for _ in 0..n_pending {
-            let id = r.get_u64()?;
-            let p: Pending = cwf_ckpt::Ckpt::load(r)?;
-            self.pending.insert(id, p);
-        }
-        self.chans.load_events(r)?;
+        self.pending = cwf_ckpt::Ckpt::load(r)?;
         self.next_id = cwf_ckpt::Ckpt::load(r)?;
         self.stats = cwf_ckpt::Ckpt::load(r)?;
-        self.chans.load_audit_flag(r)?;
         Ok(())
     }
 }

@@ -123,21 +123,17 @@ impl Organization for PagePlacedMemory {
 }
 
 impl PagePlacedMemory {
-    /// Serialize mutable state: both device groups' controllers, the
-    /// token counter, pending completions and the per-group read
-    /// counters. The hot-page set and mappers are pure config, rebuilt
-    /// on restore.
+    /// Serialize mutable state: the channels, then the token counter and
+    /// the per-group read counters. The hot-page set and mappers are pure
+    /// config, rebuilt on restore.
     ///
     /// # Errors
     ///
     /// Fails when any controller holds undrained trace events.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         w.section(b"PGPL");
-        // The lone hot channel is stored bare, without a count.
-        self.chans.domain(HOT).controllers()[0].save_state(w)?;
-        self.chans.save_domain(COLD, w)?;
+        self.chans.save_state(w)?;
         cwf_ckpt::Ckpt::save(&self.next_token, w);
-        self.chans.save_scheduled(w);
         cwf_ckpt::Ckpt::save(&self.rld_reads, w);
         cwf_ckpt::Ckpt::save(&self.lp_reads, w);
         Ok(())
@@ -150,10 +146,8 @@ impl PagePlacedMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"PGPL")?;
-        self.chans.domain_mut(HOT).controllers_mut()[0].load_state(r)?;
-        self.chans.load_domain(COLD, r)?;
+        self.chans.load_state(r)?;
         self.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.chans.load_lines(r)?;
         self.rld_reads = cwf_ckpt::Ckpt::load(r)?;
         self.lp_reads = cwf_ckpt::Ckpt::load(r)?;
         Ok(())

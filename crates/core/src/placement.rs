@@ -102,14 +102,11 @@ impl Placement {
 }
 
 impl Placement {
-    /// Serialize the learned critical-word tags (sorted by line for a
-    /// deterministic byte stream). The policy and the steady-state
-    /// closure are pure config, rebuilt on restore.
+    /// Serialize the learned critical-word tags. The policy and the
+    /// steady-state closure are pure config, rebuilt on restore.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) {
         w.section(b"PLAC");
-        let mut pairs: Vec<(u64, u8)> = self.tags.iter().map(|(k, v)| (*k, *v)).collect();
-        pairs.sort_unstable();
-        cwf_ckpt::Ckpt::save(&pairs, w);
+        cwf_ckpt::Ckpt::save(&self.tags, w);
     }
 
     /// Restore state saved by [`Placement::save_state`].
@@ -119,8 +116,7 @@ impl Placement {
     /// Fails on malformed input.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"PLAC")?;
-        let pairs: Vec<(u64, u8)> = cwf_ckpt::Ckpt::load(r)?;
-        self.tags = pairs.into_iter().collect();
+        self.tags = cwf_ckpt::Ckpt::load(r)?;
         Ok(())
     }
 }

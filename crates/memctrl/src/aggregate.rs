@@ -116,30 +116,20 @@ impl AggregatedController {
         }
     }
 
-    /// Serialize the `AGGR` section: every sub-controller, the
-    /// round-robin cursor and the shared-bus conflict counter.
-    pub(crate) fn save_state(
-        &self,
-        subs: &[Controller],
-        w: &mut cwf_ckpt::Writer,
-    ) -> cwf_ckpt::Result<()> {
+    /// Serialize the `AGGR` block: the round-robin cursor, the shared-bus
+    /// conflict counter and the seeded-fault flag. The sub-controllers
+    /// are their domain's, saved by [`crate::ChannelSet::save_state`].
+    pub(crate) fn save_state(&self, w: &mut cwf_ckpt::Writer) {
         let AggregatedController { rr, shared_bus: _, cmd_bus_conflicts, fault_double_book } = self;
         w.section(b"AGGR");
-        crate::channelset::save_controllers(subs, w)?;
         cwf_ckpt::Ckpt::save(rr, w);
         cwf_ckpt::Ckpt::save(cmd_bus_conflicts, w);
         cwf_ckpt::Ckpt::save(fault_double_book, w);
-        Ok(())
     }
 
-    /// Restore the `AGGR` section saved by `save_state`.
-    pub(crate) fn load_state(
-        &mut self,
-        subs: &mut [Controller],
-        r: &mut cwf_ckpt::Reader<'_>,
-    ) -> cwf_ckpt::Result<()> {
+    /// Restore the `AGGR` block saved by `save_state`.
+    pub(crate) fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"AGGR")?;
-        crate::channelset::load_controllers(subs, r)?;
         self.rr = cwf_ckpt::Ckpt::load(r)?;
         self.cmd_bus_conflicts = cwf_ckpt::Ckpt::load(r)?;
         self.fault_double_book = cwf_ckpt::Ckpt::load(r)?;

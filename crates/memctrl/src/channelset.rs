@@ -6,8 +6,8 @@
 //! domains. Only the routing of a line's words differs. A [`ChannelSet`]
 //! is that hardware plus the queues around it; it implements device-tick
 //! gating, completion scheduling, retries, statistics, wake-up bounds,
-//! audit and trace once. An [`Organization`] supplies the routing
-//! (`submit` and `complete`) and gets [`MainMemory`] for free.
+//! audit, trace and checkpointing once. An [`Organization`] supplies the
+//! routing (`submit` and `complete`) and gets [`MainMemory`] for free.
 //!
 //! Channels are numbered domain by domain, in domain order: that global
 //! index is the one [`AuditRecord`]s, [`ChannelDesc`]s, controller trace
@@ -72,26 +72,6 @@ impl ClockDomain {
     #[must_use]
     pub fn aggregated(ctrls: Vec<Controller>, arbiter: AggregatedController) -> Self {
         ClockDomain { arbiter: Some(arbiter), ..Self::new(ctrls) }
-    }
-
-    /// The domain's controllers, in channel order.
-    #[must_use]
-    pub fn controllers(&self) -> &[Controller] {
-        &self.ctrls
-    }
-
-    /// Mutable access to the controllers (checkpointing, fault injection).
-    /// Every cached wake bound and scheduler fold goes stale.
-    pub fn controllers_mut(&mut self) -> &mut [Controller] {
-        self.invalidate();
-        &mut self.ctrls
-    }
-
-    fn invalidate(&mut self) {
-        for (c, w) in self.ctrls.iter_mut().zip(&mut self.wake) {
-            *w.get_mut() = 0;
-            c.forget_sched_fold();
-        }
     }
 
     fn mem_now(&self, now: u64) -> u64 {
@@ -167,17 +147,6 @@ impl ChannelSet {
             buf: TickBuf::default(),
             ticks: CtrlTicks::default(),
         }
-    }
-
-    /// Clock domain `d`.
-    #[must_use]
-    pub fn domain(&self, d: usize) -> &ClockDomain {
-        &self.domains[d]
-    }
-
-    /// Mutable clock domain `d`.
-    pub fn domain_mut(&mut self, d: usize) -> &mut ClockDomain {
-        &mut self.domains[d]
     }
 
     /// Controller ticks run and skipped so far.
@@ -356,112 +325,81 @@ impl ChannelSet {
         });
     }
 
-    /// Serialize domain `d`'s controllers where a backend's checkpoint
-    /// section keeps them: the `AGGR` section for an arbitrated domain,
-    /// else a count followed by each controller.
+    /// Serialize every clock domain — its arbiter's block when it has
+    /// one, the controller count, each controller, then the domain's
+    /// deferred reads and writes (channel as a `u8` index within the
+    /// domain) — followed by the scheduled queue, each entry tagged with
+    /// its kind. The audit and trace flags are not encoded: the run's
+    /// verify and trace knobs re-arm them on restore.
     ///
     /// # Errors
     ///
     /// Fails when a controller holds undrained trace events.
-    pub fn save_domain(&self, d: usize, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
-        let dom = &self.domains[d];
-        match &dom.arbiter {
-            Some(arbiter) => arbiter.save_state(&dom.ctrls, w),
-            None => save_controllers(&dom.ctrls, w),
+    pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
+        use cwf_ckpt::Ckpt;
+        for dom in &self.domains {
+            if let Some(arbiter) = &dom.arbiter {
+                arbiter.save_state(w);
+            }
+            w.put_u64(dom.ctrls.len() as u64);
+            for c in &dom.ctrls {
+                c.save_state(w)?;
+            }
+            dom.deferred_reads.save(w);
+            dom.deferred_writes.save(w);
         }
+        self.scheduled.save(w);
+        Ok(())
     }
 
-    /// Restore what [`ChannelSet::save_domain`] wrote.
+    /// Restore what [`ChannelSet::save_state`] wrote into channels built
+    /// from the same configuration.
     ///
     /// # Errors
     ///
     /// Fails on malformed input or a controller-count mismatch.
-    pub fn load_domain(&mut self, d: usize, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
-        let dom = &mut self.domains[d];
-        dom.invalidate();
-        match &mut dom.arbiter {
-            Some(arbiter) => arbiter.load_state(&mut dom.ctrls, r),
-            None => load_controllers(&mut dom.ctrls, r),
-        }
-    }
-
-    /// Serialize the deferred work: every domain's reads, then every
-    /// domain's writes. The tuples keep the channel as a `u8` index
-    /// within its domain.
-    pub fn save_deferred(&self, w: &mut cwf_ckpt::Writer) {
-        for dom in &self.domains {
-            cwf_ckpt::Ckpt::save(&dom.deferred_reads, w);
-        }
-        for dom in &self.domains {
-            cwf_ckpt::Ckpt::save(&dom.deferred_writes, w);
-        }
-    }
-
-    /// Restore what [`ChannelSet::save_deferred`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input.
-    pub fn load_deferred(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
+    pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
+        use cwf_ckpt::Ckpt;
         for dom in &mut self.domains {
-            dom.deferred_reads = cwf_ckpt::Ckpt::load(r)?;
+            // Every cached wake bound goes stale; each controller's load
+            // drops its scheduler fold.
+            dom.wake.iter_mut().for_each(|w| *w.get_mut() = 0);
+            if let Some(arbiter) = &mut dom.arbiter {
+                arbiter.load_state(r)?;
+            }
+            if r.get_u64()? != dom.ctrls.len() as u64 {
+                return Err(cwf_ckpt::CkptError::new("controller count mismatch"));
+            }
+            for c in &mut dom.ctrls {
+                c.load_state(r)?;
+            }
+            dom.deferred_reads = Ckpt::load(r)?;
+            dom.deferred_writes = Ckpt::load(r)?;
         }
-        for dom in &mut self.domains {
-            dom.deferred_writes = cwf_ckpt::Ckpt::load(r)?;
-        }
+        self.set_scheduled(Ckpt::load(r)?);
         Ok(())
     }
+}
 
-    /// Serialize the scheduled queue. Entries are untagged — `(cycle,
-    /// token)` for a whole line, `(cycle, event)` otherwise — because an
-    /// organization schedules one kind only and its section knows which.
-    pub fn save_scheduled(&self, w: &mut cwf_ckpt::Writer) {
-        use cwf_ckpt::Ckpt;
-        w.put_u64(self.scheduled.len() as u64);
-        for (at, s) in &self.scheduled {
-            at.save(w);
-            match s {
-                Scheduled::Line(token) => token.save(w),
-                Scheduled::Event(e) => e.save(w),
+impl cwf_ckpt::Ckpt for Scheduled {
+    fn save(&self, w: &mut cwf_ckpt::Writer) {
+        match self {
+            Scheduled::Line(token) => {
+                w.put_u8(0);
+                token.save(w);
+            }
+            Scheduled::Event(e) => {
+                w.put_u8(1);
+                e.save(w);
             }
         }
     }
-
-    /// Restore a whole-line organization's scheduled queue.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input.
-    pub fn load_lines(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
-        let lines: Vec<(u64, Token)> = cwf_ckpt::Ckpt::load(r)?;
-        self.set_scheduled(lines.into_iter().map(|(at, t)| (at, Scheduled::Line(t))).collect());
-        Ok(())
-    }
-
-    /// Restore an event-building organization's scheduled queue.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input.
-    pub fn load_events(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
-        let events: Vec<(u64, MemEvent)> = cwf_ckpt::Ckpt::load(r)?;
-        self.set_scheduled(events.into_iter().map(|(at, e)| (at, Scheduled::Event(e))).collect());
-        Ok(())
-    }
-
-    /// Serialize the audit-enabled flag.
-    pub fn save_audit_flag(&self, w: &mut cwf_ckpt::Writer) {
-        cwf_ckpt::Ckpt::save(&self.audit, w);
-    }
-
-    /// Restore the audit-enabled flag.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed input.
-    pub fn load_audit_flag(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
-        self.audit = cwf_ckpt::Ckpt::load(r)?;
-        Ok(())
+    fn load(r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(Scheduled::Line(cwf_ckpt::Ckpt::load(r)?)),
+            1 => Ok(Scheduled::Event(cwf_ckpt::Ckpt::load(r)?)),
+            t => Err(cwf_ckpt::CkptError::new(format!("invalid scheduled-entry tag {t}"))),
+        }
     }
 }
 
@@ -480,32 +418,6 @@ fn drain_power(c: &mut Controller, channel: usize, out: &mut Vec<AuditRecord>) {
         rank,
         state,
     }));
-}
-
-/// Serialize a controller count followed by each controller.
-pub(crate) fn save_controllers(
-    ctrls: &[Controller],
-    w: &mut cwf_ckpt::Writer,
-) -> cwf_ckpt::Result<()> {
-    w.put_u64(ctrls.len() as u64);
-    for c in ctrls {
-        c.save_state(w)?;
-    }
-    Ok(())
-}
-
-/// Restore what [`save_controllers`] wrote into `ctrls`.
-pub(crate) fn load_controllers(
-    ctrls: &mut [Controller],
-    r: &mut cwf_ckpt::Reader<'_>,
-) -> cwf_ckpt::Result<()> {
-    if r.get_u64()? != ctrls.len() as u64 {
-        return Err(cwf_ckpt::CkptError::new("controller count mismatch"));
-    }
-    for c in ctrls {
-        c.load_state(r)?;
-    }
-    Ok(())
 }
 
 /// A memory organization: the rule that routes lines onto a

@@ -221,13 +221,13 @@ impl Controller {
     /// Current read-queue occupancy.
     #[must_use]
     pub fn read_q_len(&self) -> usize {
-        self.sched.read_q.len()
+        self.sched.queue_lens().0
     }
 
     /// Current write-queue occupancy.
     #[must_use]
     pub fn write_q_len(&self) -> usize {
-        self.sched.write_q.len()
+        self.sched.queue_lens().1
     }
 
     /// Enqueue a read transaction; returns `false` when the read queue is
@@ -307,12 +307,12 @@ impl Controller {
                 return true;
             }
         }
-        let draining = self.sched.drain;
+        let draining = self.sched.draining();
         let issued = self.sched.tick(&mut self.channel, &self.refresh, now);
-        if self.sched.drain != draining {
+        if self.sched.draining() != draining {
             if let Some(t) = self.trace.as_mut() {
                 let at = now * t.ratio;
-                t.events.push(if self.sched.drain {
+                t.events.push(if self.sched.draining() {
                     TraceEvent::McDrainEnter { channel: t.channel, at }
                 } else {
                     TraceEvent::McDrainExit { channel: t.channel, at }
@@ -336,13 +336,6 @@ impl Controller {
     pub(crate) fn settle_idle_tick(&mut self, now: u64) {
         self.mem_cycles = self.mem_cycles.max(now + 1);
         self.sched.settle(&self.channel, &self.refresh, now);
-    }
-
-    /// Forget the scheduler fold kept for [`Self::settle_idle_tick`], for
-    /// a caller about to change the controller through a path that does
-    /// not clear it itself.
-    pub(crate) fn forget_sched_fold(&mut self) {
-        self.sched.forget_fold();
     }
 
     /// Wake ranks that have pending work or a refresh coming due; sleep
@@ -906,7 +899,7 @@ mod tests {
         assert!(wake > now + 1, "the settle cycle must not be due (wake {wake}, now {now})");
         assert!(now >= kept.sched.idle_until, "the scheduler bound has lapsed");
         assert!(kept.sched.fold.get().is_some(), "the wake kept its scheduler fold");
-        refolded.forget_sched_fold();
+        refolded.sched.forget_fold();
         kept.settle_idle_tick(wake - 1);
         refolded.settle_idle_tick(wake - 1);
         let bytes = |c: &Controller| {
@@ -949,8 +942,8 @@ cwf_ckpt::ckpt_struct!(ControllerStats {
 });
 
 impl Controller {
-    /// Serialize the controller's mutable state: channel, transaction
-    /// queues, scheduler bookkeeping, refresh deadlines, pending
+    /// Serialize the controller's mutable state: the channel, the
+    /// scheduler's and the refresh unit's own blocks, then pending
     /// completions and statistics. Config (`DeviceConfig`, `CtrlParams`,
     /// label) is rebuilt on restore. The trace sink itself is configured
     /// (re-armed by [`Controller::enable_trace`] on restore) and carries
@@ -977,15 +970,6 @@ impl Controller {
             read_lat_hist,
             trace,
         } = self;
-        let Scheduler { params: _, read_q, write_q, drain, idle_until, fold: _, next_token } =
-            sched;
-        let RefreshUnit {
-            t_refi: _,
-            deadline,
-            bank_rr,
-            fault_drop_refreshes,
-            fault_phantom_self_refresh,
-        } = refresh;
         if trace.as_ref().is_some_and(|t| !t.events.is_empty()) {
             return Err(cwf_ckpt::CkptError::new(
                 "cannot checkpoint a controller with undrained trace events",
@@ -993,12 +977,8 @@ impl Controller {
         }
         w.section(b"CTRL");
         channel.save_state(w);
-        cwf_ckpt::Ckpt::save(read_q, w);
-        cwf_ckpt::Ckpt::save(write_q, w);
-        cwf_ckpt::Ckpt::save(drain, w);
-        cwf_ckpt::Ckpt::save(idle_until, w);
-        cwf_ckpt::Ckpt::save(deadline, w);
-        cwf_ckpt::Ckpt::save(bank_rr, w);
+        sched.save_state(w);
+        refresh.save_state(w);
         cwf_ckpt::Ckpt::save(completions, w);
         cwf_ckpt::Ckpt::save(mem_cycles, w);
         cwf_ckpt::Ckpt::save(reads_done, w);
@@ -1006,9 +986,6 @@ impl Controller {
         cwf_ckpt::Ckpt::save(sum_queue_mem, w);
         cwf_ckpt::Ckpt::save(sum_service_mem, w);
         cwf_ckpt::Ckpt::save(read_lat_hist, w);
-        cwf_ckpt::Ckpt::save(next_token, w);
-        cwf_ckpt::Ckpt::save(fault_drop_refreshes, w);
-        cwf_ckpt::Ckpt::save(fault_phantom_self_refresh, w);
         Ok(())
     }
 
@@ -1017,21 +994,12 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or a refresh-deadline count mismatch.
+    /// Fails on malformed input or a rank-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"CTRL")?;
-        self.sched.forget_fold();
         self.channel.load_state(r)?;
-        self.sched.read_q = cwf_ckpt::Ckpt::load(r)?;
-        self.sched.write_q = cwf_ckpt::Ckpt::load(r)?;
-        self.sched.drain = cwf_ckpt::Ckpt::load(r)?;
-        self.sched.idle_until = cwf_ckpt::Ckpt::load(r)?;
-        let deadline: Vec<u64> = cwf_ckpt::Ckpt::load(r)?;
-        if deadline.len() != self.refresh.deadline.len() {
-            return Err(cwf_ckpt::CkptError::new("refresh-deadline count mismatch"));
-        }
-        self.refresh.deadline = deadline;
-        self.refresh.bank_rr = cwf_ckpt::Ckpt::load(r)?;
+        self.sched.load_state(r)?;
+        self.refresh.load_state(r)?;
         self.completions = cwf_ckpt::Ckpt::load(r)?;
         self.mem_cycles = cwf_ckpt::Ckpt::load(r)?;
         self.reads_done = cwf_ckpt::Ckpt::load(r)?;
@@ -1039,9 +1007,6 @@ impl Controller {
         self.sum_queue_mem = cwf_ckpt::Ckpt::load(r)?;
         self.sum_service_mem = cwf_ckpt::Ckpt::load(r)?;
         self.read_lat_hist = cwf_ckpt::Ckpt::load(r)?;
-        self.sched.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.refresh.fault_drop_refreshes = cwf_ckpt::Ckpt::load(r)?;
-        self.refresh.fault_phantom_self_refresh = cwf_ckpt::Ckpt::load(r)?;
         Ok(())
     }
 }

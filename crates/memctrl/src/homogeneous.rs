@@ -176,19 +176,17 @@ impl Organization for HomogeneousMemory {
 }
 
 impl HomogeneousMemory {
-    /// Serialize mutable state: every controller, the token counter and
-    /// pending completion events. The address mapper and clock ratio are
-    /// pure config, rebuilt on restore; the page tally is not kept.
+    /// Serialize mutable state: the channels, then the token counter.
+    /// The address mapper is pure config, rebuilt on restore; the page
+    /// tally is not kept.
     ///
     /// # Errors
     ///
     /// Fails when any controller holds undrained trace events.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         w.section(b"HOMO");
-        self.chans.save_domain(0, w)?;
+        self.chans.save_state(w)?;
         cwf_ckpt::Ckpt::save(&self.next_token, w);
-        self.chans.save_scheduled(w);
-        self.chans.save_audit_flag(w);
         Ok(())
     }
 
@@ -199,10 +197,9 @@ impl HomogeneousMemory {
     /// Fails on malformed input or a controller-count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"HOMO")?;
-        self.chans.load_domain(0, r)?;
+        self.chans.load_state(r)?;
         self.next_token = cwf_ckpt::Ckpt::load(r)?;
-        self.chans.load_lines(r)?;
-        self.chans.load_audit_flag(r)
+        Ok(())
     }
 }
 

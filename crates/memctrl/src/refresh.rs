@@ -9,16 +9,15 @@
 
 use dram_timing::{Channel, Command, DeviceConfig, PowerState};
 
-/// The refresh state of one channel's ranks. The fields are checkpointed
-/// by [`crate::Controller::save_state`], in its `CTRL` section order.
+/// The refresh state of one channel's ranks.
 #[derive(Debug)]
 pub(crate) struct RefreshUnit {
     /// tREFI in device cycles; 0 disables refresh.
-    pub(crate) t_refi: u64,
+    t_refi: u64,
     /// Per rank, the cycle its next refresh is due.
-    pub(crate) deadline: Vec<u64>,
+    deadline: Vec<u64>,
     /// Per rank, the bank its next same-bank refresh targets.
-    pub(crate) bank_rr: Vec<u8>,
+    bank_rr: Vec<u8>,
     /// Fault injection: number of upcoming refresh obligations to skip
     /// silently (deadline re-armed, no command issued). Only the verify
     /// oracle's seeded-fault tests set this.
@@ -41,6 +40,38 @@ impl RefreshUnit {
             fault_drop_refreshes: 0,
             fault_phantom_self_refresh: 0,
         }
+    }
+
+    /// Serialize the `RFSH` block: the deadlines, the same-bank cursors
+    /// and the seeded-fault counters. tREFI is config and not encoded.
+    pub(crate) fn save_state(&self, w: &mut cwf_ckpt::Writer) {
+        let RefreshUnit {
+            t_refi: _,
+            deadline,
+            bank_rr,
+            fault_drop_refreshes,
+            fault_phantom_self_refresh,
+        } = self;
+        w.section(b"RFSH");
+        cwf_ckpt::Ckpt::save(deadline, w);
+        cwf_ckpt::Ckpt::save(bank_rr, w);
+        cwf_ckpt::Ckpt::save(fault_drop_refreshes, w);
+        cwf_ckpt::Ckpt::save(fault_phantom_self_refresh, w);
+    }
+
+    /// Restore the block [`Self::save_state`] wrote.
+    pub(crate) fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
+        r.expect_section(b"RFSH")?;
+        let deadline: Vec<u64> = cwf_ckpt::Ckpt::load(r)?;
+        let bank_rr: Vec<u8> = cwf_ckpt::Ckpt::load(r)?;
+        if deadline.len() != self.deadline.len() || bank_rr.len() != self.bank_rr.len() {
+            return Err(cwf_ckpt::CkptError::new("refresh rank count mismatch"));
+        }
+        self.deadline = deadline;
+        self.bank_rr = bank_rr;
+        self.fault_drop_refreshes = cwf_ckpt::Ckpt::load(r)?;
+        self.fault_phantom_self_refresh = cwf_ckpt::Ckpt::load(r)?;
+        Ok(())
     }
 
     /// A rank is blocked for normal traffic while its refresh is overdue.

@@ -123,14 +123,13 @@ impl Scan {
 }
 
 /// One channel's transaction scheduler: the queues, the write-drain mode
-/// and the cached idle bound. The fields are checkpointed by
-/// [`crate::Controller::save_state`], in its `CTRL` section order.
+/// and the cached idle bound.
 #[derive(Debug)]
 pub(crate) struct Scheduler {
-    pub(crate) params: CtrlParams,
-    pub(crate) read_q: TxnQueue,
-    pub(crate) write_q: TxnQueue,
-    pub(crate) drain: bool,
+    params: CtrlParams,
+    read_q: TxnQueue,
+    write_q: TxnQueue,
+    drain: bool,
     /// Cached "no scheduler action before this cycle" bound: while `now`
     /// is strictly below it, [`Self::tick`] skips the drain-hysteresis
     /// check and the whole selection round. Set by a round that issues
@@ -143,7 +142,7 @@ pub(crate) struct Scheduler {
     /// again. Every `&mut` entry that can change a scanned input clears
     /// it. Not checkpointed.
     pub(crate) fold: Cell<Option<u64>>,
-    pub(crate) next_token: u64,
+    next_token: u64,
 }
 
 impl Scheduler {
@@ -165,6 +164,16 @@ impl Scheduler {
 
     pub(crate) fn write_space(&self) -> bool {
         self.write_q.len() < self.params.write_q_capacity
+    }
+
+    /// Read- and write-queue occupancy.
+    pub(crate) fn queue_lens(&self) -> (usize, usize) {
+        (self.read_q.len(), self.write_q.len())
+    }
+
+    /// True while the scheduler is in write-drain mode.
+    pub(crate) fn draining(&self) -> bool {
+        self.drain
     }
 
     /// Does either queue hold a transaction for `rank`?
@@ -204,6 +213,31 @@ impl Scheduler {
 
     pub(crate) fn forget_fold(&self) {
         self.fold.set(None);
+    }
+
+    /// Serialize the `SCHD` block: both queues, the drain mode, the idle
+    /// bound and the write-token counter. The params are config and the
+    /// fold a cache; neither is encoded.
+    pub(crate) fn save_state(&self, w: &mut cwf_ckpt::Writer) {
+        let Scheduler { params: _, read_q, write_q, drain, idle_until, fold: _, next_token } = self;
+        w.section(b"SCHD");
+        cwf_ckpt::Ckpt::save(read_q, w);
+        cwf_ckpt::Ckpt::save(write_q, w);
+        cwf_ckpt::Ckpt::save(drain, w);
+        cwf_ckpt::Ckpt::save(idle_until, w);
+        cwf_ckpt::Ckpt::save(next_token, w);
+    }
+
+    /// Restore the block [`Self::save_state`] wrote.
+    pub(crate) fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
+        r.expect_section(b"SCHD")?;
+        self.forget_fold();
+        self.read_q = cwf_ckpt::Ckpt::load(r)?;
+        self.write_q = cwf_ckpt::Ckpt::load(r)?;
+        self.drain = cwf_ckpt::Ckpt::load(r)?;
+        self.idle_until = cwf_ckpt::Ckpt::load(r)?;
+        self.next_token = cwf_ckpt::Ckpt::load(r)?;
+        Ok(())
     }
 
     /// One scheduler round at `now`: apply the write-drain hysteresis,

@@ -122,8 +122,10 @@ cwf_ckpt::ckpt_struct!(WarmSnapshot { insts, cycles, hier, mem, cwf });
 
 /// Magic prefix of a `cwfmem.ckpt.v1` blob.
 const CKPT_MAGIC: &[u8; 8] = b"CWFCKPT1";
-/// Format version within the `CWFCKPT1` magic.
-const CKPT_VERSION: u32 = 1;
+/// Format version within the `CWFCKPT1` magic. Version 2 gives each
+/// memory-side unit one block of its own and seals the blob with a
+/// checksum trailer; no version-1 reader is kept.
+const CKPT_VERSION: u32 = 2;
 
 /// A complete simulated machine for one benchmark run.
 pub struct System {
@@ -693,10 +695,10 @@ impl System {
     ///
     /// Observability survives the split: the observers are drained first
     /// (so no layer holds undrained trace events), the oracle's state is
-    /// embedded as before, and — when `cfg.trace` is on — the tracer's
-    /// ring rides along in an additive trailing section, keyed off the
-    /// `trace` flag already in the serialized [`RunConfig`]. Blobs from
-    /// untraced runs are byte-identical to the pre-trace format.
+    /// embedded, and — when `cfg.trace` is on — the tracer's ring rides
+    /// along in a `TRCR` section, keyed off the `trace` flag already in
+    /// the serialized [`RunConfig`]. The blob ends with the checksum of
+    /// every byte before it.
     ///
     /// # Errors
     ///
@@ -725,7 +727,9 @@ impl System {
         for gen in &self.gens {
             gen.save_ckpt(&mut w)?;
         }
-        self.hierarchy.save_state(&mut w, |m, w| m.save_state(w))?;
+        self.hierarchy.save_state(&mut w)?;
+        w.section(b"HMEM");
+        self.hierarchy.memory().save_state(&mut w)?;
         match &self.oracle {
             Some(oracle) => {
                 w.put_u8(1);
@@ -737,7 +741,7 @@ impl System {
             w.section(b"TRCR");
             tracer.save_state(&mut w);
         }
-        Ok(w.into_vec())
+        Ok(w.into_sealed())
     }
 
     /// Rebuild a paused system from a [`System::save_ckpt`] blob. The run
@@ -749,8 +753,9 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic/version, an unknown benchmark or memory kind,
-    /// a geometry mismatch, or a malformed stream.
+    /// Fails on a bad magic/version, a checksum mismatch, an out-of-range
+    /// run config, an unknown benchmark or memory kind, a geometry
+    /// mismatch, or a malformed stream.
     pub fn from_ckpt(bytes: &[u8]) -> cwf_ckpt::Result<System> {
         use cwf_ckpt::Ckpt;
         let mut r = cwf_ckpt::Reader::new(bytes);
@@ -764,7 +769,9 @@ impl System {
                 "unsupported checkpoint version {version} (expected {CKPT_VERSION})"
             )));
         }
+        r.unseal()?;
         let cfg = RunConfig::load(&mut r)?;
+        cfg.validate().map_err(|e| cwf_ckpt::CkptError::new(format!("invalid run config: {e}")))?;
         let bench = String::load(&mut r)?;
         let profile = workloads::by_name(&bench).ok_or_else(|| {
             cwf_ckpt::CkptError::new(format!("checkpoint names unknown benchmark '{bench}'"))
@@ -808,7 +815,9 @@ impl System {
         for gen in &mut self.gens {
             gen.load_ckpt(r)?;
         }
-        self.hierarchy.load_state(r, |m, r| m.load_state(r))?;
+        self.hierarchy.load_state(r)?;
+        r.expect_section(b"HMEM")?;
+        self.hierarchy.memory_mut().load_state(r)?;
         match r.get_u8()? {
             1 => match &mut self.oracle {
                 Some(oracle) => oracle.load_state(r)?,
@@ -829,7 +838,7 @@ impl System {
         }
         // The tracer section exists exactly when the run was traced
         // (`cfg.trace` travelled in the header, which also built
-        // `self.tracer`), so untraced pre-trace blobs parse unchanged.
+        // `self.tracer`).
         if let Some(tracer) = &mut self.tracer {
             r.expect_section(b"TRCR")?;
             tracer.load_state(r)?;

@@ -3,10 +3,11 @@
 //! organization writes.
 //!
 //! The verify oracle, the Perfetto track layout and `trace_golden` all
-//! index channels by `audit_channels()` position, and `cwfmem.ckpt.v1`
-//! blobs written by older builds must keep loading. Both are easy to
-//! shift by accident when the controller plumbing under the backends is
-//! reorganized, so both are pinned here against hard-coded values.
+//! index channels by `audit_channels()` position, and a checkpoint's
+//! layout may change only together with its format version. Both are
+//! easy to shift by accident when the controller plumbing under the
+//! backends is reorganized, so both are pinned here against hard-coded
+//! values.
 
 use std::collections::BTreeSet;
 
@@ -102,18 +103,18 @@ fn checkpoint_bytes_are_pinned() {
     let mcf = workloads::by_name("mcf").expect("known bench");
     let observed = RunConfig { verify: true, trace: true, ..quick(MemKind::Rl) };
     let cells: [(&str, RunConfig, (usize, u64)); 5] = [
-        ("ddr3", quick(MemKind::Ddr3), (1_435_883, 0x71de_ed76_6379_ceef)),
-        ("rl", quick(MemKind::Rl), (1_465_356, 0x6500_4390_abd9_9b76)),
-        ("rl verify+trace", observed, (1_517_864, 0xaef9_c804_7ae9_6785)),
+        ("ddr3", quick(MemKind::Ddr3), (1_435_939, 0xedc9_2f47_e01e_ca90)),
+        ("rl", quick(MemKind::Rl), (1_465_461, 0x36dc_e7b7_021a_c19d)),
+        ("rl verify+trace", observed, (1_517_967, 0x268c_b5e2_4c3c_1076)),
         (
             "rldram3+ddr5_4800",
             quick(MemKind::parse("rldram3+ddr5_4800").unwrap()),
-            (1_471_271, 0x0763_68a4_9901_ee81),
+            (1_471_374, 0x3186_a100_90dc_b93f),
         ),
         (
             "dramcache:rldram3+nvm_slow",
             quick(MemKind::parse("dramcache:rldram3+nvm_slow").unwrap()),
-            (6_171_466, 0xcd18_6772_4ea0_3b07),
+            (6_171_521, 0x4d9d_e678_f07a_d279),
         ),
     ];
     for (name, cfg, pin) in cells {
@@ -127,20 +128,24 @@ fn checkpoint_bytes_are_pinned() {
     let pp = MemBackend::PagePlaced(PagePlacedMemory::new(hot));
     let got = ckpt_digest(System::with_backend(&quick(MemKind::Ddr3), mcf, pp));
     println!("page-placed: ({}, {:#018x})", got.0, got.1);
-    assert_eq!(got, (1_436_288, 0x3e50_4461_1df1_18c4), "page-placed: checkpoint bytes moved");
+    assert_eq!(got, (1_436_368, 0xec28_d1ba_fee5_e76a), "page-placed: checkpoint bytes moved");
 }
 
 #[test]
 fn unknown_checkpoint_version_is_rejected() {
     let mut sys = System::new(&quick(MemKind::Ddr3), workloads::by_name("mcf").unwrap());
     assert!(sys.run_to_cycle(1_000).is_none());
-    let mut blob = sys.save_ckpt().expect("checkpoint serializes");
-    // Magic (8 bytes), then the little-endian u32 format version.
-    assert_eq!(&blob[8..12], &1u32.to_le_bytes());
-    blob[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let err = System::from_ckpt(&blob).err().expect("version 2 must be refused");
-    assert!(
-        err.to_string().contains("unsupported checkpoint version 2"),
-        "unexpected error: {err}"
-    );
+    let blob = sys.save_ckpt().expect("checkpoint serializes");
+    // Magic (8 bytes), then the little-endian u32 format version. No
+    // version-1 reader is kept, so a v1 blob is refused like a future one.
+    assert_eq!(&blob[8..12], &2u32.to_le_bytes());
+    for version in [1u32, 3] {
+        let mut bad = blob.clone();
+        bad[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = System::from_ckpt(&bad).err().expect("a foreign version must be refused");
+        assert!(
+            err.to_string().contains(&format!("unsupported checkpoint version {version}")),
+            "unexpected error: {err}"
+        );
+    }
 }

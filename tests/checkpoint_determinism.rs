@@ -3,14 +3,28 @@
 //! resuming in a fresh process image must produce a byte-identical
 //! `cwfmem.run.v1` document — across benchmarks, memory organizations,
 //! both kernels, and arbitrary split points (including cycle 0 and
-//! splits inside the warm-up window), with the verify oracle on.
+//! splits inside the warm-up window), with the verify oracle on. Below
+//! the whole system, every memory backend restores mid-flight to the
+//! same bytes and the same future events.
 
-use cwfmem::sim::config::MemKind;
+use std::collections::BTreeSet;
+
+use cwfmem::cwf::{PagePlacedMemory, PAGE_BYTES};
+use cwfmem::dram::DeviceKind;
+use cwfmem::memctrl::{LineRequest, MainMemory, MemEvent};
+use cwfmem::sim::config::{MemBackend, MemKind};
 use cwfmem::sim::{resume_benchmark, run_benchmark_ckpt, CkptOutcome, Kernel, RunConfig};
 use proptest::prelude::*;
 
 const BENCHES: [&str; 4] = ["mcf", "stream", "libquantum", "leslie3d"];
-const KINDS: [MemKind; 4] = [MemKind::Rl, MemKind::Ddr3, MemKind::RlAdaptive, MemKind::Dl];
+const KINDS: [MemKind; 6] = [
+    MemKind::Rl,
+    MemKind::Ddr3,
+    MemKind::RlAdaptive,
+    MemKind::Dl,
+    MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow),
+    MemKind::SpecCwf(DeviceKind::Rldram3, DeviceKind::Ddr5),
+];
 
 /// Render a finished outcome as its verified run document.
 fn doc(outcome: CkptOutcome) -> String {
@@ -67,7 +81,7 @@ fn resume_with_verify_and_trace_matches_unsplit_run() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn resume_is_byte_identical_at_any_split(
         bench_i in 0usize..BENCHES.len(),
@@ -102,5 +116,86 @@ proptest! {
             // run finished outright and must match the reference too.
             finished => prop_assert_eq!(&whole, &doc(finished)),
         }
+    }
+}
+
+/// A fresh backend of one kind.
+type Build = fn() -> MemBackend;
+
+/// Every backend the run config can build, plus §7.1 page placement with
+/// a non-empty hot set (its hot RLDRAM3 domain then carries traffic).
+fn every_backend() -> Vec<(&'static str, Build)> {
+    vec![
+        ("ddr3", || MemKind::Ddr3.build(0.0, 1)),
+        ("lpddr2", || MemKind::Lpddr2.build(0.0, 1)),
+        ("rldram3", || MemKind::Rldram3.build(0.0, 1)),
+        ("rd", || MemKind::Rd.build(0.0, 1)),
+        ("rl", || MemKind::Rl.build(0.0, 1)),
+        ("dl", || MemKind::Dl.build(0.0, 1)),
+        ("rl-ad", || MemKind::RlAdaptive.build(0.0, 1)),
+        ("rl-or", || MemKind::RlOracle.build(0.0, 1)),
+        ("rl-rand", || MemKind::RlRandom.build(0.0, 1)),
+        ("rl parity", || MemKind::Rl.build(0.05, 1)),
+        ("ddr5", || MemKind::Spec(DeviceKind::Ddr5).build(0.0, 1)),
+        ("rldram3+ddr5", || MemKind::SpecCwf(DeviceKind::Rldram3, DeviceKind::Ddr5).build(0.0, 1)),
+        ("dramcache", || {
+            MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow).build(0.0, 1)
+        }),
+        ("page-placed", || {
+            MemBackend::PagePlaced(PagePlacedMemory::new((0..16u64).collect::<BTreeSet<u64>>()))
+        }),
+    ]
+}
+
+/// Drive `mem` over CPU cycles `from..to`: a seeded mix of demand reads,
+/// prefetches and writebacks over 64 pages (the first 16 hot under page
+/// placement), a tick and an event drain every cycle.
+fn drive(mem: &mut MemBackend, from: u64, to: u64, events: &mut Vec<MemEvent>) {
+    for now in from..to {
+        let h = (now ^ 0x9E37_79B9).wrapping_mul(0x2545_F491_4F6C_DD1D);
+        if h >> 61 < 3 {
+            let line = (h >> 8) % (64 * PAGE_BYTES / 64) * 64;
+            let req = match (h >> 40) % 8 {
+                0 | 1 => LineRequest::writeback(line, (h >> 32) as u8 & 7, 0),
+                2 => LineRequest::prefetch_read(line, 1),
+                _ => LineRequest::demand_read(line, (h >> 32) as u8 & 7, (h >> 36) as u8 & 1),
+            };
+            let _ = mem.try_submit(&req, now);
+        }
+        mem.tick(now);
+        mem.drain_events(now, events);
+    }
+}
+
+fn saved(mem: &MemBackend) -> Vec<u8> {
+    let mut w = cwf_ckpt::Writer::new();
+    mem.save_state(&mut w).expect("backend serializes");
+    w.into_vec()
+}
+
+/// Save each backend mid-flight, restore into a fresh build, and drive
+/// both on: the restored copy re-saves the same bytes, emits the same
+/// events and ends in the same state.
+#[test]
+fn every_backend_restores_mid_flight() {
+    const SAVE_AT: u64 = 3_000;
+    const END: u64 = 12_000;
+    for (name, build) in every_backend() {
+        let mut live = build();
+        let mut before = Vec::new();
+        drive(&mut live, 0, SAVE_AT, &mut before);
+        assert!(!before.is_empty(), "{name}: reads complete before the save");
+        let bytes = saved(&live);
+        let mut restored = build();
+        let mut r = cwf_ckpt::Reader::new(&bytes);
+        restored.load_state(&mut r).unwrap_or_else(|e| panic!("{name}: {e}"));
+        r.finish().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(saved(&restored), bytes, "{name}: re-saved bytes differ");
+        let (mut ev_live, mut ev_restored) = (Vec::new(), Vec::new());
+        drive(&mut live, SAVE_AT, END, &mut ev_live);
+        drive(&mut restored, SAVE_AT, END, &mut ev_restored);
+        assert!(!ev_live.is_empty(), "{name}: reads complete after the save");
+        assert_eq!(ev_live, ev_restored, "{name}: events diverged after the restore");
+        assert_eq!(saved(&live), saved(&restored), "{name}: end states differ");
     }
 }
