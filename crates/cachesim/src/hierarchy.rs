@@ -317,13 +317,13 @@ impl<M: MainMemory> Hierarchy<M> {
         self.mem.enable_trace();
     }
 
-    /// Append the hierarchy's and the backend's buffered trace events to
-    /// `out`. No-op while tracing is disabled.
+    /// Append the hierarchy's buffered trace events to `out` (the
+    /// backend's are drained through [`Hierarchy::memory_mut`]). No-op
+    /// while tracing is disabled.
     pub fn drain_trace(&mut self, out: &mut Vec<TraceEvent>) {
         if let Some(buf) = &mut self.trace {
             out.append(buf);
         }
-        self.mem.drain_trace(out);
     }
 
     /// Audit the inclusive-L2 directory against actual L1 residency, in

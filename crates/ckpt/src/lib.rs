@@ -1,4 +1,4 @@
-//! Binary checkpoint encoding for `cwfmem.ckpt.v1`.
+//! Binary encoding of cwfmem checkpoints (checkpoint format v3).
 //!
 //! A checkpoint is a flat little-endian byte stream produced by a
 //! [`Writer`] and consumed by a [`Reader`], sealed by an 8-byte

@@ -848,7 +848,7 @@ mod tests {
         mem.try_submit(&LineRequest::demand_read(2 * 64, 0, 0), 20_000).unwrap().unwrap();
         run_until_fill(&mut mem, 20_000, 20_000);
         let mut records = Vec::new();
-        mem.drain_audit(&mut records);
+        mem.drain_audit(&mut |r| records.push(r));
         let cache_ops: Vec<&CacheAuditOp> = records
             .iter()
             .filter_map(|r| match r {

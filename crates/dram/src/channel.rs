@@ -69,12 +69,6 @@ pub struct Channel {
     /// Memoized static timing bound per `(rank, bank, command class)`.
     /// `earliest_issue` probes become an O(1) generation compare on hits.
     memo: Vec<Cell<MemoSlot>>,
-    /// When `Some`, every issued command is appended (protocol auditing).
-    log: Option<Vec<(u64, Command)>>,
-    /// When logging is on, every rank power-state change is appended as
-    /// `(cycle, rank, new state)` — the verify oracle needs these to pause
-    /// refresh obligations across self-refresh.
-    power_log: Option<Vec<(u64, u8, PowerState)>>,
 }
 
 impl Channel {
@@ -99,8 +93,6 @@ impl Channel {
             rank_gen: vec![0; ranks as usize],
             bus_gen: 0,
             memo: vec![Cell::new(MemoSlot::EMPTY); slots],
-            log: None,
-            power_log: None,
         }
     }
 
@@ -126,31 +118,6 @@ impl Channel {
     /// Invalidate memoized bounds for one rank.
     fn bump_rank_gen(&mut self, rank: u8) {
         self.rank_gen[usize::from(rank)] += 1;
-    }
-
-    /// Start recording every issued command (for protocol auditing with
-    /// [`crate::ProtocolChecker`]) and every rank power-state transition.
-    pub fn enable_command_log(&mut self) {
-        self.log = Some(Vec::new());
-        self.power_log = Some(Vec::new());
-    }
-
-    /// Take the recorded `(cycle, command)` log, leaving recording on.
-    pub fn take_command_log(&mut self) -> Vec<(u64, Command)> {
-        match &mut self.log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Take the recorded `(cycle, rank, state)` power-transition log,
-    /// leaving recording on. Empty unless [`Channel::enable_command_log`]
-    /// was called.
-    pub fn take_power_log(&mut self) -> Vec<(u64, u8, PowerState)> {
-        match &mut self.power_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
     }
 
     /// Device configuration of this channel.
@@ -373,9 +340,6 @@ impl Channel {
     /// must check with [`Channel::can_issue`] first.
     pub fn issue(&mut self, cmd: &Command, now: u64) -> IssueOutcome {
         debug_assert!(self.can_issue(cmd, now), "command {cmd:?} not issuable at cycle {now}");
-        if let Some(log) = &mut self.log {
-            log.push((now, *cmd));
-        }
         let t = self.cfg.timings;
         let addressing = self.cfg.addressing;
         let rank_idx = cmd.rank();
@@ -521,28 +485,16 @@ impl Channel {
         } else {
             r.enter_powerdown(now);
         }
-        let state = r.power_state();
         // The PD→SR escalation path goes through `Rank::wake`, which can
         // move `next_cmd_ok` — invalidate the memoized bounds.
         self.bump_rank_gen(rank);
-        if let Some(log) = &mut self.power_log {
-            log.push((now, rank, state));
-        }
         true
     }
 
     /// Wake `rank` so commands become legal; returns the ready cycle.
     pub fn wake_rank(&mut self, rank: u8, now: u64) -> u64 {
         self.bump_rank_gen(rank);
-        let r = &mut self.ranks[usize::from(rank)];
-        let was = r.power_state();
-        let ready = r.wake(now, &self.cfg);
-        if was != PowerState::Up {
-            if let Some(log) = &mut self.power_log {
-                log.push((now, rank, PowerState::Up));
-            }
-        }
-        ready
+        self.ranks[usize::from(rank)].wake(now, &self.cfg)
     }
 
     /// Does any bank in `rank` hold an open row different from `row`?
@@ -555,7 +507,7 @@ impl Channel {
 
 impl Channel {
     /// Serialize the channel's mutable state (ranks, bus bookkeeping,
-    /// statistics, audit logs). The device config is rebuilt on restore
+    /// statistics). The device config is rebuilt on restore
     /// and the issue-bound memo cache is reset — it is a pure cache
     /// whose entries are revalidated by generation counters.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) {
@@ -569,8 +521,6 @@ impl Channel {
             rank_gen,
             bus_gen,
             memo: _,
-            log,
-            power_log,
         } = self;
         w.section(b"CHAN");
         cwf_ckpt::Ckpt::save(ranks, w);
@@ -580,8 +530,6 @@ impl Channel {
         cwf_ckpt::Ckpt::save(stats, w);
         cwf_ckpt::Ckpt::save(rank_gen, w);
         cwf_ckpt::Ckpt::save(bus_gen, w);
-        cwf_ckpt::Ckpt::save(log, w);
-        cwf_ckpt::Ckpt::save(power_log, w);
     }
 
     /// Restore state saved by [`Channel::save_state`] into a freshly
@@ -603,8 +551,6 @@ impl Channel {
         self.stats = cwf_ckpt::Ckpt::load(r)?;
         self.rank_gen = cwf_ckpt::Ckpt::load(r)?;
         self.bus_gen = cwf_ckpt::Ckpt::load(r)?;
-        self.log = cwf_ckpt::Ckpt::load(r)?;
-        self.power_log = cwf_ckpt::Ckpt::load(r)?;
         self.memo.iter_mut().for_each(|m| *m.get_mut() = MemoSlot::EMPTY);
         Ok(())
     }

@@ -9,7 +9,7 @@
 //! * [`CellKey`] — stable `(config-digest, seed, variant)` cell
 //!   identities ([`sim_harness::sweep::Cell::key`], which `cwfmem sweep`,
 //!   `figures` and `compare` dedupe on too), canonicalized through the
-//!   `cwfmem.ckpt.v1` encoding;
+//!   checkpoint encoding;
 //! * [`cache`] — a result cache that memoizes finished cells *and*
 //!   batches duplicate submissions onto in-flight computations
 //!   (failures are delivered but never memoized, so a transient error

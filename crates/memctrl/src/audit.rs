@@ -1,37 +1,63 @@
-//! Audit vocabulary for the cross-layer verify oracle.
+//! Observation vocabulary for the verify oracle and the tracer.
 //!
-//! When auditing is enabled (see [`crate::MainMemory::enable_audit`]) a
-//! backend records every DRAM command it issues and every rank power-state
-//! transition, tagged with the channel it happened on. The `cwf-verify`
-//! oracle replays these records through independent shadow checkers
-//! (protocol legality, refresh obligations, shared command-bus occupancy)
-//! without touching the live simulation state.
+//! When auditing is enabled (see [`crate::MainMemory::enable_audit`])
+//! every controller appends one [`Act`] per power change and command to
+//! one log, in the order it acts, and its request acts too while tracing
+//! is enabled. A drain tags each with the channel it happened on. The
+//! `cwf-verify` oracle replays the power changes and commands through
+//! independent shadow checkers (protocol legality, refresh obligations,
+//! shared command-bus occupancy) without touching the live simulation
+//! state; the tracer turns every act into a trace event.
 
 use dram_timing::{Command, DeviceConfig, PowerState};
 
-/// One audited hardware event, in the owning channel's device-cycle clock.
+use crate::request::Token;
+
+/// One observable act of a controller, in the order `tick_mem` and the
+/// enqueue calls act.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuditRecord {
-    /// A DRAM command issued on `channel` at device cycle `at_mem`.
-    Cmd {
-        /// Index into the backend's [`ChannelDesc`] list.
-        channel: usize,
-        /// Device cycle of issue (channel-local clock).
-        at_mem: u64,
-        /// The command.
-        cmd: Command,
-    },
-    /// Rank `rank` on `channel` changed power state at device cycle
-    /// `at_mem`.
+pub enum Act {
+    /// Rank `rank` entered power state `state`.
     Power {
-        /// Index into the backend's [`ChannelDesc`] list.
-        channel: usize,
-        /// Device cycle of the transition (channel-local clock).
-        at_mem: u64,
         /// Affected rank.
         rank: u8,
         /// State the rank is in *after* the transition.
         state: PowerState,
+    },
+    /// A DRAM command the refresh unit issued: a refresh, or a precharge
+    /// closing a bank for one.
+    RefreshCmd(Command),
+    /// A DRAM command the scheduler issued for transaction `token`.
+    Cmd {
+        /// The command.
+        cmd: Command,
+        /// The transaction it serves.
+        token: Token,
+    },
+    /// A read entered the read queue.
+    Enqueue(Token),
+    /// The write drain began (`enter`) or ended.
+    Drain {
+        /// True when the drain began.
+        enter: bool,
+    },
+    /// A read's last data beat. Stamped with the beat's own cycle, which
+    /// lies after the read command's.
+    DataEnd(Token),
+}
+
+/// One observed event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditRecord {
+    /// Act `act` of the controller of `channel`, at device cycle `at_mem`
+    /// of that channel's clock.
+    Act {
+        /// Index into the backend's [`ChannelDesc`] list.
+        channel: usize,
+        /// Device cycle of the act (channel-local clock).
+        at_mem: u64,
+        /// What the controller did.
+        act: Act,
     },
     /// A DRAM-cache bookkeeping event (tag probe, miss fill, eviction,
     /// writeback) at CPU cycle `at`. Emitted only by cache-organized

@@ -10,8 +10,8 @@
 //! routing (`submit` and `complete`) and gets [`MainMemory`] for free.
 //!
 //! Channels are numbered domain by domain, in domain order: that global
-//! index is the one [`AuditRecord`]s, [`ChannelDesc`]s, controller trace
-//! events and [`MemSystemStats`] entries all use.
+//! index is the one [`AuditRecord`]s, [`ChannelDesc`]s, trace events and
+//! [`MemSystemStats`] entries all use.
 //!
 //! Each controller wakes on its own: a domain keeps one cached
 //! [`Controller::next_activity_mem`] bound per controller, ticks only the
@@ -334,7 +334,7 @@ impl ChannelSet {
     ///
     /// # Errors
     ///
-    /// Fails when a controller holds undrained trace events.
+    /// Fails when a controller holds undrained log entries.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         use cwf_ckpt::Ckpt;
         for dom in &self.domains {
@@ -401,23 +401,6 @@ impl cwf_ckpt::Ckpt for Scheduled {
             t => Err(cwf_ckpt::CkptError::new(format!("invalid scheduled-entry tag {t}"))),
         }
     }
-}
-
-fn drain_commands(c: &mut Controller, channel: usize, out: &mut Vec<AuditRecord>) {
-    out.extend(c.take_command_log().into_iter().map(|(at_mem, cmd)| AuditRecord::Cmd {
-        channel,
-        at_mem,
-        cmd,
-    }));
-}
-
-fn drain_power(c: &mut Controller, channel: usize, out: &mut Vec<AuditRecord>) {
-    out.extend(c.take_power_log().into_iter().map(|(at_mem, rank, state)| AuditRecord::Power {
-        channel,
-        at_mem,
-        rank,
-        state,
-    }));
 }
 
 /// A memory organization: the rule that routes lines onto a
@@ -545,9 +528,7 @@ impl<O: Organization> MainMemory for O {
     fn enable_audit(&mut self) {
         let chans = self.channels_mut();
         chans.audit = true;
-        for c in chans.domains.iter_mut().flat_map(|d| &mut d.ctrls) {
-            c.enable_command_log();
-        }
+        chans.domains.iter_mut().flat_map(|d| &mut d.ctrls).for_each(|c| c.enable_log(false));
     }
 
     fn audit_channels(&self) -> Vec<ChannelDesc> {
@@ -568,44 +549,21 @@ impl<O: Organization> MainMemory for O {
         out
     }
 
-    fn drain_audit(&mut self, out: &mut Vec<AuditRecord>) {
+    fn drain_audit(&mut self, visit: &mut dyn FnMut(AuditRecord)) {
         let chans = self.channels_mut();
-        let mut base = 0;
-        for dom in &mut chans.domains {
-            // An arbitrated domain reports every sub-channel's commands
-            // before any power transition: the tracer rings records in
-            // this order, so it is part of the traced output. Each
-            // channel's own records keep their order either way.
-            let grouped = dom.arbiter.is_some();
-            for (i, c) in dom.ctrls.iter_mut().enumerate() {
-                drain_commands(c, base + i, out);
-                if !grouped {
-                    drain_power(c, base + i, out);
-                }
-            }
-            if grouped {
-                for (i, c) in dom.ctrls.iter_mut().enumerate() {
-                    drain_power(c, base + i, out);
-                }
-            }
-            base += dom.ctrls.len();
+        for (i, c) in chans.domains.iter_mut().flat_map(|d| &mut d.ctrls).enumerate() {
+            c.drain_log(i, &mut *visit);
         }
-        out.append(&mut chans.audit_log);
+        chans.audit_log.drain(..).for_each(visit);
     }
 
     fn enable_trace(&mut self) {
         let chans = self.channels_mut();
         chans.trace = true;
-        for (i, c) in chans.domains.iter_mut().flat_map(|d| &mut d.ctrls).enumerate() {
-            c.enable_trace(i as u16);
-        }
+        chans.domains.iter_mut().flat_map(|d| &mut d.ctrls).for_each(|c| c.enable_log(true));
     }
 
     fn drain_trace(&mut self, out: &mut Vec<TraceEvent>) {
-        let chans = self.channels_mut();
-        for c in chans.domains.iter_mut().flat_map(|d| &mut d.ctrls) {
-            out.append(&mut c.take_trace());
-        }
-        out.append(&mut chans.trace_log);
+        out.append(&mut self.channels_mut().trace_log);
     }
 }

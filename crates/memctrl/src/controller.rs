@@ -7,11 +7,12 @@
 //! [`Controller::tick_mem`], and by [`Controller::next_activity_mem`],
 //! the event kernel's wake bound, which is the minimum of the scheduler,
 //! refresh and power bounds.
+//! Every observable act is appended once to one log, in the order the
+//! controller acts, for the verify oracle and the tracer to read.
 
 use dram_timing::{Channel, Command, DeviceConfig, DeviceKind, PagePolicy, PowerState};
 
-use cwf_tracelog::TraceEvent;
-
+use crate::audit::{Act, AuditRecord};
 use crate::mapping::Loc;
 use crate::refresh::RefreshUnit;
 use crate::request::Token;
@@ -92,8 +93,8 @@ impl ControllerStats {
 }
 
 /// One memory channel's controller: the channel, its scheduler and
-/// refresh unit, the power glue, completions, statistics and the trace
-/// sink.
+/// refresh unit, the power glue, completions, statistics and the
+/// observation log.
 #[derive(Debug)]
 pub struct Controller {
     label: String,
@@ -108,20 +109,16 @@ pub struct Controller {
     sum_queue_mem: u64,
     sum_service_mem: u64,
     read_lat_hist: dram_timing::stats::LatencyHist,
-    /// Request-linked trace sink (None ⇒ tracing off, zero work).
-    trace: Option<TraceSink>,
+    /// The observation log (`None` ⇒ observers off, one check per act).
+    log: Option<ActLog>,
 }
 
-/// Buffer for token-tagged [`TraceEvent`]s. Timestamps are converted
-/// to CPU cycles at emission (device cycle × clock ratio), so the
-/// host can merge sinks from channels in different clock domains.
-#[derive(Debug)]
-struct TraceSink {
-    /// Global channel index (audit numbering).
-    channel: u16,
-    /// CPU cycles per device cycle.
-    ratio: u64,
-    events: Vec<TraceEvent>,
+/// `(device cycle, act)` per observable act, in act order.
+#[derive(Debug, Default)]
+struct ActLog {
+    acts: Vec<(u64, Act)>,
+    /// Whether the request acts are logged too.
+    requests: bool,
 }
 
 impl Controller {
@@ -153,27 +150,38 @@ impl Controller {
             sum_queue_mem: 0,
             sum_service_mem: 0,
             read_lat_hist: dram_timing::stats::LatencyHist::default(),
-            trace: None,
+            log: None,
         }
     }
 
-    /// Start emitting request-linked [`TraceEvent`]s, reporting this
-    /// controller as global channel index `channel` (the same
-    /// numbering as [`crate::audit::ChannelDesc`] ordering).
-    pub fn enable_trace(&mut self, channel: u16) {
-        self.trace = Some(TraceSink {
-            channel,
-            ratio: u64::from(self.config().cpu_cycles_per_mem_cycle).max(1),
-            events: Vec::new(),
-        });
+    /// Start logging this controller's power changes and commands as
+    /// [`Act`]s, in the order it acts, and its request acts (enqueue,
+    /// drain flip, data end) too when `requests`. Enabling again only
+    /// adds.
+    pub fn enable_log(&mut self, requests: bool) {
+        self.log.get_or_insert_with(ActLog::default).requests |= requests;
     }
 
-    /// Take the trace events emitted since the last call (empty unless
-    /// [`Controller::enable_trace`] was called).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match self.trace.as_mut() {
-            Some(t) => std::mem::take(&mut t.events),
-            None => Vec::new(),
+    /// Pass the acts logged since the last call to `visit`, in act order,
+    /// as records of global channel index `channel` (the
+    /// [`crate::audit::ChannelDesc`] numbering). Passes nothing unless
+    /// [`Controller::enable_log`] was called.
+    pub fn drain_log(&mut self, channel: usize, mut visit: impl FnMut(AuditRecord)) {
+        if let Some(log) = &mut self.log {
+            for (at_mem, act) in log.acts.drain(..) {
+                visit(AuditRecord::Act { channel, at_mem, act });
+            }
+        }
+    }
+
+    /// Append `act` at device cycle `at` while logging is on (a request
+    /// act only while requests are logged).
+    fn note(&mut self, at: u64, act: Act) {
+        if let Some(log) = &mut self.log {
+            let request = matches!(act, Act::Enqueue(_) | Act::Drain { .. } | Act::DataEnd(_));
+            if log.requests || !request {
+                log.acts.push((at, act));
+            }
         }
     }
 
@@ -242,13 +250,7 @@ impl Controller {
         if !self.sched.enqueue_read(token, loc, prefetch, enqueue_mem) {
             return false;
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.events.push(TraceEvent::McEnqueue {
-                token,
-                channel: t.channel,
-                at: enqueue_mem * t.ratio,
-            });
-        }
+        self.note(enqueue_mem, Act::Enqueue(token));
         true
     }
 
@@ -269,22 +271,6 @@ impl Controller {
         self.completions.drain(..)
     }
 
-    /// Record every DRAM command this controller issues (protocol audit).
-    pub fn enable_command_log(&mut self) {
-        self.channel.enable_command_log();
-    }
-
-    /// Take the `(cycle, command)` log recorded so far.
-    pub fn take_command_log(&mut self) -> Vec<(u64, dram_timing::Command)> {
-        self.channel.take_command_log()
-    }
-
-    /// Take the `(cycle, rank, state)` power-transition log recorded so
-    /// far (empty unless [`Controller::enable_command_log`] was called).
-    pub fn take_power_log(&mut self) -> Vec<(u64, u8, PowerState)> {
-        self.channel.take_power_log()
-    }
-
     /// Number of ranks behind this channel.
     #[must_use]
     pub fn ranks(&self) -> u32 {
@@ -303,21 +289,15 @@ impl Controller {
         }
         if let Some(issued) = self.refresh.tick(&mut self.channel, now) {
             self.sched.invalidate();
-            if issued {
+            if let Some(cmd) = issued {
+                self.note(now, Act::RefreshCmd(cmd));
                 return true;
             }
         }
         let draining = self.sched.draining();
         let issued = self.sched.tick(&mut self.channel, &self.refresh, now);
         if self.sched.draining() != draining {
-            if let Some(t) = self.trace.as_mut() {
-                let at = now * t.ratio;
-                t.events.push(if self.sched.draining() {
-                    TraceEvent::McDrainEnter { channel: t.channel, at }
-                } else {
-                    TraceEvent::McDrainExit { channel: t.channel, at }
-                });
-            }
+            self.note(now, Act::Drain { enter: !draining });
         }
         let Some(issued) = issued else {
             return false;
@@ -348,14 +328,19 @@ impl Controller {
             if busy || (refresh_due && state == PowerState::PowerDown) {
                 if state != PowerState::Up {
                     self.channel.wake_rank(r as u8, now);
+                    self.note(now, Act::Power { rank: r as u8, state: PowerState::Up });
                     if state == PowerState::SelfRefresh {
                         self.refresh.restart(r, now);
                     }
                     // A wake can pull scheduler candidates earlier.
                     self.sched.invalidate();
                 }
-            } else if !refresh_due && state != PowerState::SelfRefresh {
-                self.channel.maybe_sleep(r as u8, now);
+            } else if !refresh_due
+                && state != PowerState::SelfRefresh
+                && self.channel.maybe_sleep(r as u8, now)
+            {
+                let state = self.channel.ranks()[r].power_state();
+                self.note(now, Act::Power { rank: r as u8, state });
             }
         }
     }
@@ -381,7 +366,7 @@ impl Controller {
     }
 
     /// Account for a command the scheduler issued: its row-buffer class,
-    /// its trace events and, for a read, the completion and latency.
+    /// its acts and, for a read, the completion and latency.
     fn record(&mut self, now: u64, Issued { cmd, txn, data_end }: Issued) {
         if !txn.classified {
             let open_page = self.config().page_policy == PagePolicy::Open;
@@ -396,27 +381,8 @@ impl Controller {
                 _ => stats.row_misses += 1,
             }
         }
-        let Loc { rank, bank, .. } = txn.loc;
         let token = txn.token;
-        if let Some(t) = self.trace.as_mut() {
-            let (channel, at) = (t.channel, now * t.ratio);
-            t.events.push(match cmd {
-                Command::Activate { .. } => {
-                    TraceEvent::McActivate { token, channel, at, rank, bank }
-                }
-                Command::Precharge { .. } => {
-                    TraceEvent::McPrecharge { token, channel, at, rank, bank }
-                }
-                _ => TraceEvent::McCas {
-                    token,
-                    channel,
-                    at,
-                    rank,
-                    bank,
-                    write: matches!(cmd, Command::Write { .. }),
-                },
-            });
-        }
+        self.note(now, Act::Cmd { cmd, token });
         match cmd {
             Command::Read { .. } => {
                 let data_end = data_end.expect("read produces data");
@@ -435,14 +401,7 @@ impl Controller {
                     queue_mem: queue,
                     service_mem: service,
                 });
-                if let Some(t) = self.trace.as_mut() {
-                    t.events.push(TraceEvent::McDataEnd {
-                        token,
-                        channel: t.channel,
-                        at: data_end * t.ratio,
-                        burst_cycles: (u64::from(timings.t_burst) * t.ratio) as u32,
-                    });
-                }
+                self.note(data_end, Act::DataEnd(token));
             }
             Command::Write { .. } => self.writes_done += 1,
             _ => {}
@@ -778,7 +737,7 @@ mod tests {
 
         fn bytes(c: &Controller) -> Vec<u8> {
             let mut w = cwf_ckpt::Writer::new();
-            c.save_state(&mut w).expect("tracing is off");
+            c.save_state(&mut w).expect("logging is off");
             w.into_vec()
         }
 
@@ -904,7 +863,7 @@ mod tests {
         refolded.settle_idle_tick(wake - 1);
         let bytes = |c: &Controller| {
             let mut w = cwf_ckpt::Writer::new();
-            c.save_state(&mut w).expect("no trace events");
+            c.save_state(&mut w).expect("logging is off");
             w.into_vec()
         };
         assert_eq!(bytes(&kept), bytes(&refolded));
@@ -945,15 +904,15 @@ impl Controller {
     /// Serialize the controller's mutable state: the channel, the
     /// scheduler's and the refresh unit's own blocks, then pending
     /// completions and statistics. Config (`DeviceConfig`, `CtrlParams`,
-    /// label) is rebuilt on restore. The trace sink itself is configured
-    /// (re-armed by [`Controller::enable_trace`] on restore) and carries
-    /// no state once drained, so tracing doesn't block a checkpoint — but
-    /// the caller must have collected the buffered events first.
+    /// label) is rebuilt on restore. Logging is configuration too
+    /// (re-armed by [`Controller::enable_log`] on restore) and the log
+    /// carries no state once drained, so observing doesn't block a
+    /// checkpoint — but the caller must have drained the log first.
     ///
     /// # Errors
     ///
-    /// Fails when the trace sink holds undrained events (they would be
-    /// silently lost).
+    /// Fails when the log holds undrained acts (they would be silently
+    /// lost).
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) -> cwf_ckpt::Result<()> {
         let Controller {
             label: _,
@@ -968,11 +927,11 @@ impl Controller {
             sum_queue_mem,
             sum_service_mem,
             read_lat_hist,
-            trace,
+            log,
         } = self;
-        if trace.as_ref().is_some_and(|t| !t.events.is_empty()) {
+        if log.as_ref().is_some_and(|l| !l.acts.is_empty()) {
             return Err(cwf_ckpt::CkptError::new(
-                "cannot checkpoint a controller with undrained trace events",
+                "cannot checkpoint a controller with undrained log entries",
             ));
         }
         w.section(b"CTRL");

@@ -57,7 +57,7 @@ mod sched;
 mod txnq;
 
 pub use aggregate::AggregatedController;
-pub use audit::{AuditRecord, CacheAuditOp, ChannelDesc};
+pub use audit::{Act, AuditRecord, CacheAuditOp, ChannelDesc};
 pub use channelset::{ChannelSet, ClockDomain, CtrlTicks, Organization};
 pub use controller::{Controller, ControllerStats, CtrlParams, SchedPolicy};
 pub use homogeneous::{HomogeneousMemory, PAGE_BYTES};

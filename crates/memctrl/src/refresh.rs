@@ -149,10 +149,10 @@ impl RefreshUnit {
     }
 
     /// Act on the first overdue rank that can act now. Returns `None` when
-    /// nothing changed, `Some(true)` when a command issued and
-    /// `Some(false)` when a seeded fault re-armed a deadline without one;
+    /// nothing changed, `Some(Some(cmd))` when `cmd` issued and
+    /// `Some(None)` when a seeded fault re-armed a deadline without one;
     /// either change can unblock the rank for the scheduler.
-    pub(crate) fn tick(&mut self, ch: &mut Channel, now: u64) -> Option<bool> {
+    pub(crate) fn tick(&mut self, ch: &mut Channel, now: u64) -> Option<Option<Command>> {
         if self.t_refi == 0 {
             return None;
         }
@@ -169,13 +169,13 @@ impl RefreshUnit {
                 // Replays the pre-fix self-refresh branch on an awake
                 // rank: deadline reset, no REF issued.
                 self.deadline[r] = now + self.t_refi;
-                rearmed = Some(false);
+                rearmed = Some(None);
                 continue;
             }
             if self.fault_drop_refreshes > 0 {
                 self.fault_drop_refreshes -= 1;
                 self.deadline[r] += self.t_refi;
-                rearmed = Some(false);
+                rearmed = Some(None);
                 continue;
             }
             let (cmd, at) = self.action(ch, r, now);
@@ -191,7 +191,7 @@ impl RefreshUnit {
                 // late REF must not drift the cadence.
                 self.deadline[r] += self.t_refi;
             }
-            return Some(true);
+            return Some(Some(cmd));
         }
         rearmed
     }
@@ -232,27 +232,28 @@ mod tests {
 
     /// Tick `unit` alone at every cycle in `cycles`, optionally opening a
     /// row in bank 0 a few cycles before each deadline so the REF must
-    /// first close it; return the cycles of the REF/REFB commands issued.
+    /// first close it; return the cycles of the REF/REFB commands the
+    /// ticks issued.
     fn drive(
         cfg: &DeviceConfig,
         cycles: std::ops::Range<u64>,
         open_before_deadline: bool,
     ) -> Vec<(u64, Command)> {
         let mut ch = Channel::new(cfg.clone(), 1);
-        ch.enable_command_log();
         let mut unit = RefreshUnit::new(cfg, 1);
+        let mut issued = Vec::new();
         for now in cycles {
             let act = Command::activate(0, 0, 7);
             if open_before_deadline && now + 20 == unit.deadline[0] && ch.can_issue(&act, now) {
                 ch.issue(&act, now);
                 continue;
             }
-            unit.tick(&mut ch, now);
+            if let Some(Some(cmd)) = unit.tick(&mut ch, now) {
+                issued.push((now, cmd));
+            }
         }
-        ch.take_command_log()
-            .into_iter()
-            .filter(|(_, c)| matches!(c, Command::Refresh { .. } | Command::RefreshBank { .. }))
-            .collect()
+        issued.retain(|(_, c)| matches!(c, Command::Refresh { .. } | Command::RefreshBank { .. }));
+        issued
     }
 
     /// One REF per tREFI, each re-armed from its deadline: over 1000

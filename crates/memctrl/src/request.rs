@@ -245,41 +245,42 @@ pub trait MainMemory {
         Some(now + 1)
     }
 
-    /// Start recording [`AuditRecord`]s (commands, power transitions) for
-    /// the verify oracle. Backends without audit support ignore this —
-    /// they then report no channels and no records, and the oracle simply
-    /// has nothing to check.
+    /// Start recording [`AuditRecord`]s (every controller's power changes
+    /// and commands, plus an organization's own bookkeeping) for the
+    /// verify oracle and the tracer. Backends without audit support ignore this — they then
+    /// report no channels and no records, and the oracle simply has
+    /// nothing to check.
     ///
     /// [`AuditRecord`]: crate::audit::AuditRecord
     fn enable_audit(&mut self) {}
 
     /// Describe the audited channels, in the index order used by
-    /// [`AuditRecord::Cmd`]'s `channel` field. Empty unless
+    /// [`AuditRecord::Act`]'s `channel` field. Empty unless
     /// [`MainMemory::enable_audit`] was called (or unsupported).
     ///
-    /// [`AuditRecord::Cmd`]: crate::audit::AuditRecord::Cmd
+    /// [`AuditRecord::Act`]: crate::audit::AuditRecord::Act
     fn audit_channels(&self) -> Vec<crate::audit::ChannelDesc> {
         Vec::new()
     }
 
-    /// Append the audit records accumulated since the last drain to `out`.
-    /// Records of one channel are in nondecreasing time order; records of
-    /// different channels may interleave arbitrarily.
-    fn drain_audit(&mut self, out: &mut Vec<crate::audit::AuditRecord>) {
-        let _ = out;
+    /// Pass the audit records accumulated since the last drain to `visit`,
+    /// in one pass: each channel's acts in the order its controller acted
+    /// (so its power changes and commands in device-cycle order), channel
+    /// by channel, then the organization's records.
+    fn drain_audit(&mut self, visit: &mut dyn FnMut(crate::audit::AuditRecord)) {
+        let _ = visit;
     }
 
-    /// Start emitting request-linked [`TraceEvent`]s (controller
-    /// enqueue, ACT/PRE/CAS attribution, data-burst completion,
-    /// write-drain edges). Backends without trace support ignore this
-    /// and simply contribute no channel-level records.
+    /// Start emitting the organization's own [`TraceEvent`]s (DRAM-cache
+    /// probes and fills) and logging the controllers' request acts, which
+    /// reach the tracer through [`MainMemory::drain_audit`]. Backends
+    /// without trace support ignore this.
     ///
     /// [`TraceEvent`]: cwf_tracelog::TraceEvent
     fn enable_trace(&mut self) {}
 
-    /// Append the trace events emitted since the last drain to `out`.
-    /// Timestamps are CPU cycles; channel indices follow
-    /// [`MainMemory::audit_channels`] ordering.
+    /// Append the organization trace events emitted since the last drain
+    /// to `out`. Timestamps are CPU cycles.
     fn drain_trace(&mut self, out: &mut Vec<cwf_tracelog::TraceEvent>) {
         let _ = out;
     }

@@ -6,8 +6,8 @@
 //! earliest-time registers; the checker re-derives legality from the raw
 //! command history. Any disagreement is a timing bug in one of them.
 
-use dram_timing::{DeviceConfig, ProtocolChecker};
-use mem_ctrl::{AggregatedController, Controller, CtrlParams, Loc, Token};
+use dram_timing::{Command, DeviceConfig, ProtocolChecker};
+use mem_ctrl::{Act, AggregatedController, AuditRecord, Controller, CtrlParams, Loc, Token};
 use proptest::prelude::*;
 
 /// Small queues with low watermarks: the controller crosses the
@@ -40,11 +40,25 @@ fn item(banks: u8, rows: u32) -> impl Strategy<Value = WorkItem> {
     )
 }
 
+/// The `(cycle, command)` pairs of `ctrl`'s drained act log.
+fn commands(ctrl: &mut Controller) -> Vec<(u64, Command)> {
+    let mut out = Vec::new();
+    ctrl.drain_log(0, |r| {
+        if let AuditRecord::Act {
+            at_mem, act: Act::Cmd { cmd, .. } | Act::RefreshCmd(cmd), ..
+        } = r
+        {
+            out.push((at_mem, cmd));
+        }
+    });
+    out
+}
+
 /// Run `items` through a controller with command logging on; return the
 /// audited command count.
 fn audit(cfg: DeviceConfig, params: CtrlParams, items: &[WorkItem]) -> (u64, Vec<String>) {
     let mut ctrl = Controller::with_params(cfg.clone(), 1, 9, "audit", params);
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
     let mut checker = ProtocolChecker::new(cfg, 1);
     let mut now = 0u64;
     let mut tok = 0u64;
@@ -65,7 +79,7 @@ fn audit(cfg: DeviceConfig, params: CtrlParams, items: &[WorkItem]) -> (u64, Vec
         ctrl.tick_mem(now, true);
         now += 1;
     }
-    for (at, cmd) in ctrl.take_command_log() {
+    for (at, cmd) in commands(&mut ctrl) {
         checker.observe(&cmd, at);
     }
     let violations = checker.violations().iter().map(ToString::to_string).collect();
@@ -137,7 +151,7 @@ proptest! {
             .map(|i| Controller::new(cfg.clone(), 1, 1, &format!("agg-audit-sub{i}")))
             .collect();
         for s in &mut subs {
-            s.enable_command_log();
+            s.enable_log(false);
         }
         let mut agg = AggregatedController::new();
         let mut now = 0u64;
@@ -159,7 +173,7 @@ proptest! {
             agg.tick_mem(&mut subs, now);
             now += 1;
         }
-        let logs: Vec<_> = subs.iter_mut().map(Controller::take_command_log).collect();
+        let logs: Vec<_> = subs.iter_mut().map(commands).collect();
         let mut slot_owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut checked = 0u64;
         for (sub, log) in logs.into_iter().enumerate() {

@@ -2,21 +2,27 @@
 //! FCFS vs FR-FCFS ordering, and aggregated-channel write handling.
 
 use dram_timing::DeviceConfig;
-use mem_ctrl::{AggregatedController, Controller, CtrlParams, Loc, SchedPolicy, Token};
+use mem_ctrl::{
+    Act, AggregatedController, AuditRecord, Controller, CtrlParams, Loc, SchedPolicy, Token,
+};
 
 #[test]
 fn rldram_per_bank_refresh_rotates_over_banks() {
     let mut c = Controller::new(DeviceConfig::rldram3(), 1, 1, "rld");
-    c.enable_command_log();
+    c.enable_log(false);
     // Several refresh intervals with no traffic.
     for now in 0..40_000u64 {
         c.tick_mem(now, true);
     }
-    let refreshed: Vec<u8> = c
-        .take_command_log()
+    let mut log = Vec::new();
+    c.drain_log(0, |r| log.push(r));
+    let refreshed: Vec<u8> = log
         .into_iter()
-        .filter_map(|(_, cmd)| match cmd {
-            dram_timing::Command::RefreshBank { bank, .. } => Some(bank),
+        .filter_map(|r| match r {
+            AuditRecord::Act {
+                act: Act::RefreshCmd(dram_timing::Command::RefreshBank { bank, .. }),
+                ..
+            } => Some(bank),
             _ => None,
         })
         .collect();
@@ -102,5 +108,7 @@ fn command_log_roundtrips_when_disabled() {
         c.tick_mem(now, true);
     }
     // Logging never enabled: empty log, no panic.
-    assert!(c.take_command_log().is_empty());
+    let mut logged = 0;
+    c.drain_log(0, |_| logged += 1);
+    assert_eq!(logged, 0);
 }

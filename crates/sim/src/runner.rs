@@ -93,13 +93,13 @@ pub enum CkptOutcome {
     Finished(RunOutcome),
     /// The run paused at the stop cycle; the blob resumes it.
     Paused {
-        /// A `cwfmem.ckpt.v1` blob (see [`System::save_ckpt`]).
+        /// A checkpoint format v3 blob (see [`System::save_ckpt`]).
         ckpt: Vec<u8>,
     },
 }
 
 /// Run `bench` under `cfg`, pausing at the first cycle `>= stop_at`. A
-/// paused run serializes to a `cwfmem.ckpt.v1` blob that
+/// paused run serializes to a checkpoint format v3 blob that
 /// [`resume_benchmark`] continues with bit-identical results — the
 /// verify oracle's books and the trace ring both ride the blob.
 ///

@@ -209,7 +209,7 @@ pub fn cell_seed(base: u64, bench: &str, mem: MemKind) -> u64 {
 }
 
 /// Digest of a benchmark + configuration, seed excluded: [`fnv_mix`]
-/// over the bench name and the config's `cwfmem.ckpt.v1` encoding, a
+/// over the bench name and the config's checkpoint encoding, a
 /// byte stream the checkpoint format already pins, so the digest is
 /// stable across platforms and releases. Changing it invalidates every
 /// cached key and the dse `digest_golden` pins.

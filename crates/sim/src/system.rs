@@ -6,7 +6,7 @@ use cpu_model::{Core, CoreParams, IssueResult, MemOp, MemOpKind, TraceSource};
 use cwf_core::CwfStats;
 use cwf_tracelog::TraceEvent;
 use cwf_verify::{Oracle, VerifyReport};
-use mem_ctrl::{AuditRecord, MainMemory, MemSystemStats};
+use mem_ctrl::{MainMemory, MemSystemStats};
 use workloads::{BenchmarkProfile, TraceGen};
 
 /// A boxed, sendable trace source (synthetic generator or file replay).
@@ -120,12 +120,11 @@ struct WarmSnapshot {
 
 cwf_ckpt::ckpt_struct!(WarmSnapshot { insts, cycles, hier, mem, cwf });
 
-/// Magic prefix of a `cwfmem.ckpt.v1` blob.
+/// Magic prefix of a checkpoint blob.
 const CKPT_MAGIC: &[u8; 8] = b"CWFCKPT1";
-/// Format version within the `CWFCKPT1` magic. Version 2 gives each
-/// memory-side unit one block of its own and seals the blob with a
-/// checksum trailer; no version-1 reader is kept.
-const CKPT_VERSION: u32 = 2;
+/// Format version within the `CWFCKPT1` magic (DESIGN.md §16.1). No
+/// reader of an older version is kept.
+pub const CKPT_VERSION: u32 = 3;
 
 /// A complete simulated machine for one benchmark run.
 pub struct System {
@@ -157,8 +156,6 @@ pub struct System {
     oracle: Option<Oracle>,
     /// Cross-layer event tracer (`cfg.trace`); pure observer.
     tracer: Option<Tracer>,
-    /// Reusable buffer for backend audit drains.
-    audit_buf: Vec<AuditRecord>,
     /// Reusable buffer for trace drains.
     trace_buf: Vec<TraceEvent>,
     /// Fault injection: extra cycles added to every cached `mem_wake`
@@ -244,13 +241,12 @@ impl System {
             warm: None,
             oracle: None,
             tracer: None,
-            audit_buf: Vec::new(),
             trace_buf: Vec::new(),
             fault_wake_slack: 0,
             fault_horizon_slack: 0,
         };
-        // The tracer reuses the audit plumbing for DRAM-level refresh and
-        // power-state events, so either observer enables backend auditing.
+        // Both observers read the controllers' act logs, so either one
+        // enables backend auditing.
         if cfg.verify || cfg.trace {
             sys.hierarchy.enable_audit();
         }
@@ -269,18 +265,15 @@ impl System {
     }
 
     /// Feed everything observed since the last drain to the enabled
-    /// observers: the oracle gets hierarchy-side submits/events plus
-    /// backend command/power records, the tracer gets every layer's trace
-    /// buffers plus the refresh/power subset of the audit records. No-op
-    /// while both are off.
+    /// observers: the hierarchy's audit and every layer's trace buffers,
+    /// with one pass over the backend's audit records (each controller's
+    /// acts in act order) feeding both, in the ring order [`Tracer`]
+    /// documents. No-op while both are off.
     fn drain_observers(&mut self) {
         if self.oracle.is_none() && self.tracer.is_none() {
             return;
         }
         let audits = self.hierarchy.take_audit();
-        let mut records = std::mem::take(&mut self.audit_buf);
-        records.clear();
-        self.hierarchy.memory_mut().drain_audit(&mut records);
         if let Some(oracle) = &mut self.oracle {
             for a in audits {
                 match a {
@@ -290,20 +283,29 @@ impl System {
                     }
                 }
             }
-            oracle.observe_records(&records);
         }
+        let mut ev = std::mem::take(&mut self.trace_buf);
         if let Some(tracer) = &mut self.tracer {
-            let mut ev = std::mem::take(&mut self.trace_buf);
-            ev.clear();
             for core in &mut self.cores {
                 core.drain_trace(&mut ev);
             }
             self.hierarchy.drain_trace(&mut ev);
             tracer.absorb_events(&mut ev);
-            tracer.absorb_audit(&records);
-            self.trace_buf = ev;
         }
-        self.audit_buf = records;
+        let (oracle, tracer) = (&mut self.oracle, &mut self.tracer);
+        self.hierarchy.memory_mut().drain_audit(&mut |rec| {
+            if let Some(oracle) = oracle {
+                oracle.observe_record(rec);
+            }
+            if let Some(tracer) = tracer {
+                tracer.absorb_record(rec);
+            }
+        });
+        if let Some(tracer) = &mut self.tracer {
+            self.hierarchy.memory_mut().drain_trace(&mut ev);
+            tracer.end_batch(&mut ev);
+        }
+        self.trace_buf = ev;
     }
 
     /// Fault injection for the oracle's seeded-fault tests: report every
@@ -686,8 +688,8 @@ impl System {
 }
 
 impl System {
-    /// Serialize the complete mutable simulator state as a
-    /// `cwfmem.ckpt.v1` blob (see DESIGN.md §16). The stream records only
+    /// Serialize the complete mutable simulator state as a checkpoint
+    /// format v3 blob (see DESIGN.md §16). The stream records only
     /// state, never configuration: [`System::from_ckpt`] rebuilds the
     /// machine from the embedded [`RunConfig`] and benchmark name, then
     /// overwrites every mutable field, so the resumed run is bit-identical
@@ -761,7 +763,7 @@ impl System {
         let mut r = cwf_ckpt::Reader::new(bytes);
         let magic = r.get_bytes(CKPT_MAGIC.len())?;
         if magic != CKPT_MAGIC {
-            return Err(cwf_ckpt::CkptError::new("not a cwfmem.ckpt.v1 blob (bad magic)"));
+            return Err(cwf_ckpt::CkptError::new("not a cwfmem checkpoint (bad magic)"));
         }
         let version = r.get_u32()?;
         if version != CKPT_VERSION {
@@ -844,7 +846,6 @@ impl System {
             tracer.load_state(r)?;
         }
         self.woken_buf.clear();
-        self.audit_buf.clear();
         self.trace_buf.clear();
         Ok(())
     }

@@ -4,41 +4,95 @@
 //!
 //! The tracer is a pure observer. It drains the instrumentation buffers
 //! that every layer fills when tracing is enabled (see
-//! [`cwf_tracelog::TraceEvent`]), pushes the events into a fixed-capacity
-//! [`TraceRing`] (oldest events drop on overflow — the simulation never
-//! stalls or reallocates on behalf of the trace), and converts the
-//! backend's audit records into DRAM-level refresh/power events so the
-//! trace shows them without a second plumbing path through the
-//! controllers.
+//! [`cwf_tracelog::TraceEvent`]), turns the controllers' logged acts into
+//! trace events ([`act_event`]), and pushes the events into a
+//! fixed-capacity [`TraceRing`] (oldest events drop on overflow — the
+//! simulation never stalls or reallocates on behalf of the trace).
 
 use cwf_tracelog::{
     waterfall, ReadWaterfall, TraceEvent, TraceMeta, TraceRing, WaterfallSummary, STAGE_NAMES,
 };
-use mem_ctrl::{AuditRecord, ChannelDesc};
+use dram_timing::{Command, PowerState};
+use mem_ctrl::{Act, AuditRecord, ChannelDesc};
 
 use crate::metrics::CPU_HZ;
 
+/// The trace event one drained audit record stands for, in CPU cycles
+/// (`channels` is the backend's `audit_channels()`). `None` for a
+/// refresh-unit precharge, which serves no request, and for cache
+/// bookkeeping, which the organization traces itself.
+#[must_use]
+pub fn act_event(channels: &[ChannelDesc], rec: AuditRecord) -> Option<TraceEvent> {
+    let AuditRecord::Act { channel, at_mem, act } = rec else { return None };
+    let cfg = &channels[channel].cfg;
+    let ratio = u64::from(cfg.cpu_cycles_per_mem_cycle).max(1);
+    let (channel, at) = (channel as u16, at_mem * ratio);
+    Some(match act {
+        Act::Enqueue(token) => TraceEvent::McEnqueue { token, channel, at },
+        Act::Drain { enter: true } => TraceEvent::McDrainEnter { channel, at },
+        Act::Drain { enter: false } => TraceEvent::McDrainExit { channel, at },
+        Act::DataEnd(token) => TraceEvent::McDataEnd {
+            token,
+            channel,
+            at,
+            burst_cycles: (u64::from(cfg.timings.t_burst) * ratio) as u32,
+        },
+        Act::Cmd { cmd: Command::Activate { rank, bank, .. }, token } => {
+            TraceEvent::McActivate { token, channel, at, rank, bank }
+        }
+        Act::Cmd { cmd: Command::Precharge { rank, bank }, token } => {
+            TraceEvent::McPrecharge { token, channel, at, rank, bank }
+        }
+        Act::Cmd { cmd: Command::Read { rank, bank, .. }, token } => {
+            TraceEvent::McCas { token, channel, at, rank, bank, write: false }
+        }
+        Act::Cmd { cmd: Command::Write { rank, bank, .. }, token } => {
+            TraceEvent::McCas { token, channel, at, rank, bank, write: true }
+        }
+        Act::RefreshCmd(Command::Refresh { rank } | Command::RefreshBank { rank, .. }) => {
+            TraceEvent::DramRefresh { channel, at, rank }
+        }
+        Act::Cmd { .. } | Act::RefreshCmd(_) => return None,
+        Act::Power { rank, state } => TraceEvent::DramPower {
+            channel,
+            at,
+            rank,
+            state: match state {
+                PowerState::Up => 0,
+                PowerState::PowerDown => 1,
+                PowerState::SelfRefresh => 2,
+            },
+        },
+    })
+}
+
 /// Live trace state carried by a running [`crate::System`].
+///
+/// A drained batch reaches the ring as core and hierarchy events, the
+/// controllers' request events, the organization's events, then the
+/// DRAM-level refresh and power events. A full ring drops its oldest
+/// events first, so this order, the one the trace has always had, keeps
+/// every traced run document byte-identical (DESIGN.md §10).
 #[derive(Debug)]
 pub(crate) struct Tracer {
     ring: TraceRing,
-    /// CPU cycles per device cycle, per audit-channel index (audit
-    /// records carry device-local clocks).
-    chan_ratio: Vec<u64>,
+    /// The backend's audited channels, indexed like the records.
+    channels: Vec<ChannelDesc>,
+    /// The current batch's DRAM-level events, held for its tail. Empty
+    /// between batches, so never checkpointed.
+    tail: Vec<TraceEvent>,
     meta: TraceMeta,
 }
 
 impl Tracer {
     /// Build a tracer for a backend described by `channels` (the
     /// backend's `audit_channels()`, whose indices match the channel
-    /// numbers in controller trace events).
+    /// numbers in audit records).
     pub(crate) fn new(channels: &[ChannelDesc], cores: u8) -> Self {
         Tracer {
             ring: TraceRing::new(TraceRing::DEFAULT_CAPACITY),
-            chan_ratio: channels
-                .iter()
-                .map(|c| u64::from(c.cfg.cpu_cycles_per_mem_cycle).max(1))
-                .collect(),
+            channels: channels.to_vec(),
+            tail: Vec::new(),
             meta: TraceMeta {
                 cycles_per_us: (CPU_HZ / 1e6) as u64,
                 channel_labels: channels.iter().map(|c| c.label.clone()).collect(),
@@ -47,51 +101,28 @@ impl Tracer {
         }
     }
 
-    /// Push a batch of already-converted (CPU-cycle) trace events.
+    /// Ring a batch's already-converted (CPU-cycle) events.
     pub(crate) fn absorb_events(&mut self, events: &mut Vec<TraceEvent>) {
         self.ring.extend_from(events);
     }
 
-    /// Convert backend audit records into DRAM-level trace events.
-    ///
-    /// Only refreshes and power transitions are taken: ACT/PRE/CAS
-    /// already arrive as token-tagged controller events, and duplicating
-    /// them here would double every command on the timeline.
-    pub(crate) fn absorb_audit(&mut self, records: &[AuditRecord]) {
-        for r in records {
-            match *r {
-                AuditRecord::Cmd { channel, at_mem, cmd } => {
-                    let rank = match cmd {
-                        dram_timing::Command::Refresh { rank }
-                        | dram_timing::Command::RefreshBank { rank, .. } => rank,
-                        _ => continue,
-                    };
-                    let ratio = self.chan_ratio.get(channel).copied().unwrap_or(1);
-                    self.ring.push(TraceEvent::DramRefresh {
-                        channel: channel as u16,
-                        at: at_mem * ratio,
-                        rank,
-                    });
-                }
-                AuditRecord::Power { channel, at_mem, rank, state } => {
-                    let ratio = self.chan_ratio.get(channel).copied().unwrap_or(1);
-                    self.ring.push(TraceEvent::DramPower {
-                        channel: channel as u16,
-                        at: at_mem * ratio,
-                        rank,
-                        state: match state {
-                            dram_timing::PowerState::Up => 0,
-                            dram_timing::PowerState::PowerDown => 1,
-                            dram_timing::PowerState::SelfRefresh => 2,
-                        },
-                    });
-                }
-                // Cache bookkeeping records are the oracle's food; the
-                // trace already gets the same story as token-tagged
-                // DcTagProbe/DcMissFill events from the backend itself.
-                AuditRecord::Cache { .. } => {}
+    /// Ring the trace event of one drained record now, or hold it for the
+    /// batch tail when it is a DRAM-level refresh or power event.
+    pub(crate) fn absorb_record(&mut self, rec: AuditRecord) {
+        match act_event(&self.channels, rec) {
+            Some(e @ (TraceEvent::DramRefresh { .. } | TraceEvent::DramPower { .. })) => {
+                self.tail.push(e);
             }
+            Some(e) => self.ring.push(e),
+            None => {}
         }
+    }
+
+    /// Close a batch: ring the organization's `events`, then the held
+    /// DRAM-level events.
+    pub(crate) fn end_batch(&mut self, events: &mut Vec<TraceEvent>) {
+        self.ring.extend_from(events);
+        self.ring.extend_from(&mut self.tail);
     }
 
     /// Snapshot the ring into a finished report.
@@ -99,7 +130,7 @@ impl Tracer {
         TraceReport::new(self.ring.snapshot(), self.ring.dropped(), self.meta.clone())
     }
 
-    /// Serialize the ring (contents + overflow count). `chan_ratio` and
+    /// Serialize the ring (contents + overflow count). `channels` and
     /// `meta` derive from the run configuration and are rebuilt on
     /// restore, like every other configured field in the checkpoint.
     pub(crate) fn save_state(&self, w: &mut cwf_ckpt::Writer) {
@@ -216,8 +247,11 @@ mod tests {
     use super::*;
     use cwf_tracelog::RequestToken;
 
+    /// A batch reaches the ring as core/hierarchy events, request
+    /// events, organization events, then DRAM-level events; a
+    /// refresh-unit precharge traces nothing.
     #[test]
-    fn tracer_converts_refresh_and_power_audit_records() {
+    fn tracer_rings_a_batch_in_trace_order() {
         let desc = ChannelDesc {
             label: "ddr3-ch0".into(),
             cfg: dram_timing::DeviceConfig::ddr3_1600(),
@@ -225,32 +259,36 @@ mod tests {
             bus_group: None,
         };
         let ratio = u64::from(desc.cfg.cpu_cycles_per_mem_cycle);
+        let burst_cycles = (u64::from(desc.cfg.timings.t_burst) * ratio) as u32;
         let mut tr = Tracer::new(&[desc], 2);
-        tr.absorb_audit(&[
-            AuditRecord::Cmd {
-                channel: 0,
-                at_mem: 10,
-                cmd: dram_timing::Command::Refresh { rank: 1 },
-            },
-            AuditRecord::Cmd {
-                channel: 0,
-                at_mem: 11,
-                cmd: dram_timing::Command::Precharge { rank: 0, bank: 0 },
-            },
-            AuditRecord::Power {
-                channel: 0,
-                at_mem: 20,
-                rank: 0,
-                state: dram_timing::PowerState::PowerDown,
-            },
-        ]);
-        let rep = tr.report();
-        // The precharge is dropped (token-tagged controller events own it).
-        assert_eq!(rep.events.len(), 2);
-        assert_eq!(rep.events[0], TraceEvent::DramRefresh { channel: 0, at: 10 * ratio, rank: 1 });
+        let token = RequestToken(7);
+        let rec = |at_mem, act| AuditRecord::Act { channel: 0, at_mem, act };
+        let core = TraceEvent::FillDone { token, at: 1 };
+        let org = TraceEvent::FillDone { token, at: 2 };
+        tr.absorb_events(&mut vec![core]);
+        for r in [
+            rec(5, Act::Enqueue(token)),
+            rec(10, Act::RefreshCmd(Command::Refresh { rank: 1 })),
+            rec(11, Act::RefreshCmd(Command::Precharge { rank: 0, bank: 0 })),
+            rec(12, Act::Cmd { cmd: Command::activate(0, 3, 9), token }),
+            rec(20, Act::Power { rank: 0, state: PowerState::PowerDown }),
+            rec(30, Act::DataEnd(token)),
+        ] {
+            tr.absorb_record(r);
+        }
+        tr.end_batch(&mut vec![org]);
+        let channel = 0;
         assert_eq!(
-            rep.events[1],
-            TraceEvent::DramPower { channel: 0, at: 20 * ratio, rank: 0, state: 1 }
+            tr.report().events,
+            vec![
+                core,
+                TraceEvent::McEnqueue { token, channel, at: 5 * ratio },
+                TraceEvent::McActivate { token, channel, at: 12 * ratio, rank: 0, bank: 3 },
+                TraceEvent::McDataEnd { token, channel, at: 30 * ratio, burst_cycles },
+                org,
+                TraceEvent::DramRefresh { channel, at: 10 * ratio, rank: 1 },
+                TraceEvent::DramPower { channel, at: 20 * ratio, rank: 0, state: 1 },
+            ]
         );
     }
 

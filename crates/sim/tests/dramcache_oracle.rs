@@ -23,9 +23,7 @@ fn run_span(mem: &mut DramCacheMemory, oracle: &mut Oracle, from: u64, to: u64) 
             oracle.observe_event(e, now);
         }
     }
-    let mut recs = Vec::new();
-    mem.drain_audit(&mut recs);
-    oracle.observe_records(&recs);
+    mem.drain_audit(&mut |r| oracle.observe_record(r));
 }
 
 fn submit_read(mem: &mut DramCacheMemory, oracle: &mut Oracle, addr: u64, now: u64) {

@@ -20,8 +20,10 @@
 //!
 //! [`Oracle`] bundles them behind the audit vocabulary of
 //! [`mem_ctrl::audit`]: a backend that implements
-//! `MainMemory::enable_audit`/`drain_audit` feeds raw command/power
-//! records in, the simulation loop feeds submits/events/skips in, and
+//! `MainMemory::enable_audit`/`drain_audit` feeds each controller's acts
+//! in, in the order the controller acted (an older power change or
+//! command than one already seen is itself a violation), the simulation
+//! loop feeds submits/events/skips in, and
 //! [`Oracle::finalize`] plus [`Oracle::report`] produce a
 //! [`VerifyReport`]. The oracle is an observer only — enabling it must
 //! not change a single simulated cycle, which the clean-run tests pin by
@@ -45,7 +47,7 @@ pub use rules::{OracleRule, OracleViolation};
 pub use skip::SkipMonitor;
 
 use dram_timing::Command;
-use mem_ctrl::audit::{AuditRecord, ChannelDesc};
+use mem_ctrl::audit::{Act, AuditRecord, ChannelDesc};
 use mem_ctrl::{MemEvent, Token};
 
 /// Stored-violation cap: detail strings for a badly broken run would
@@ -92,6 +94,9 @@ pub struct Oracle {
     /// How many of each checker's violations we already copied out.
     protocol_consumed: Vec<usize>,
     refresh: Vec<RefreshLedger>,
+    /// Per channel, the device cycle of the last power change or command
+    /// ingested (the order guard).
+    last_at: Vec<u64>,
     bus: CmdBusChecker,
     fill: FillOracle,
     skip: SkipMonitor,
@@ -116,6 +121,7 @@ impl Oracle {
         let bus = CmdBusChecker::new(channels.iter().map(|c| c.bus_group).collect());
         Oracle {
             protocol_consumed: vec![0; protocol.len()],
+            last_at: vec![0; channels.len()],
             protocol,
             refresh,
             bus,
@@ -138,24 +144,45 @@ impl Oracle {
 
     /// Feed a batch of audit records drained from the backend.
     pub fn observe_records(&mut self, records: &[AuditRecord]) {
-        for rec in records {
-            match *rec {
-                AuditRecord::Cmd { channel, at_mem, ref cmd } => {
-                    self.observe_cmd(channel, at_mem, cmd);
+        records.iter().for_each(|&rec| self.observe_record(rec));
+    }
+
+    /// Feed one audit record drained from the backend. Only power changes
+    /// and commands are checked; the request acts are the tracer's.
+    pub fn observe_record(&mut self, rec: AuditRecord) {
+        match rec {
+            AuditRecord::Act { channel, at_mem, act } => match act {
+                Act::Cmd { cmd, .. } | Act::RefreshCmd(cmd) => {
+                    self.guard_order(channel, at_mem);
+                    self.observe_cmd(channel, at_mem, &cmd);
                 }
-                AuditRecord::Power { channel, at_mem, rank, state } => {
+                Act::Power { rank, state } => {
+                    self.guard_order(channel, at_mem);
                     if let Some(ledger) = self.refresh.get_mut(channel) {
                         ledger.observe_power(rank as usize, at_mem, state);
                     }
                 }
-                AuditRecord::Cache { at, ref op } => {
-                    let mut out = Vec::new();
-                    self.dramcache.observe(at, op, &mut out);
-                    for v in out {
-                        self.push(v);
-                    }
+                Act::Enqueue(_) | Act::Drain { .. } | Act::DataEnd(_) => {}
+            },
+            AuditRecord::Cache { at, op } => {
+                let mut out = Vec::new();
+                self.dramcache.observe(at, &op, &mut out);
+                for v in out {
+                    self.push(v);
                 }
             }
+        }
+    }
+
+    /// Flag a power change or command on `channel` stamped before the
+    /// last one ingested there.
+    fn guard_order(&mut self, channel: usize, at_mem: u64) {
+        let Some(last) = self.last_at.get_mut(channel) else { return };
+        let prev = std::mem::replace(last, at_mem.max(*last));
+        if at_mem < prev {
+            let label = &self.channels[channel].label;
+            let detail = format!("{label}: record at device cycle {at_mem} after one at {prev}");
+            self.push(OracleViolation { at: at_mem, rule: OracleRule::AuditOutOfOrder, detail });
         }
     }
 
@@ -289,16 +316,17 @@ impl Oracle {
 
 impl Oracle {
     /// Serialize the oracle's mutable state: every protocol checker's
-    /// shadow timing state, refresh ledgers, command-bus slots, the
-    /// fill oracle, skip monitor and recorded violations. The channel
-    /// descriptions and derived rule tables are pure config, rebuilt on
-    /// restore.
+    /// shadow timing state, refresh ledgers, the order guard, command-bus
+    /// slots, the fill oracle, skip monitor and recorded violations. The
+    /// channel descriptions and derived rule tables are pure config,
+    /// rebuilt on restore.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) {
         let Oracle {
             channels: _,
             protocol,
             protocol_consumed,
             refresh,
+            last_at,
             bus,
             fill,
             skip,
@@ -317,6 +345,7 @@ impl Oracle {
         for l in refresh {
             l.save_state(w);
         }
+        cwf_ckpt::Ckpt::save(last_at, w);
         bus.save_state(w);
         cwf_ckpt::Ckpt::save(fill, w);
         cwf_ckpt::Ckpt::save(skip, w);
@@ -349,6 +378,11 @@ impl Oracle {
         for l in &mut self.refresh {
             l.load_state(r)?;
         }
+        let last_at: Vec<u64> = cwf_ckpt::Ckpt::load(r)?;
+        if last_at.len() != self.last_at.len() {
+            return Err(cwf_ckpt::CkptError::new("order-guard channel count mismatch"));
+        }
+        self.last_at = last_at;
         self.bus.load_state(r)?;
         self.fill = cwf_ckpt::Ckpt::load(r)?;
         self.skip = cwf_ckpt::Ckpt::load(r)?;
@@ -369,6 +403,16 @@ mod tests {
         ChannelDesc { label: label.to_string(), cfg, ranks: 1, bus_group }
     }
 
+    /// A command on channel 0, as the refresh unit logs one.
+    fn cmd(at_mem: u64, cmd: Command) -> AuditRecord {
+        AuditRecord::Act { channel: 0, at_mem, act: Act::RefreshCmd(cmd) }
+    }
+
+    /// A power change on channel 0, rank 0.
+    fn power(at_mem: u64, state: PowerState) -> AuditRecord {
+        AuditRecord::Act { channel: 0, at_mem, act: Act::Power { rank: 0, state } }
+    }
+
     #[test]
     fn clean_command_stream_is_clean() {
         let cfg = DeviceConfig::ddr3_1600();
@@ -376,12 +420,8 @@ mod tests {
         let mut o = Oracle::new(vec![desc("ddr3-ch0", cfg, None)]);
         let base = 10;
         o.observe_records(&[
-            AuditRecord::Cmd { channel: 0, at_mem: base, cmd: Command::activate(0, 0, 5) },
-            AuditRecord::Cmd {
-                channel: 0,
-                at_mem: base + u64::from(t.t_rcd),
-                cmd: Command::read(0, 0, 5, false),
-            },
+            cmd(base, Command::activate(0, 0, 5)),
+            cmd(base + u64::from(t.t_rcd), Command::read(0, 0, 5, false)),
         ]);
         o.finalize(u64::from(t.t_refi)); // well before the first deadline
         let r = o.report();
@@ -394,8 +434,8 @@ mod tests {
         let cfg = DeviceConfig::ddr3_1600();
         let mut o = Oracle::new(vec![desc("ddr3-ch0", cfg, None)]);
         o.observe_records(&[
-            AuditRecord::Cmd { channel: 0, at_mem: 10, cmd: Command::activate(0, 0, 5) },
-            AuditRecord::Cmd { channel: 0, at_mem: 11, cmd: Command::read(0, 0, 5, false) },
+            cmd(10, Command::activate(0, 0, 5)),
+            cmd(11, Command::read(0, 0, 5, false)),
         ]);
         let r = o.report();
         assert!(r
@@ -409,15 +449,25 @@ mod tests {
         let cfg = DeviceConfig::lpddr2_800();
         let t_refi = u64::from(cfg.timings.t_refi);
         let mut o = Oracle::new(vec![desc("lpddr2-ch0", cfg, None)]);
-        o.observe_records(&[AuditRecord::Power {
-            channel: 0,
-            at_mem: 5,
-            rank: 0,
-            state: PowerState::SelfRefresh,
-        }]);
+        o.observe_records(&[power(5, PowerState::SelfRefresh)]);
         // Ten intervals with zero refreshes: fine, the rank self-refreshes.
         o.finalize(10 * t_refi * u64::from(o.channels[0].cfg.cpu_cycles_per_mem_cycle));
         assert!(o.report().is_clean());
+    }
+
+    /// A power change stamped before an already-ingested refresh is
+    /// flagged; the same two acts in act order are clean.
+    #[test]
+    fn out_of_order_records_are_flagged() {
+        let verdict = |records: &[AuditRecord]| {
+            let mut o = Oracle::new(vec![desc("lpddr2-ch0", DeviceConfig::lpddr2_800(), None)]);
+            o.observe_records(records);
+            o.report().violations.iter().map(|v| v.rule).collect::<Vec<_>>()
+        };
+        let refresh = cmd(4, Command::Refresh { rank: 0 });
+        let wake = power(3, PowerState::Up);
+        assert_eq!(verdict(&[refresh, wake]), vec![OracleRule::AuditOutOfOrder]);
+        assert_eq!(verdict(&[wake, refresh]), vec![]);
     }
 
     #[test]

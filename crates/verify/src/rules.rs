@@ -45,6 +45,10 @@ pub enum OracleRule {
     /// A dirty DRAM-cache victim was evicted without its writeback
     /// reaching the slow store first (writeback-before-evict).
     CacheWritebackLost,
+    /// A channel's power change or command arrived stamped before one
+    /// already ingested: the oracle's feed lost act order, so every
+    /// verdict that depends on order is void.
+    AuditOutOfOrder,
 }
 
 impl std::fmt::Display for OracleRule {
@@ -64,6 +68,7 @@ impl std::fmt::Display for OracleRule {
             OracleRule::CacheTagMismatch => f.write_str("dram-cache tag/data mismatch"),
             OracleRule::CacheDoubleFill => f.write_str("dram-cache double fill"),
             OracleRule::CacheWritebackLost => f.write_str("dram-cache writeback lost"),
+            OracleRule::AuditOutOfOrder => f.write_str("audit stream out of order"),
         }
     }
 }
@@ -163,6 +168,7 @@ impl cwf_ckpt::Ckpt for OracleRule {
             OracleRule::CacheTagMismatch => w.put_u8(11),
             OracleRule::CacheDoubleFill => w.put_u8(12),
             OracleRule::CacheWritebackLost => w.put_u8(13),
+            OracleRule::AuditOutOfOrder => w.put_u8(14),
         }
     }
     fn load(r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<Self> {
@@ -181,6 +187,7 @@ impl cwf_ckpt::Ckpt for OracleRule {
             11 => OracleRule::CacheTagMismatch,
             12 => OracleRule::CacheDoubleFill,
             13 => OracleRule::CacheWritebackLost,
+            14 => OracleRule::AuditOutOfOrder,
             v => return Err(cwf_ckpt::CkptError::new(format!("invalid OracleRule tag {v}"))),
         })
     }

@@ -17,19 +17,13 @@
 
 use cwf_verify::Oracle;
 use dram_timing::{Command, DeviceConfig, PowerState};
-use mem_ctrl::audit::{AuditRecord, ChannelDesc};
+use mem_ctrl::audit::{Act, AuditRecord, ChannelDesc};
 use mem_ctrl::Controller;
 
-/// Convert one controller's drained command/power logs into audit records
-/// for `channel`.
+/// One controller's drained act log, as audit records for `channel`.
 fn drain_records(ctrl: &mut Controller, channel: usize) -> Vec<AuditRecord> {
     let mut out = Vec::new();
-    for (at_mem, cmd) in ctrl.take_command_log() {
-        out.push(AuditRecord::Cmd { channel, at_mem, cmd });
-    }
-    for (at_mem, rank, state) in ctrl.take_power_log() {
-        out.push(AuditRecord::Power { channel, at_mem, rank, state });
-    }
+    ctrl.drain_log(channel, |r| out.push(r));
     out
 }
 
@@ -50,7 +44,9 @@ fn refresh_times(records: &[AuditRecord]) -> Vec<u64> {
     records
         .iter()
         .filter_map(|r| match r {
-            AuditRecord::Cmd { at_mem, cmd: Command::Refresh { .. }, .. } => Some(*at_mem),
+            AuditRecord::Act { at_mem, act: Act::RefreshCmd(Command::Refresh { .. }), .. } => {
+                Some(*at_mem)
+            }
             _ => None,
         })
         .collect()
@@ -66,7 +62,7 @@ fn idle_rank_performs_n_refreshes_in_n_trefi_without_drift() {
     let cfg = DeviceConfig::ddr3_1600();
     let t_refi = u64::from(cfg.timings.t_refi);
     let mut ctrl = Controller::new(cfg.clone(), 1, 8, "ddr3");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
 
     const N: u64 = 10;
     let end_mem = (N + 1) * t_refi;
@@ -96,7 +92,7 @@ fn powered_down_rank_wakes_exactly_txp_before_its_refresh_deadline() {
     assert!(t_xp > 0, "boundary is only meaningful with a real exit latency");
 
     let mut ctrl = Controller::new(cfg.clone(), 1, 8, "lp");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
     const N: u64 = 4;
     let end_mem = (N + 1) * t_refi;
     for now in 0..end_mem {
@@ -115,7 +111,9 @@ fn powered_down_rank_wakes_exactly_txp_before_its_refresh_deadline() {
     let power: Vec<(u64, u8, PowerState)> = records
         .iter()
         .filter_map(|r| match *r {
-            AuditRecord::Power { at_mem, rank, state, .. } => Some((at_mem, rank, state)),
+            AuditRecord::Act { at_mem, act: Act::Power { rank, state }, .. } => {
+                Some((at_mem, rank, state))
+            }
             _ => None,
         })
         .collect();

@@ -11,16 +11,10 @@ use dram_timing::{DeviceConfig, Rule};
 use mem_ctrl::audit::{AuditRecord, ChannelDesc};
 use mem_ctrl::{AggregatedController, Controller, Loc, Token};
 
-/// Convert one controller's drained command/power logs into audit records
-/// for `channel`.
+/// One controller's drained act log, as audit records for `channel`.
 fn drain_records(ctrl: &mut Controller, channel: usize) -> Vec<AuditRecord> {
     let mut out = Vec::new();
-    for (at_mem, cmd) in ctrl.take_command_log() {
-        out.push(AuditRecord::Cmd { channel, at_mem, cmd });
-    }
-    for (at_mem, rank, state) in ctrl.take_power_log() {
-        out.push(AuditRecord::Power { channel, at_mem, rank, state });
-    }
+    ctrl.drain_log(channel, |r| out.push(r));
     out
 }
 
@@ -32,7 +26,7 @@ fn drain_records(ctrl: &mut Controller, channel: usize) -> Vec<AuditRecord> {
 fn shaved_trcd_is_caught_by_the_protocol_checker() {
     let pristine = DeviceConfig::ddr3_1600();
     let mut ctrl = Controller::new(pristine.clone().with_shaved_trcd(), 2, 8, "ddr3-faulty");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
 
     let mut token = 0u64;
     for now in 0..2000u64 {
@@ -72,7 +66,7 @@ fn dropped_refresh_is_caught_by_the_ledger() {
     let cfg = DeviceConfig::ddr3_1600();
     let t_refi = u64::from(cfg.timings.t_refi);
     let mut ctrl = Controller::new(cfg.clone(), 1, 8, "ddr3");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
     ctrl.inject_drop_refresh(1);
 
     let end_mem = 4 * t_refi;
@@ -109,7 +103,7 @@ fn phantom_self_refresh_credit_is_caught_by_the_ledger() {
     let cfg = DeviceConfig::ddr3_1600();
     let t_refi = u64::from(cfg.timings.t_refi);
     let mut ctrl = Controller::new(cfg.clone(), 1, 8, "ddr3");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
     ctrl.inject_phantom_self_refresh(1);
 
     let end_mem = 4 * t_refi;
@@ -142,7 +136,7 @@ fn undropped_refresh_stream_is_clean() {
     let cfg = DeviceConfig::ddr3_1600();
     let t_refi = u64::from(cfg.timings.t_refi);
     let mut ctrl = Controller::new(cfg.clone(), 1, 8, "ddr3");
-    ctrl.enable_command_log();
+    ctrl.enable_log(false);
 
     let end_mem = 4 * t_refi;
     for now in 0..end_mem {
@@ -169,7 +163,7 @@ fn shared_bus_report(double_book: bool) -> cwf_verify::VerifyReport {
     let mut subs: Vec<Controller> =
         (0..4).map(|i| Controller::new(cfg.clone(), 1, 1, &format!("rl-sub{i}"))).collect();
     for s in &mut subs {
-        s.enable_command_log();
+        s.enable_log(false);
     }
     let mut agg = AggregatedController::new();
     if double_book {

@@ -135,6 +135,14 @@ fn parse_kind(name: &str) -> MemKind {
     MemKind::parse(name).unwrap_or_else(|| fail(&format!("unknown memory kind '{name}'")))
 }
 
+/// `name`, if it names a benchmark profile; exit 2 naming it otherwise.
+fn parse_bench(name: &str) -> &str {
+    if cwfmem::workloads::by_name(name).is_none() {
+        fail(&format!("unknown benchmark '{name}'"));
+    }
+    name
+}
+
 /// Exit 2 unless `cfg` passes [`RunConfig::validate`]. Its messages start
 /// with the knob's name, which is also the flag's name.
 fn check(cfg: RunConfig) -> RunConfig {
@@ -479,8 +487,9 @@ fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64,
                 std::process::exit(1);
             }
             eprintln!(
-                "checkpoint at cycle {at}: wrote {} bytes (cwfmem.ckpt.v1) to {out_path}",
+                "checkpoint at cycle {at}: wrote {} bytes (checkpoint format v{}) to {out_path}",
                 ckpt.len(),
+                cwfmem::sim::system::CKPT_VERSION,
             );
         }
         cwfmem::sim::CkptOutcome::Finished(o) => {
@@ -491,7 +500,7 @@ fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64,
 }
 
 /// `run --ckpt-at <cycle> --ckpt-out <file>` — run until the target
-/// cycle, then serialize the whole simulator to a `cwfmem.ckpt.v1` file
+/// cycle, then serialize the whole simulator to a checkpoint file
 /// (or finish normally if the run completes first).
 fn cmd_run_ckpt(f: &Flags, cfg: &RunConfig, at: u64) {
     let Some(out_path) = f.get("--ckpt-out") else { fail("--ckpt-at needs --ckpt-out <file>") };
@@ -702,7 +711,7 @@ fn cmd_sweep(args: &[String]) {
     let benches: Vec<&str> = if f.has("--all-benches") {
         all_benches()
     } else if let Some(list) = f.get("--benches") {
-        list.split(',').collect()
+        list.split(',').map(parse_bench).collect()
     } else {
         default_benches()
     };

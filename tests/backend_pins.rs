@@ -103,18 +103,18 @@ fn checkpoint_bytes_are_pinned() {
     let mcf = workloads::by_name("mcf").expect("known bench");
     let observed = RunConfig { verify: true, trace: true, ..quick(MemKind::Rl) };
     let cells: [(&str, RunConfig, (usize, u64)); 5] = [
-        ("ddr3", quick(MemKind::Ddr3), (1_435_939, 0xedc9_2f47_e01e_ca90)),
-        ("rl", quick(MemKind::Rl), (1_465_461, 0x36dc_e7b7_021a_c19d)),
-        ("rl verify+trace", observed, (1_517_967, 0x268c_b5e2_4c3c_1076)),
+        ("ddr3", quick(MemKind::Ddr3), (1_435_931, 0x59df_b51e_c786_5f87)),
+        ("rl", quick(MemKind::Rl), (1_465_445, 0xd61a_05d8_4b9e_b9b9)),
+        ("rl verify+trace", observed, (1_517_895, 0x4b38_9615_9b36_f049)),
         (
             "rldram3+ddr5_4800",
             quick(MemKind::parse("rldram3+ddr5_4800").unwrap()),
-            (1_471_374, 0x3186_a100_90dc_b93f),
+            (1_471_358, 0x6e27_e52b_c468_ab39),
         ),
         (
             "dramcache:rldram3+nvm_slow",
             quick(MemKind::parse("dramcache:rldram3+nvm_slow").unwrap()),
-            (6_171_521, 0x4d9d_e678_f07a_d279),
+            (6_171_509, 0xcef0_f5d2_ac66_7181),
         ),
     ];
     for (name, cfg, pin) in cells {
@@ -128,7 +128,7 @@ fn checkpoint_bytes_are_pinned() {
     let pp = MemBackend::PagePlaced(PagePlacedMemory::new(hot));
     let got = ckpt_digest(System::with_backend(&quick(MemKind::Ddr3), mcf, pp));
     println!("page-placed: ({}, {:#018x})", got.0, got.1);
-    assert_eq!(got, (1_436_368, 0xec28_d1ba_fee5_e76a), "page-placed: checkpoint bytes moved");
+    assert_eq!(got, (1_436_360, 0x53a0_c9d2_f969_23a1), "page-placed: checkpoint bytes moved");
 }
 
 #[test]
@@ -137,9 +137,9 @@ fn unknown_checkpoint_version_is_rejected() {
     assert!(sys.run_to_cycle(1_000).is_none());
     let blob = sys.save_ckpt().expect("checkpoint serializes");
     // Magic (8 bytes), then the little-endian u32 format version. No
-    // version-1 reader is kept, so a v1 blob is refused like a future one.
-    assert_eq!(&blob[8..12], &2u32.to_le_bytes());
-    for version in [1u32, 3] {
+    // version-2 reader is kept, so a v2 blob is refused like a future one.
+    assert_eq!(&blob[8..12], &3u32.to_le_bytes());
+    for version in [2u32, 4] {
         let mut bad = blob.clone();
         bad[8..12].copy_from_slice(&version.to_le_bytes());
         let err = System::from_ckpt(&bad).err().expect("a foreign version must be refused");

@@ -1,6 +1,7 @@
-//! CLI regression: `cwfmem sweep` must exit nonzero when any cell
-//! panics (CI relies on the exit status to catch silently broken grids)
-//! and zero when the grid completes.
+//! CLI regression: `cwfmem sweep` must exit 2 on a bench name it does
+//! not know, before any cell runs, and zero when the grid completes. (A
+//! cell that panics is isolated and counted by `sweep::Plan`; see
+//! `a_panicking_cell_does_not_kill_the_sweep` in `crates/sim`.)
 
 use std::process::Command;
 
@@ -9,24 +10,22 @@ fn cwfmem() -> Command {
 }
 
 #[test]
-fn sweep_exits_nonzero_on_a_failed_cell() {
-    // An unknown benchmark is not validated up front: its cell panics
-    // inside the worker, becomes `CellResult::Failed`, and the sweep
-    // must report it through the exit status.
+fn sweep_rejects_an_unknown_bench() {
+    // Rejected by the flag parser like an unknown `--kinds` value: exit
+    // 2 naming it, with usage and no panic.
     let out = cwfmem()
-        .args(["sweep", "--benches", "no-such-bench", "--kinds", "rl", "--reads", "120"])
+        .args(["sweep", "--benches", "no-such-bench", "--kinds", "ddr3", "--reads", "120"])
         .output()
         .expect("run cwfmem");
-    assert!(!out.status.success(), "a failed cell must produce a nonzero exit");
+    assert_eq!(out.status.code(), Some(2), "an unknown bench is a usage error");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("FAILED no-such-bench"), "stderr: {stderr}");
-    assert!(stderr.contains("1 cell(s) failed"), "stderr: {stderr}");
+    assert!(stderr.contains("unknown benchmark 'no-such-bench'"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]
-fn sweep_with_a_mixed_grid_still_fails_overall() {
-    // One good cell and one bad: the good cell's result is printed, but
-    // the sweep as a whole is a failure.
+fn sweep_rejects_a_mixed_grid_before_running() {
+    // One good bench and one bad: nothing runs, so no table is printed.
     let out = cwfmem()
         .args([
             "sweep",
@@ -41,10 +40,9 @@ fn sweep_with_a_mixed_grid_still_fails_overall() {
         ])
         .output()
         .expect("run cwfmem");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("libquantum"), "good cell missing from table: {stdout}");
-    assert!(stdout.contains("failed"), "failed cell missing from table: {stdout}");
+    assert!(!stdout.contains("libquantum"), "no cell may run: {stdout}");
 }
 
 #[test]

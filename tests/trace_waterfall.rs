@@ -10,6 +10,7 @@
 use cwfmem::cwf::{CwfConfig, HeteroCwfMemory};
 use cwfmem::memctrl::{LineRequest, MainMemory};
 use cwfmem::sim::config::MemKind;
+use cwfmem::sim::trace::act_event;
 use cwfmem::sim::{run_benchmark_outcome, RunConfig};
 use cwfmem::tracelog::{waterfall, TraceEvent};
 use proptest::prelude::*;
@@ -34,6 +35,7 @@ fn req_strategy() -> impl Strategy<Value = Req> {
 /// `FillDone`) from the memory's own event stream — exactly what the
 /// hierarchy's hooks do — and merge them with the controller trace.
 fn drive_traced(mem: &mut dyn MainMemory, reqs: &[Req]) -> (usize, Vec<TraceEvent>) {
+    mem.enable_audit();
     mem.enable_trace();
     let mut now = 0u64;
     let mut accepted = 0usize;
@@ -77,6 +79,8 @@ fn drive_traced(mem: &mut dyn MainMemory, reqs: &[Req]) -> (usize, Vec<TraceEven
         bridge(&mut mem_events, &mut events);
         now += 1;
     }
+    let channels = mem.audit_channels();
+    mem.drain_audit(&mut |r| events.extend(act_event(&channels, r)));
     mem.drain_trace(&mut events);
     (accepted, events)
 }
